@@ -21,7 +21,7 @@ sample mean, whose per-swap variation is (max - min)/m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,16 +70,7 @@ class BoundReport:
     bound_value: float
 
     def as_dict(self) -> dict:
-        return {
-            "r_hat": self.r_hat,
-            "beta": self.beta,
-            "B": self.B,
-            "m": self.m,
-            "u": self.u,
-            "delta": self.delta,
-            "alpha_mu": self.alpha_mu,
-            "bound_value": self.bound_value,
-        }
+        return asdict(self)
 
 
 def generalization_bound(

@@ -33,7 +33,8 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -46,14 +47,12 @@ from .core import (
     HypothesisScores,
     Partition,
     empirical_error,
-    enumerate_swaps,
     overall_error,
     sample_partition,
     score_to_cost_stability,
     test_error,
 )
 from .errors import (
-    EmptyNeighborhood,
     NoFeasibleRadius,
     NoSweepData,
     ParseError,
@@ -75,6 +74,7 @@ from .regressors import (
     ConstrainedProblem,
     LocalEstimatorConfig,
     LtrProblem,
+    UnconstrainedProblem,
     build_cm,
     build_gmf,
     build_llreg,
@@ -113,18 +113,6 @@ __all__ = [
     "main",
 ]
 
-ALGORITHMS = (
-    "ltr",
-    "krr",
-    "cm",
-    "llreg",
-    "gmf",
-    "laplacian",
-    "stabilized-cm",
-    "stabilized-llreg",
-    "stabilized-gmf",
-)
-
 _SIGMA_GRID = (0.1, 0.3, 1.0, 3.0, 10.0)
 _CV_FOLDS = 5
 
@@ -141,8 +129,8 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
     constant columns are dropped with a ZeroVarianceFeature warning.
 
     Raises:
-        ParseError: non-numeric cell or ragged row (1-based row/column; the
-            header is row 1).
+        ParseError: non-numeric or non-finite cell, or ragged row (1-based
+            row/column; the header is row 1).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -162,9 +150,12 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
             parsed = np.empty(width)
             for col_no, cell in enumerate(row, start=1):
                 try:
-                    parsed[col_no - 1] = float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(row_no, col_no, f"non-numeric cell {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ParseError(row_no, col_no, f"non-finite cell {cell!r}")
+                parsed[col_no - 1] = value
             rows.append(parsed)
     if len(rows) < 2:
         raise ParseError(len(rows) + 1, 0, "need at least 2 data rows")
@@ -254,27 +245,7 @@ class ExperimentConfig:
         object.__setattr__(self, "radius_grid", grid)
 
     def as_dict(self) -> dict:
-        return {
-            "data_path": self.data_path,
-            "algorithm": self.algorithm,
-            "target_scale": self.target_scale,
-            "m_fraction": self.m_fraction,
-            "partitions": self.partitions,
-            "seed": self.seed,
-            "C": self.C,
-            "C_prime": self.C_prime,
-            "mu": self.mu,
-            "C_l": self.C_l,
-            "C_u": self.C_u,
-            "sigma": self.sigma,
-            "radius_grid": list(self.radius_grid),
-            "delta": self.delta,
-            "weighting": self.weighting,
-            "fallback": self.fallback,
-            "graph_path": self.graph_path,
-            "jobs": self.jobs,
-            "output_path": self.output_path,
-        }
+        return {**asdict(self), "radius_grid": list(self.radius_grid)}
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -333,26 +304,234 @@ def _cv_sigma(sample: FullSample, part: Partition, C: float) -> float:
 
 def _resolve_sigma(sample: FullSample, part: Partition, cfg: ExperimentConfig) -> float:
     if isinstance(cfg.sigma, str):
-        if cfg.sigma == "cv" and cfg.algorithm in ("ltr", "krr"):
+        if cfg.sigma == "cv" and cfg.algorithm in _KERNEL_ALGORITHMS:
             return _cv_sigma(sample, part, cfg.C)
         return _median_pairwise_distance(sample.points[part.train_idx])
     return float(cfg.sigma)
 
 
 # ---------------------------------------------------------------------------
+# algorithm table
+#
+# One entry per algorithm.  An entry sets the algorithm up on one partition,
+# given the partition's resolved sigma and its Gaussian kernel (ltr, krr) or
+# graph (every other algorithm), and returns a Fit.  ``run``, ``stability``
+# and ``select-radius`` all read this table, so each algorithm's solver,
+# stability coefficient and residual bound are written once.
+
+
+@dataclass(frozen=True)
+class Fit:
+    """One algorithm set up on one partition.
+
+    ``solve(sample, part)`` fits the algorithm on any partition of the sample
+    (the swap harness calls it on swapped partitions).  ``beta`` is the cost
+    stability coefficient and ``B`` the residual bound on the partition the
+    fit was set up on.  ``run_fields`` and ``stability_fields`` are the extra
+    values ``run`` and ``stability`` report; ``h`` holds scores already
+    computed on that partition, if any.
+    """
+
+    solve: Callable[[FullSample, Partition], HypothesisScores]
+    beta: float
+    B: float
+    run_fields: dict = field(default_factory=dict)
+    stability_fields: dict = field(default_factory=dict)
+    h: HypothesisScores | None = None
+
+
+def _kernel_fit(solve, part: Partition, cfg: ExperimentConfig, M: float,
+                C_prime: float, beta_loc: float = 0.0, **fields) -> Fit:
+    """Kernel least squares: the LTR coefficient and B = M (1 + sqrt(C + C'))."""
+    beta = math.inf  # an empty neighborhood leaves beta_loc, and so beta, unbounded
+    if math.isfinite(beta_loc):
+        beta = ltr_stability_bound(StabilityInputs(
+            m=part.m, u=part.u, C=cfg.C, C_prime=C_prime, kappa=1.0, M=M, beta_loc=beta_loc
+        ))
+    return Fit(solve, beta, M * (1.0 + math.sqrt(cfg.C + C_prime)), **fields)
+
+
+def _krr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
+         sigma: float, kern: np.ndarray) -> Fit:
+    """Kernel ridge regression on the labeled points (LTR with C' = 0)."""
+
+    def solve(s: FullSample, p: Partition) -> HypothesisScores:
+        return solve_krr_induction(
+            LtrProblem(K=kern, part=p, y=s.targets[p.train_idx], y_tilde=np.zeros(0),
+                       C=cfg.C, C_prime=0.0, kappa=1.0)
+        )
+
+    return _kernel_fit(solve, part, cfg, sample.label_bound_M, 0.0)
+
+
+def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
+            sigma: float, kern: np.ndarray, r: float) -> Fit:
+    """LTR with the local estimator at radius r."""
+    local = LocalEstimatorConfig(
+        radius_r=r, weighting=cfg.weighting, sigma=sigma, fallback=cfg.fallback
+    )
+
+    def solve(s: FullSample, p: Partition) -> HypothesisScores:
+        return solve_ltr(
+            LtrProblem(K=kern, part=p, y=s.targets[p.train_idx],
+                       y_tilde=pseudo_targets(s, p, local),
+                       C=cfg.C, C_prime=cfg.C_prime, kappa=1.0)
+        )
+
+    M = sample.label_bound_M
+    m_r = m_of_r(sample, part, r)
+    if m_r < 1:
+        b_loc = math.inf
+    elif cfg.weighting == "gaussian":
+        b_loc = beta_loc_gaussian(M, m_r, r, sigma)
+    else:
+        b_loc = beta_loc_invdist(M, m_r, r)
+    return _kernel_fit(solve, part, cfg, M, cfg.C_prime, b_loc,
+                       run_fields={"r_star": r}, stability_fields={"beta_loc": b_loc})
+
+
+def _ltr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
+         sigma: float, kern: np.ndarray) -> Fit:
+    """LTR at the single radius given, or at the radius select_radius picks."""
+    if len(cfg.radius_grid) == 1:
+        return _ltr_at(sample, part, cfg, sigma, kern, cfg.radius_grid[0])
+    fits: dict = {}
+    r_star, per_r = select_radius(sample, part, cfg, sigma, kern, fits)
+    fit, h = fits[r_star]
+    return replace(fit, h=h, run_fields={"r_star": r_star, "per_r": per_r})
+
+
+def _diag_spectrum(diag: np.ndarray) -> SpectrumSummary:
+    order = np.argsort(diag)
+    vec = np.zeros(diag.size)
+    vec[order[0]] = 1.0
+    lam2 = diag[order[1]] if diag.size > 1 else diag[order[0]]
+    return SpectrumSummary(
+        lambda_min=float(diag[order[0]]),
+        lambda_max=float(diag[order[-1]]),
+        lambda2=float(lam2),
+        eigenvector_min=vec,
+    )
+
+
+def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
+                   sigma: float, graph: GraphSpec) -> Fit:
+    """cm, llreg, gmf and their stabilized variants."""
+    algo = cfg.algorithm
+    family = algo.removeprefix("stabilized-")
+    M, m = sample.label_bound_M, part.m
+
+    def build(s: FullSample, p: Partition):
+        y = s.targets[p.train_idx]
+        if family == "cm":
+            return build_cm(graph, cfg.mu, y, p)
+        if family == "llreg":
+            return build_llreg(graph.weights, cfg.C_l, cfg.C_u, y, p)
+        return build_gmf(graph, cfg.C_l, cfg.C_u, y, p)
+
+    home = build(sample, part)
+
+    def solve(s: FullSample, p: Partition) -> HypothesisScores:
+        problem = home if s is sample and p is part else build(s, p)
+        return solve_unconstrained(problem) if algo == family else stabilize(problem)
+
+    c_min, c_max = (cfg.mu, cfg.mu) if family == "cm" else sorted((cfg.C_l, cfg.C_u))
+    if algo == "cm":
+        score_beta = cm_score_bound(M)
+    elif algo == "llreg":
+        score_beta = llreg_score_bound(M, m, c_min, c_max)
+    else:
+        q_spec = spectrum(home.Q)
+        if algo != family:
+            # the stabilized solve lives on the complement of Q's bottom
+            # eigenvector, where Q's smallest eigenvalue is lambda2
+            q_spec = SpectrumSummary(
+                lambda_min=q_spec.lambda2, lambda_max=q_spec.lambda_max,
+                lambda2=q_spec.lambda2, eigenvector_min=q_spec.eigenvector_min,
+            )
+        c_spec = _diag_spectrum(np.diagonal(home.Cmat))
+        score_beta = unconstrained_score_bound(
+            q_spec, c_spec, c_spec,
+            math.sqrt(2.0) * M,
+            math.sqrt(m) * M,
+            math.sqrt(2.0) * (1.0 / c_min - 1.0 / c_max),
+        )
+    stability_fields = {"score_bound": score_beta}
+    if family == "llreg":
+        stability_fields["score_bound_spectral"] = llreg_score_bound_spectral(
+            M, m, c_min, c_max
+        )
+    # residuals stay within M (1 + sqrt(c_max / c_min) sqrt(m))
+    b_resid = M * (1.0 + math.sqrt(c_max / c_min) * math.sqrt(m))
+    return Fit(solve, score_to_cost_stability(score_beta, b_resid), b_resid,
+               run_fields={"score_beta": score_beta}, stability_fields=stability_fields)
+
+
+def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
+               sigma: float, graph: GraphSpec) -> Fit:
+    """The sum-zero-constrained Laplacian regularizer."""
+    M, m = sample.label_bound_M, part.m
+    lap = laplacian(graph)
+
+    def problem(s: FullSample, p: Partition) -> ConstrainedProblem:
+        return ConstrainedProblem(L=lap, C_tradeoff=cfg.C, part=p,
+                                  y_S=s.targets[p.train_idx], center_labels=True)
+
+    home = problem(sample, part)  # rejects C <= 0 before a bound divides by C
+
+    def solve(s: FullSample, p: Partition) -> HypothesisScores:
+        return solve_constrained(home if s is sample and p is part else problem(s, p))
+
+    lam2 = spectrum(lap).lambda2
+    rho = diameter(graph)
+    beta = belkin_cost_stability(cfg.C, M, m, lam2, rho)  # raises unless lam2 > 0
+    b_resid = M * (1.0 + math.sqrt(min(1.0 / lam2, float(rho)) * cfg.C))
+    theorem_beta = belkin_score_stability(M, m, cfg.C, lam2) if m * lam2 / cfg.C > 1 else None
+    shared = {"lambda2": lam2, "rho_G": rho}
+    return Fit(solve, beta, b_resid, run_fields=shared,
+               stability_fields={**shared, "theorem_beta": theorem_beta})
+
+
+_ENTRIES: dict[str, Callable[..., Fit]] = {
+    "ltr": _ltr, "krr": _krr,
+    "cm": _unconstrained, "llreg": _unconstrained, "gmf": _unconstrained,
+    "laplacian": _laplacian,
+    "stabilized-cm": _unconstrained, "stabilized-llreg": _unconstrained,
+    "stabilized-gmf": _unconstrained,
+}
+ALGORITHMS = tuple(_ENTRIES)
+_KERNEL_ALGORITHMS = ("ltr", "krr")
+
+
+def _setup(sample: FullSample, part: Partition, cfg: ExperimentConfig, sigma: float) -> Fit:
+    """Build the partition's kernel or graph and hand it to the algorithm's entry."""
+    if cfg.algorithm in _KERNEL_ALGORITHMS:
+        base = gaussian_kernel(sample.points, sigma)
+    elif cfg.graph_path:
+        base = load_edge_list(cfg.graph_path, n=sample.n)
+    else:
+        base = gaussian_affinity(sample.points, sigma)
+    return _ENTRIES[cfg.algorithm](sample, part, cfg, sigma, base)
+
+
+def _bound_value(train: float, fit: Fit, part: Partition, cfg: ExperimentConfig) -> float:
+    """The generalization bound at the fit's beta and B; inf when beta diverges."""
+    if not math.isfinite(fit.beta):
+        return math.inf
+    return generalization_bound(train, fit.beta, fit.B, part.m, part.u, cfg.delta).bound_value
+
+
+# ---------------------------------------------------------------------------
 # radius selection
 
 
-def _beta_loc_for(cfg: ExperimentConfig, M: float, m_r: int, r: float, sigma: float) -> float:
-    if m_r < 1:
-        return math.inf
-    if cfg.weighting == "gaussian":
-        return beta_loc_gaussian(M, m_r, r, sigma)
-    return beta_loc_invdist(M, m_r, r)
-
-
 def select_radius(
-    sample: FullSample, part: Partition, cfg: ExperimentConfig
+    sample: FullSample,
+    part: Partition,
+    cfg: ExperimentConfig,
+    sigma: float | None = None,
+    kern: np.ndarray | None = None,
+    fits: dict | None = None,
 ) -> tuple[float, list[dict]]:
     """Pick the estimator radius minimizing train error plus bound slack.
 
@@ -361,6 +540,10 @@ def select_radius(
     ``train_mse + slack`` evaluated, where slack is the stability bound's
     excess over the training error.  The reported ``test_mse`` is diagnostic
     only and never enters the selection.
+
+    ``sigma`` and ``kern`` default to the partition's resolved sigma and its
+    Gaussian kernel.  When ``fits`` is given it receives ``{r: (fit, h)}``
+    for every solvable radius, so a caller can reuse the chosen fit.
 
     Returns:
         (r_star, per_r) — ties resolve toward the smaller radius.
@@ -371,57 +554,33 @@ def select_radius(
     """
     if not cfg.radius_grid:
         raise NoFeasibleRadius("the radius grid is empty")
-    sigma = _resolve_sigma(sample, part, cfg)
-    kern = gaussian_kernel(sample.points, sigma)
-    y_s = sample.targets[part.train_idx]
-    m_label = sample.label_bound_M
-    b_resid = m_label * (1.0 + math.sqrt(cfg.C + cfg.C_prime))
+    if sigma is None:
+        sigma = _resolve_sigma(sample, part, cfg)
+    if kern is None:
+        kern = gaussian_kernel(sample.points, sigma)
     per_r: list[dict] = []
     best = (math.inf, None)
     for r in cfg.radius_grid:
-        local = LocalEstimatorConfig(
-            radius_r=r, weighting=cfg.weighting, sigma=sigma, fallback=cfg.fallback
-        )
+        fit = _ltr_at(sample, part, cfg, sigma, kern, r)
         try:
-            y_tilde = pseudo_targets(sample, part, local)
+            h = fit.solve(sample, part)
         except PseudoTargetUnavailable as exc:
             per_r.append({"r": r, "feasible": False, "reason": str(exc)})
             continue
-        problem = LtrProblem(
-            K=kern, part=part, y=y_s, y_tilde=y_tilde,
-            C=cfg.C, C_prime=cfg.C_prime, kappa=1.0,
-        )
-        h = solve_ltr(problem)
+        if fits is not None:
+            fits[r] = (fit, h)
         train = empirical_error(h, sample, part)
-        test = test_error(h, sample, part)
-        m_r = m_of_r(sample, part, r)
-        b_loc = _beta_loc_for(cfg, m_label, m_r, r, sigma)
-        beta = (
-            ltr_stability_bound(
-                StabilityInputs(
-                    m=part.m, u=part.u, C=cfg.C, C_prime=cfg.C_prime,
-                    kappa=1.0, M=m_label, beta_loc=b_loc,
-                )
-            )
-            if math.isfinite(b_loc)
-            else math.inf
-        )
-        if math.isfinite(beta):
-            slack = generalization_bound(
-                train, beta, b_resid, part.m, part.u, cfg.delta
-            ).bound_value - train
-        else:
-            slack = math.inf
+        slack = _bound_value(train, fit, part, cfg) - train
         objective = train + slack
         per_r.append(
             {
                 "r": r,
                 "feasible": True,
                 "train_mse": train,
-                "test_mse": test,
-                "m_r": m_r,
-                "beta_loc": b_loc,
-                "beta": beta,
+                "test_mse": test_error(h, sample, part),
+                "m_r": m_of_r(sample, part, r),
+                "beta_loc": fit.stability_fields["beta_loc"],
+                "beta": fit.beta,
                 "slack": slack,
                 "objective": objective,
             }
@@ -440,180 +599,28 @@ def select_radius(
 # experiment protocol
 
 
-def _diag_spectrum(diag: np.ndarray) -> SpectrumSummary:
-    diag = np.asarray(diag, dtype=np.float64).ravel()
-    order = np.argsort(diag)
-    vec = np.zeros(diag.size)
-    vec[order[0]] = 1.0
-    lam2 = diag[order[1]] if diag.size > 1 else diag[order[0]]
-    return SpectrumSummary(
-        lambda_min=float(diag[order[0]]),
-        lambda_max=float(diag[order[-1]]),
-        lambda2=float(lam2),
-        eigenvector_min=vec,
-    )
-
-
-def _conservative_b(M: float, m: int, c_min: float, c_max: float) -> float:
-    """Residual bound for the unconstrained family: M (1 + sqrt(c_max/c_min) sqrt(m))."""
-    return M * (1.0 + math.sqrt(c_max / c_min) * math.sqrt(m))
-
-
-def _graph_for(sample: FullSample, cfg: ExperimentConfig, sigma: float) -> GraphSpec:
-    if cfg.graph_path:
-        return load_edge_list(cfg.graph_path, n=sample.n)
-    return gaussian_affinity(sample.points, sigma)
-
-
 def _fit_one(sample: FullSample, part: Partition, cfg: ExperimentConfig) -> dict:
     """Fit the configured algorithm on one partition and report metrics."""
-    m_label = sample.label_bound_M
-    m, u = part.m, part.u
-    y_s = sample.targets[part.train_idx]
-    record: dict = {"seed": part.seed, "r_star": None}
-    per_r: list[dict] | None = None
-
-    algo = cfg.algorithm
-    if algo in ("ltr", "krr"):
-        sigma = _resolve_sigma(sample, part, cfg)
-        kern = gaussian_kernel(sample.points, sigma)
-        record["sigma"] = sigma
-        if algo == "krr":
-            problem = LtrProblem(
-                K=kern, part=part, y=y_s, y_tilde=np.zeros(0),
-                C=cfg.C, C_prime=0.0, kappa=1.0,
-            )
-            h = solve_krr_induction(problem)
-            beta = ltr_stability_bound(
-                StabilityInputs(m=m, u=u, C=cfg.C, C_prime=0.0, kappa=1.0, M=m_label)
-            )
-            b_resid = m_label * (1.0 + math.sqrt(cfg.C))
-        else:
-            if len(cfg.radius_grid) > 1:
-                r_star, per_r = select_radius(sample, part, cfg)
-            else:
-                r_star = cfg.radius_grid[0]
-            record["r_star"] = r_star
-            local = LocalEstimatorConfig(
-                radius_r=r_star, weighting=cfg.weighting,
-                sigma=sigma, fallback=cfg.fallback,
-            )
-            y_tilde = pseudo_targets(sample, part, local)
-            problem = LtrProblem(
-                K=kern, part=part, y=y_s, y_tilde=y_tilde,
-                C=cfg.C, C_prime=cfg.C_prime, kappa=1.0,
-            )
-            h = solve_ltr(problem)
-            b_loc = _beta_loc_for(cfg, m_label, m_of_r(sample, part, r_star), r_star, sigma)
-            beta = (
-                ltr_stability_bound(
-                    StabilityInputs(
-                        m=m, u=u, C=cfg.C, C_prime=cfg.C_prime,
-                        kappa=1.0, M=m_label, beta_loc=b_loc,
-                    )
-                )
-                if math.isfinite(b_loc)
-                else math.inf
-            )
-            b_resid = m_label * (1.0 + math.sqrt(cfg.C + cfg.C_prime))
-    else:
-        sigma = _resolve_sigma(sample, part, cfg)
-        record["sigma"] = sigma
-        graph_spec = _graph_for(sample, cfg, sigma)
-        if algo in ("cm", "stabilized-cm"):
-            problem = build_cm(graph_spec, cfg.mu, y_s, part)
-            c_min = c_max = cfg.mu
-            score_beta = cm_score_bound(m_label)
-        elif algo in ("llreg", "stabilized-llreg"):
-            problem = build_llreg(graph_spec.weights, cfg.C_l, cfg.C_u, y_s, part)
-            c_min, c_max = min(cfg.C_l, cfg.C_u), max(cfg.C_l, cfg.C_u)
-            score_beta = llreg_score_bound(m_label, m, c_min, c_max)
-        elif algo in ("gmf", "stabilized-gmf"):
-            problem = build_gmf(graph_spec, cfg.C_l, cfg.C_u, y_s, part)
-            c_min, c_max = min(cfg.C_l, cfg.C_u), max(cfg.C_l, cfg.C_u)
-            gap = math.sqrt(2.0) * (1.0 / c_min - 1.0 / c_max)
-            score_beta = unconstrained_score_bound(
-                spectrum(problem.Q),
-                _diag_spectrum(np.diagonal(problem.Cmat)),
-                _diag_spectrum(np.diagonal(problem.Cmat)),
-                math.sqrt(2.0) * m_label,
-                math.sqrt(m) * m_label,
-                gap,
-            )
-        elif algo == "laplacian":
-            lap = laplacian(graph_spec)
-            h = solve_constrained(
-                ConstrainedProblem(
-                    L=lap, C_tradeoff=cfg.C, part=part,
-                    y_S=y_s, u_vec=None, center_labels=True,
-                )
-            )
-            lam2 = spectrum(lap).lambda2
-            rho = diameter(graph_spec)
-            beta = belkin_cost_stability(cfg.C, m_label, m, lam2, rho)
-            kappa_sq = min(1.0 / lam2, float(rho)) if lam2 > 0 else float(rho)
-            b_resid = m_label * (1.0 + math.sqrt(kappa_sq * cfg.C))
-            record["lambda2"] = lam2
-            record["rho_G"] = rho
-            return _finish_record(record, h, sample, part, beta, b_resid, cfg, per_r)
-        else:  # pragma: no cover - guarded by config validation
-            raise ValueError(f"unknown algorithm {algo!r}")
-
-        if algo.startswith("stabilized-"):
-            spec_q = spectrum(problem.Q)
-            effective = SpectrumSummary(
-                lambda_min=spec_q.lambda2,
-                lambda_max=spec_q.lambda_max,
-                lambda2=spec_q.lambda2,
-                eigenvector_min=spec_q.eigenvector_min,
-            )
-            gap = (
-                math.sqrt(2.0) * (1.0 / c_min - 1.0 / c_max)
-                if algo != "stabilized-cm"
-                else 0.0
-            )
-            score_beta = unconstrained_score_bound(
-                effective,
-                _diag_spectrum(np.diagonal(problem.Cmat)),
-                _diag_spectrum(np.diagonal(problem.Cmat)),
-                math.sqrt(2.0) * m_label,
-                math.sqrt(m) * m_label,
-                gap,
-            )
-            h = stabilize(problem)
-        else:
-            h = solve_unconstrained(problem)
-        b_resid = _conservative_b(m_label, m, c_min, c_max)
-        beta = score_to_cost_stability(score_beta, b_resid)
-        record["score_beta"] = score_beta
-
-    return _finish_record(record, h, sample, part, beta, b_resid, cfg, per_r)
-
-
-def _finish_record(
-    record: dict,
-    h: HypothesisScores,
-    sample: FullSample,
-    part: Partition,
-    beta: float,
-    b_resid: float,
-    cfg: ExperimentConfig,
-    per_r: list[dict] | None,
-) -> dict:
+    sigma = _resolve_sigma(sample, part, cfg)
+    fit = _setup(sample, part, cfg, sigma)
+    h = fit.h if fit.h is not None else fit.solve(sample, part)
     train = empirical_error(h, sample, part)
-    record["train_mse"] = train
-    record["test_mse"] = test_error(h, sample, part)
-    record["beta_used"] = beta
-    record["B"] = b_resid
-    if math.isfinite(beta):
-        record["bound_value"] = generalization_bound(
-            train, beta, b_resid, part.m, part.u, cfg.delta
-        ).bound_value
-    else:
-        record["bound_value"] = math.inf
-    if per_r is not None:
-        record["per_r"] = per_r
-    return record
+    return {
+        "seed": part.seed,
+        "r_star": None,
+        "sigma": sigma,
+        **fit.run_fields,
+        "train_mse": train,
+        "test_mse": test_error(h, sample, part),
+        "beta_used": fit.beta,
+        "B": fit.B,
+        "bound_value": _bound_value(train, fit, part, cfg),
+    }
+
+
+def _labeled_size(cfg: ExperimentConfig, n: int) -> int:
+    """m = round(m_fraction * n), kept inside [1, n - 1]."""
+    return min(max(int(round(cfg.m_fraction * n)), 1), n - 1)
 
 
 def run_experiment(cfg: ExperimentConfig, sample: FullSample | None = None) -> dict:
@@ -630,7 +637,7 @@ def run_experiment(cfg: ExperimentConfig, sample: FullSample | None = None) -> d
             sample = load_and_normalize(cfg.data_path, cfg.target_scale)
         load_warnings = [str(w.message) for w in caught]
     n = sample.n
-    m = min(max(int(round(cfg.m_fraction * n)), 1), n - 1)
+    m = _labeled_size(cfg, n)
 
     def one(index: int) -> dict:
         part = sample_partition(sample, m, derive_seed(cfg.seed, index))
@@ -813,8 +820,6 @@ def verify_suite(level: str = "fast", seed: int = 0) -> dict:
         q = b.T @ b / n
         cmat = np.diag(rng.uniform(0.5, 2.0, n))
         y = rng.uniform(-1, 1, n)
-        from .regressors import UnconstrainedProblem
-
         h = solve_unconstrained(UnconstrainedProblem(Q=q, Cmat=cmat, y=y)).scores
         h_gd = _gd_minimize(q, cmat, y)
         worst = max(worst, float(np.max(np.abs(h - h_gd))))
@@ -1196,12 +1201,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _first_partition(cfg: ExperimentConfig) -> tuple[FullSample, Partition]:
+    """Load the data and draw partition 0 of the configured run."""
+    sample = load_and_normalize(cfg.data_path, cfg.target_scale)
+    m = _labeled_size(cfg, sample.n)
+    return sample, sample_partition(sample, m, derive_seed(cfg.seed, 0))
+
+
 def _cmd_select_radius(args) -> int:
     cfg = _config_from_args(args, algorithm="ltr")
-    sample = load_and_normalize(cfg.data_path, cfg.target_scale)
-    n = sample.n
-    m = min(max(int(round(cfg.m_fraction * n)), 1), n - 1)
-    part = sample_partition(sample, m, derive_seed(cfg.seed, 0))
+    sample, part = _first_partition(cfg)
     r_star, per_r = select_radius(sample, part, cfg)
     if args.format == "csv":
         _emit(_records_csv(per_r), args.out)
@@ -1211,133 +1220,26 @@ def _cmd_select_radius(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    # one setting of the algorithm: ltr takes the first radius of the grid
     cfg = _config_from_args(args)
-    sample = load_and_normalize(cfg.data_path, cfg.target_scale)
-    n = sample.n
-    m = min(max(int(round(cfg.m_fraction * n)), 1), n - 1)
-    part = sample_partition(sample, m, derive_seed(cfg.seed, 0))
-    m_label = sample.label_bound_M
+    cfg = replace(cfg, radius_grid=cfg.radius_grid[:1])
+    sample, part = _first_partition(cfg)
     sigma = _resolve_sigma(sample, part, cfg)
+    fit = _setup(sample, part, cfg, sigma)
     out: dict = {
         "algorithm": cfg.algorithm,
         "m": part.m,
         "u": part.u,
-        "label_bound_M": m_label,
+        "label_bound_M": sample.label_bound_M,
         "sigma": sigma,
+        "cost_bound": fit.beta,
+        "B": fit.B,
+        **fit.stability_fields,
     }
-    graph_spec = None
-    if cfg.algorithm not in ("ltr", "krr"):
-        graph_spec = _graph_for(sample, cfg, sigma)
-
-    solver = None
-    b_resid = None
-    if cfg.algorithm in ("cm", "stabilized-cm"):
-        b_resid = _conservative_b(m_label, part.m, cfg.mu, cfg.mu)
-        out["score_bound"] = cm_score_bound(m_label)
-        out["cost_bound"] = score_to_cost_stability(out["score_bound"], b_resid)
-
-        def solver(s, p):
-            prob = build_cm(graph_spec, cfg.mu, s.targets[p.train_idx], p)
-            return stabilize(prob) if cfg.algorithm.startswith("stabilized") else solve_unconstrained(prob)
-
-    elif cfg.algorithm in ("llreg", "stabilized-llreg"):
-        c_min, c_max = min(cfg.C_l, cfg.C_u), max(cfg.C_l, cfg.C_u)
-        b_resid = _conservative_b(m_label, part.m, c_min, c_max)
-        out["score_bound"] = llreg_score_bound(m_label, part.m, c_min, c_max)
-        out["score_bound_spectral"] = llreg_score_bound_spectral(m_label, part.m, c_min, c_max)
-        out["cost_bound"] = score_to_cost_stability(out["score_bound"], b_resid)
-
-        def solver(s, p):
-            prob = build_llreg(graph_spec.weights, cfg.C_l, cfg.C_u, s.targets[p.train_idx], p)
-            return stabilize(prob) if cfg.algorithm.startswith("stabilized") else solve_unconstrained(prob)
-
-    elif cfg.algorithm in ("gmf", "stabilized-gmf"):
-        c_min, c_max = min(cfg.C_l, cfg.C_u), max(cfg.C_l, cfg.C_u)
-        b_resid = _conservative_b(m_label, part.m, c_min, c_max)
-        prob0 = build_gmf(graph_spec, cfg.C_l, cfg.C_u, sample.targets[part.train_idx], part)
-        spec_q = spectrum(prob0.Q)
-        if cfg.algorithm.startswith("stabilized"):
-            spec_q = SpectrumSummary(
-                lambda_min=spec_q.lambda2, lambda_max=spec_q.lambda_max,
-                lambda2=spec_q.lambda2, eigenvector_min=spec_q.eigenvector_min,
-            )
-        out["score_bound"] = unconstrained_score_bound(
-            spec_q,
-            _diag_spectrum(np.diagonal(prob0.Cmat)),
-            _diag_spectrum(np.diagonal(prob0.Cmat)),
-            math.sqrt(2.0) * m_label,
-            math.sqrt(part.m) * m_label,
-            math.sqrt(2.0) * (1.0 / c_min - 1.0 / c_max),
-        )
-        out["cost_bound"] = score_to_cost_stability(out["score_bound"], b_resid)
-
-        def solver(s, p):
-            prob = build_gmf(graph_spec, cfg.C_l, cfg.C_u, s.targets[p.train_idx], p)
-            return stabilize(prob) if cfg.algorithm.startswith("stabilized") else solve_unconstrained(prob)
-
-    elif cfg.algorithm == "laplacian":
-        lap = laplacian(graph_spec)
-        lam2 = spectrum(lap).lambda2
-        rho = diameter(graph_spec)
-        out["lambda2"] = lam2
-        out["rho_G"] = rho
-        out["cost_bound"] = belkin_cost_stability(cfg.C, m_label, part.m, lam2, rho)
-        if part.m * lam2 / cfg.C > 1:
-            out["theorem_beta"] = belkin_score_stability(m_label, part.m, cfg.C, lam2)
-        else:
-            out["theorem_beta"] = None
-        kappa_sq = min(1.0 / lam2, float(rho))
-        b_resid = m_label * (1.0 + math.sqrt(kappa_sq * cfg.C))
-
-        def solver(s, p):
-            return solve_constrained(
-                ConstrainedProblem(L=lap, C_tradeoff=cfg.C, part=p,
-                                   y_S=s.targets[p.train_idx], center_labels=True)
-            )
-
-    else:  # ltr / krr
-        cp = cfg.C_prime if cfg.algorithm == "ltr" else 0.0
-        b_resid = m_label * (1.0 + math.sqrt(cfg.C + cp))
-        beta_loc = 0.0
-        if cfg.algorithm == "ltr":
-            if not cfg.radius_grid:
-                raise ValueError("algorithm 'ltr' needs --radius")
-            r = cfg.radius_grid[0]
-            beta_loc = _beta_loc_for(cfg, m_label, m_of_r(sample, part, r), r, sigma)
-            out["beta_loc"] = beta_loc
-        out["cost_bound"] = (
-            ltr_stability_bound(
-                StabilityInputs(m=part.m, u=part.u, C=cfg.C, C_prime=cp,
-                                kappa=1.0, M=m_label, beta_loc=beta_loc)
-            )
-            if math.isfinite(beta_loc)
-            else math.inf
-        )
-        kern = gaussian_kernel(sample.points, sigma)
-
-        def solver(s, p):
-            if cfg.algorithm == "krr":
-                prob = LtrProblem(K=kern, part=p, y=s.targets[p.train_idx],
-                                  y_tilde=np.zeros(0), C=cfg.C, C_prime=0.0, kappa=1.0)
-                return solve_krr_induction(prob)
-            local = LocalEstimatorConfig(radius_r=cfg.radius_grid[0],
-                                         weighting=cfg.weighting, sigma=sigma,
-                                         fallback=cfg.fallback)
-            y_t = pseudo_targets(s, p, local)
-            prob = LtrProblem(K=kern, part=p, y=s.targets[p.train_idx],
-                              y_tilde=y_t, C=cfg.C, C_prime=cp, kappa=1.0)
-            return solve_ltr(prob)
-
-    out["B"] = b_resid
     if args.empirical:
-        rep = empirical_stability(solver, sample, part, B=b_resid, seed=cfg.seed)
-        out["empirical"] = {
-            "max_score_delta": rep.max_score_delta,
-            "max_cost_delta": rep.max_cost_delta,
-            "worst_swap": {"removed": rep.worst_swap.removed, "added": rep.worst_swap.added},
-            "swaps_evaluated": rep.swaps_evaluated,
-            "mode": rep.mode,
-        }
+        out["empirical"] = asdict(
+            empirical_stability(fit.solve, sample, part, B=fit.B, seed=cfg.seed)
+        )
     _emit(_dump_json(out), args.out)
     return 0
 
@@ -1369,12 +1271,9 @@ def _cmd_verify(args) -> int:
         f"{'PASS' if summary['passed'] else 'FAIL'} overall "
         f"({sum(c['passed'] for c in summary['checks'])}/{len(summary['checks'])} checks)"
     )
-    text = "\n".join(lines) + "\n"
     if args.out:
         _emit(_dump_json(summary), args.out)
-        sys.stdout.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0 if summary["passed"] else 1
 
 

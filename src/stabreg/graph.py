@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _readonly
 from .errors import (
     GraphDisconnected,
     NotSymmetric,
@@ -47,12 +48,6 @@ __all__ = [
 # are treated as zero as well.
 PSD_CLAMP = 1e-9
 ZERO_CUTOFF = 1e-12
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

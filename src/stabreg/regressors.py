@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FullSample, HypothesisScores, Partition
+from .core import FullSample, HypothesisScores, Partition, _readonly
 from .errors import (
     ConstraintSpansNullSpace,
     NotInRange,
@@ -67,12 +67,6 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

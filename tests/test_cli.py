@@ -9,6 +9,7 @@ import pytest
 
 from stabreg import FullSample, NoSweepData, ParseError, ZeroVarianceFeature, sample_partition
 from stabreg.cli import (
+    ALGORITHMS,
     ExperimentConfig,
     build_parser,
     derive_seed,
@@ -443,6 +444,24 @@ def test_cli_exit_code_two_on_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_cli_exit_code_two_on_non_finite_cell(tmp_path, capsys, cell):
+    bad = tmp_path / "nonfinite.csv"
+    bad.write_text(f"a,t\n1,0.5\n2,0.1\n{cell},0.2\n")
+    with pytest.raises(ParseError) as exc_info:
+        load_and_normalize(str(bad))
+    assert (exc_info.value.row, exc_info.value.column) == (4, 1)
+    code = main(["run", "--data", str(bad), "--algorithm", "krr"])
+    assert code == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_cli_stability_laplacian_rejects_zero_C(toy_csv, capsys):
+    code = main(["stability", "--data", toy_csv, "--algorithm", "laplacian", "--C", "0"])
+    assert code == 2
+    assert "C_tradeoff must be positive" in capsys.readouterr().err
+
+
 def test_cli_exit_code_two_on_missing_file(capsys):
     code = main(["run", "--data", "/nonexistent/x.csv", "--algorithm", "krr"])
     assert code == 2
@@ -466,3 +485,51 @@ def test_parser_rejects_bad_sigma():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["run", "--data", "x.csv", "--sigma", "-1"])
+
+
+# ---------------------------------------------------------------------------
+# the stability subcommand
+
+
+def _run_and_stability(toy_csv, algorithm, capsys):
+    """run's record and stability --empirical's report for partition 0 of seed 0."""
+    extra = ["--radius", "1.5", "--C-prime", "0.5"] if algorithm == "ltr" else []
+    assert main(["run", "--data", toy_csv, "--algorithm", algorithm, *extra]) == 0
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert main(
+        ["stability", "--data", toy_csv, "--algorithm", algorithm, "--empirical", *extra]
+    ) == 0
+    return record, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cli_stability_reports_the_coefficients_run_uses(toy_csv, algorithm, capsys):
+    record, report = _run_and_stability(toy_csv, algorithm, capsys)
+    assert report["cost_bound"] == record["beta_used"]
+    assert report["B"] == record["B"]
+    if "score_beta" in record:
+        assert report["score_bound"] == record["score_beta"]
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [
+        pytest.param(
+            algo,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: the labeled-mean centering is not covered "
+                "by belkin_cost_stability",
+            ),
+        )
+        if algo == "laplacian"
+        else algo
+        for algo in ALGORITHMS
+    ],
+)
+def test_cli_stability_empirical_within_cost_bound(toy_csv, algorithm, capsys):
+    _, report = _run_and_stability(toy_csv, algorithm, capsys)
+    empirical = report["empirical"]
+    assert empirical["mode"] == "exhaustive"
+    assert empirical["swaps_evaluated"] == report["m"] * report["u"] == 144
+    assert empirical["max_cost_delta"] <= report["cost_bound"]
