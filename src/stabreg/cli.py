@@ -79,6 +79,7 @@ from .regressors import (
     build_gmf,
     build_llreg,
     gaussian_kernel,
+    ltr_dual_coefficients,
     pseudo_targets,
     solve_constrained,
     solve_krr_induction,
@@ -260,40 +261,50 @@ def derive_seed(master: int, index: int) -> int:
 # sigma resolution
 
 
-def _median_pairwise_distance(points: np.ndarray) -> float:
+def _sq_distances(points: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clamped at 0, zero diagonal."""
     sq = np.sum(points * points, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
     np.maximum(d2, 0.0, out=d2)
-    upper = d2[np.triu_indices(points.shape[0], k=1)]
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def _median_pairwise_distance(d2: np.ndarray) -> float:
+    """Median distance over the pairs of a squared-distance matrix; 1 if it is 0."""
+    upper = d2[np.triu_indices(d2.shape[0], k=1)]
     med = float(np.sqrt(np.median(upper))) if upper.size else 0.0
     return med if med > 0 else 1.0
 
 
 def _cv_sigma(sample: FullSample, part: Partition, C: float) -> float:
-    """Pick sigma by 5-fold ridge cross-validation on the labeled points."""
+    """Pick sigma by 5-fold ridge cross-validation on the labeled points.
+
+    The labeled squared distances are computed once; each fold's kernel and
+    cross-kernel are slices of the labeled Gaussian kernel at that sigma.
+    """
     xs = sample.points[part.train_idx]
     ys = sample.targets[part.train_idx]
-    med = _median_pairwise_distance(xs)
+    d2 = _sq_distances(xs)
+    med = _median_pairwise_distance(d2)
     folds = np.array_split(np.arange(xs.shape[0]), min(_CV_FOLDS, xs.shape[0]))
     best = (math.inf, med)
     for factor in _SIGMA_GRID:
         sig = factor * med
+        kern = np.exp(-d2 / (2.0 * sig * sig))
         err = 0.0
         count = 0
         for fold in folds:
             if fold.size == 0 or fold.size == xs.shape[0]:
                 continue
             fit = np.setdiff1d(np.arange(xs.shape[0]), fold, assume_unique=True)
-            k_fit = gaussian_kernel(xs[fit], sig)
-            reg = k_fit + (fit.size / max(C, 1e-12)) * np.eye(fit.size)
+            reg = kern[np.ix_(fit, fit)] + (fit.size / max(C, 1e-12)) * np.eye(fit.size)
             try:
                 coef = np.linalg.solve(reg, ys[fit])
             except np.linalg.LinAlgError:
                 err = math.inf
                 break
-            diff = xs[fold][:, None, :] - xs[fit][None, :, :]
-            cross = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * sig * sig))
-            pred = cross @ coef
+            pred = kern[np.ix_(fold, fit)] @ coef
             err += float(np.sum((pred - ys[fold]) ** 2))
             count += fold.size
         score = err / count if count else math.inf
@@ -306,7 +317,7 @@ def _resolve_sigma(sample: FullSample, part: Partition, cfg: ExperimentConfig) -
     if isinstance(cfg.sigma, str):
         if cfg.sigma == "cv" and cfg.algorithm in _KERNEL_ALGORITHMS:
             return _cv_sigma(sample, part, cfg.C)
-        return _median_pairwise_distance(sample.points[part.train_idx])
+        return _median_pairwise_distance(_sq_distances(sample.points[part.train_idx]))
     return float(cfg.sigma)
 
 
@@ -364,19 +375,25 @@ def _krr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     return _kernel_fit(solve, part, cfg, sample.label_bound_M, 0.0)
 
 
-def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
-            sigma: float, kern: np.ndarray, r: float) -> Fit:
-    """LTR with the local estimator at radius r."""
-    local = LocalEstimatorConfig(
+def _local_estimator(cfg: ExperimentConfig, sigma: float, r: float) -> LocalEstimatorConfig:
+    return LocalEstimatorConfig(
         radius_r=r, weighting=cfg.weighting, sigma=sigma, fallback=cfg.fallback
     )
 
+
+def _ltr_problem(s: FullSample, p: Partition, cfg: ExperimentConfig,
+                 kern: np.ndarray, y_tilde: np.ndarray) -> LtrProblem:
+    return LtrProblem(K=kern, part=p, y=s.targets[p.train_idx], y_tilde=y_tilde,
+                      C=cfg.C, C_prime=cfg.C_prime, kappa=1.0)
+
+
+def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
+            sigma: float, kern: np.ndarray, r: float) -> Fit:
+    """LTR with the local estimator at radius r."""
+    local = _local_estimator(cfg, sigma, r)
+
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        return solve_ltr(
-            LtrProblem(K=kern, part=p, y=s.targets[p.train_idx],
-                       y_tilde=pseudo_targets(s, p, local),
-                       C=cfg.C, C_prime=cfg.C_prime, kappa=1.0)
-        )
+        return solve_ltr(_ltr_problem(s, p, cfg, kern, pseudo_targets(s, p, local)))
 
     M = sample.label_bound_M
     m_r = m_of_r(sample, part, r)
@@ -387,7 +404,7 @@ def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     else:
         b_loc = beta_loc_invdist(M, m_r, r)
     return _kernel_fit(solve, part, cfg, M, cfg.C_prime, b_loc,
-                       run_fields={"r_star": r}, stability_fields={"beta_loc": b_loc})
+                       run_fields={"r_star": r}, stability_fields={"r_star": r, "beta_loc": b_loc})
 
 
 def _ltr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
@@ -402,15 +419,10 @@ def _ltr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
 
 
 def _diag_spectrum(diag: np.ndarray) -> SpectrumSummary:
-    order = np.argsort(diag)
-    vec = np.zeros(diag.size)
-    vec[order[0]] = 1.0
-    lam2 = diag[order[1]] if diag.size > 1 else diag[order[0]]
+    vals = np.sort(diag)
+    lam2 = vals[1] if vals.size > 1 else vals[0]
     return SpectrumSummary(
-        lambda_min=float(diag[order[0]]),
-        lambda_max=float(diag[order[-1]]),
-        lambda2=float(lam2),
-        eigenvector_min=vec,
+        lambda_min=float(vals[0]), lambda_max=float(vals[-1]), lambda2=float(lam2)
     )
 
 
@@ -441,14 +453,11 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     elif algo == "llreg":
         score_beta = llreg_score_bound(M, m, c_min, c_max)
     else:
-        q_spec = spectrum(home.Q)
+        q_spec = spectrum(home.Q, eigenvector=False)
         if algo != family:
             # the stabilized solve lives on the complement of Q's bottom
             # eigenvector, where Q's smallest eigenvalue is lambda2
-            q_spec = SpectrumSummary(
-                lambda_min=q_spec.lambda2, lambda_max=q_spec.lambda_max,
-                lambda2=q_spec.lambda2, eigenvector_min=q_spec.eigenvector_min,
-            )
+            q_spec = replace(q_spec, lambda_min=q_spec.lambda2)
         c_spec = _diag_spectrum(np.diagonal(home.Cmat))
         score_beta = unconstrained_score_bound(
             q_spec, c_spec, c_spec,
@@ -482,7 +491,7 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
         return solve_constrained(home if s is sample and p is part else problem(s, p))
 
-    lam2 = spectrum(lap).lambda2
+    lam2 = spectrum(lap, eigenvector=False).lambda2
     rho = diameter(graph)
     beta = belkin_cost_stability(cfg.C, M, m, lam2, rho)  # raises unless lam2 > 0
     b_resid = M * (1.0 + math.sqrt(min(1.0 / lam2, float(rho)) * cfg.C))
@@ -539,7 +548,8 @@ def select_radius(
     the kernel least-squares solution computed, and the objective
     ``train_mse + slack`` evaluated, where slack is the stability bound's
     excess over the training error.  The reported ``test_mse`` is diagnostic
-    only and never enters the selection.
+    only and never enters the selection.  The kernel system does not depend
+    on the radius, so every feasible radius is solved with one factorization.
 
     ``sigma`` and ``kern`` default to the partition's resolved sigma and its
     Gaussian kernel.  When ``fits`` is given it receives ``{r: (fit, h)}``
@@ -558,41 +568,41 @@ def select_radius(
         sigma = _resolve_sigma(sample, part, cfg)
     if kern is None:
         kern = gaussian_kernel(sample.points, sigma)
-    per_r: list[dict] = []
-    best = (math.inf, None)
+    rows: dict[float, dict] = {}
+    targets: dict[float, np.ndarray] = {}
     for r in cfg.radius_grid:
-        fit = _ltr_at(sample, part, cfg, sigma, kern, r)
         try:
-            h = fit.solve(sample, part)
+            targets[r] = pseudo_targets(sample, part, _local_estimator(cfg, sigma, r))
         except PseudoTargetUnavailable as exc:
-            per_r.append({"r": r, "feasible": False, "reason": str(exc)})
-            continue
+            rows[r] = {"r": r, "feasible": False, "reason": str(exc)}
+    if not targets:
+        raise NoFeasibleRadius("no radius in the grid was solvable")
+    block = np.column_stack(list(targets.values()))
+    alpha, kept = ltr_dual_coefficients(_ltr_problem(sample, part, cfg, kern, block))
+    scores = kern[:, kept] @ alpha
+    best = (math.inf, next(iter(targets)))  # all-infinite objectives: smallest feasible r
+    for r, column in zip(targets, scores.T):
+        fit = _ltr_at(sample, part, cfg, sigma, kern, r)
+        h = HypothesisScores(scores=column)
         if fits is not None:
             fits[r] = (fit, h)
         train = empirical_error(h, sample, part)
         slack = _bound_value(train, fit, part, cfg) - train
         objective = train + slack
-        per_r.append(
-            {
-                "r": r,
-                "feasible": True,
-                "train_mse": train,
-                "test_mse": test_error(h, sample, part),
-                "m_r": m_of_r(sample, part, r),
-                "beta_loc": fit.stability_fields["beta_loc"],
-                "beta": fit.beta,
-                "slack": slack,
-                "objective": objective,
-            }
-        )
+        rows[r] = {
+            "r": r,
+            "feasible": True,
+            "train_mse": train,
+            "test_mse": test_error(h, sample, part),
+            "m_r": m_of_r(sample, part, r),
+            "beta_loc": fit.stability_fields["beta_loc"],
+            "beta": fit.beta,
+            "slack": slack,
+            "objective": objective,
+        }
         if objective < best[0]:
             best = (objective, r)
-    if best[1] is None:
-        feasible = [row for row in per_r if row.get("feasible")]
-        if not feasible:
-            raise NoFeasibleRadius("no radius in the grid was solvable")
-        best = (math.inf, feasible[0]["r"])  # all-infinite objectives: smallest r
-    return float(best[1]), per_r
+    return float(best[1]), [rows[r] for r in cfg.radius_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -1220,9 +1230,8 @@ def _cmd_select_radius(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    # one setting of the algorithm: ltr takes the first radius of the grid
+    # ltr on a radius grid evaluates the radius that run selects
     cfg = _config_from_args(args)
-    cfg = replace(cfg, radius_grid=cfg.radius_grid[:1])
     sample, part = _first_partition(cfg)
     sigma = _resolve_sigma(sample, part, cfg)
     fit = _setup(sample, part, cfg, sigma)

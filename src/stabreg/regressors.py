@@ -84,8 +84,7 @@ class UnconstrainedProblem:
         n = y.size
         if q.shape != (n, n) or c.shape != (n, n):
             raise ValueError("Q, Cmat and y disagree on dimension")
-        off = c - np.diag(np.diagonal(c))
-        if np.max(np.abs(off), initial=0.0) == 0.0:
+        if _is_diagonal(c):
             if np.any(np.diagonal(c) <= 0):
                 raise ValueError("Cmat must be positive definite")
         elif np.linalg.eigvalsh(c)[0] <= 0:
@@ -158,7 +157,9 @@ class LtrProblem:
         K: (n, n) Gram matrix over the full sample, diag(K) <= kappa^2.
         part: the S/T split; ``y`` has length m (labels, sorted-S order) and
             ``y_tilde`` length u (pseudo-targets, sorted-T order; may be
-            empty when C_prime = 0).
+            empty when C_prime = 0).  A (u, k) ``y_tilde`` holds k
+            pseudo-target vectors, one problem per column; only
+            ``ltr_dual_coefficients`` accepts such a block.
         C: labeled trade-off (weight C/m per labeled point).
         C_prime: unlabeled trade-off (weight C'/u per unlabeled point).
         kappa: bound with K(x, x) <= kappa^2.
@@ -180,8 +181,10 @@ class LtrProblem:
         y = np.asarray(self.y, dtype=np.float64).ravel()
         if y.size != self.part.m:
             raise ValueError("y must have length m")
-        yt = np.asarray(self.y_tilde, dtype=np.float64).ravel()
-        if yt.size not in (0, self.part.u):
+        yt = np.asarray(self.y_tilde, dtype=np.float64)
+        if yt.ndim != 2:
+            yt = yt.ravel()
+        if yt.shape[0] not in (0, self.part.u):
             raise ValueError("y_tilde must have length u (or 0 when C_prime = 0)")
         if float(self.C) < 0 or float(self.C_prime) < 0:
             raise ValueError("C and C_prime must be non-negative")
@@ -278,14 +281,16 @@ def build_gmf(
     return UnconstrainedProblem(Q=laplacian(g), Cmat=_split_diag(part, C_l, C_u), y=y)
 
 
-def _solve_refined(a_sys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Direct solve with one step of iterative refinement."""
+def _is_diagonal(mat: np.ndarray) -> bool:
+    return not np.any(mat - np.diag(np.diagonal(mat)))
+
+
+def _solve(a_sys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One LU solve; a (numerically) singular system raises SingularSystem."""
     try:
-        x = np.linalg.solve(a_sys, rhs)
-        x += np.linalg.solve(a_sys, rhs - a_sys @ x)
+        return np.linalg.solve(a_sys, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
-    return x
 
 
 def solve_unconstrained(p: UnconstrainedProblem) -> HypothesisScores:
@@ -294,8 +299,13 @@ def solve_unconstrained(p: UnconstrainedProblem) -> HypothesisScores:
     Solved as the equivalent symmetric system (Q + Cmat) h = Cmat y.
     """
     rhs = p.Cmat @ p.y
-    h = _solve_refined(p.Q + p.Cmat, rhs)
-    resid = np.linalg.solve(p.Cmat, p.Q @ h) + h - p.y
+    h = _solve(p.Q + p.Cmat, rhs)
+    q_h = p.Q @ h
+    if _is_diagonal(p.Cmat):
+        q_h /= np.diagonal(p.Cmat)
+    else:
+        q_h = np.linalg.solve(p.Cmat, q_h)
+    resid = q_h + h - p.y
     if np.linalg.norm(resid) > _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(p.y))):
         raise SingularSystem("solution residual exceeds tolerance")
     return HypothesisScores(scores=h)
@@ -314,7 +324,7 @@ def stabilize(p: UnconstrainedProblem) -> HypothesisScores:
     kkt[:n, n] = v
     kkt[n, :n] = v
     rhs = np.concatenate([p.Cmat @ p.y, [0.0]])
-    sol = _solve_refined(kkt, rhs)
+    sol = _solve(kkt, rhs)
     return HypothesisScores(scores=sol[:n])
 
 
@@ -333,7 +343,7 @@ def solve_constrained(p: ConstrainedProblem) -> HypothesisScores:
     u = p.u_vec
     ones_like = np.allclose(u, np.full(n, u[0]), rtol=1e-12, atol=0.0) and u[0] != 0
     if ones_like:
-        spec = spectrum(p.L)
+        spec = spectrum(p.L, eigenvector=False)
         if spec.lambda2 <= 1e-9 * max(abs(spec.lambda_max), 1.0):
             raise ConstraintSpansNullSpace(
                 "all-ones constraint cannot pin the null space of a disconnected Laplacian"
@@ -356,7 +366,7 @@ def solve_constrained(p: ConstrainedProblem) -> HypothesisScores:
     kkt[:n, n] = u
     kkt[n, :n] = u
     rhs = np.concatenate([weight * y, [0.0]])
-    sol = _solve_refined(kkt, rhs)
+    sol = _solve(kkt, rhs)
     h = sol[:n]
     resid = np.linalg.norm(kkt[:n] @ sol - rhs[:n])
     scale = max(1.0, float(np.linalg.norm(rhs)))
@@ -469,37 +479,41 @@ def ltr_dual_coefficients(p: LtrProblem) -> tuple[np.ndarray, np.ndarray]:
     The minimizer expands over the kernel sections of every point carrying a
     positive loss weight; writing Lambda for the diagonal of those weights,
     the coefficients solve ``(K_kk + Lambda^{-1}) alpha = [y_S; y_tilde]``
-    restricted to the kept indices.
+    restricted to the kept indices.  The system does not depend on y_tilde,
+    so a (u, k) ``y_tilde`` is solved with one factorization and gives a
+    (|kept|, k) ``alpha``.
 
     Returns:
         (alpha, kept) where ``kept`` are the expansion indices into 0..n-1.
     """
     _psd_check(p.K)
+    cols = p.y_tilde.shape[1:]  # () for one problem, (k,) for a block
     kept_parts = []
     inv_weights = []
     targets = []
     if p.C > 0:
         kept_parts.append(p.part.train_idx)
         inv_weights.append(np.full(p.part.m, p.part.m / p.C))
-        targets.append(p.y)
+        targets.append(np.tile(p.y[:, None], cols) if cols else p.y)
     if p.C_prime > 0:
         kept_parts.append(p.part.test_idx)
         inv_weights.append(np.full(p.part.u, p.part.u / p.C_prime))
         targets.append(p.y_tilde)
     if not kept_parts:
-        return np.zeros(0), np.zeros(0, dtype=np.int64)
+        return np.zeros((0, *cols)), np.zeros(0, dtype=np.int64)
     kept = np.concatenate(kept_parts)
     order = np.argsort(kept)
     kept = kept[order]
     inv_w = np.concatenate(inv_weights)[order]
     y_all = np.concatenate(targets)[order]
     sub = p.K[np.ix_(kept, kept)] + np.diag(inv_w)
-    alpha = _solve_refined(sub, y_all)
-    return alpha, kept
+    return _solve(sub, y_all), kept
 
 
 def solve_ltr(p: LtrProblem) -> HypothesisScores:
     """Minimize ``||f||_K^2 + (C/m) sum_S (f - y)^2 + (C'/u) sum_T (f - y_tilde)^2``."""
+    if p.y_tilde.ndim == 2:
+        raise ValueError("a y_tilde block is solved by ltr_dual_coefficients")
     alpha, kept = ltr_dual_coefficients(p)
     if kept.size == 0:
         return HypothesisScores(scores=np.zeros(p.n))
@@ -508,6 +522,8 @@ def solve_ltr(p: LtrProblem) -> HypothesisScores:
 
 def ltr_objective(p: LtrProblem, alpha: np.ndarray, kept: np.ndarray) -> float:
     """Objective value of the expansion ``f = sum_kept alpha_i K(., x_i)``."""
+    if p.y_tilde.ndim == 2:
+        raise ValueError("ltr_objective takes one pseudo-target vector, not a block")
     alpha = np.asarray(alpha, dtype=np.float64).ravel()
     kept = np.asarray(kept, dtype=np.int64).ravel()
     if kept.size == 0:
@@ -538,5 +554,5 @@ def solve_krr_induction(p: LtrProblem) -> HypothesisScores:
     _psd_check(p.K)
     s = p.part.train_idx
     sub = p.K[np.ix_(s, s)] + (p.part.m / p.C) * np.eye(p.part.m)
-    alpha = _solve_refined(sub, p.y)
+    alpha = _solve(sub, p.y)
     return HypothesisScores(scores=p.K[:, s] @ alpha)

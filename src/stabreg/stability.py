@@ -71,10 +71,10 @@ SWAP_BUDGET = 400
 
 @dataclass(frozen=True)
 class StabilityInputs:
-    """Scalar inputs shared by the closed-form stability bounds.
+    """Scalar inputs of the kernel least-squares stability bound.
 
-    Only the fields an individual bound reads need to be meaningful; unused
-    fields may stay at their defaults.
+    Without pseudo-targets, ``C_prime`` and ``beta_loc`` stay at their
+    defaults.
     """
 
     m: int
@@ -84,21 +84,13 @@ class StabilityInputs:
     kappa: float = 1.0
     M: float = 1.0
     beta_loc: float = 0.0
-    lambda2: float = 0.0
-    rho_G: int = 0
-    C_min: float = 0.0
-    C_max: float = 0.0
-    mu: float = 0.0
 
     def __post_init__(self):
         if int(self.m) < 1 or int(self.u) < 1:
             raise InvalidStabilityInput("m and u must be at least 1")
-        for name in ("C", "C_prime", "kappa", "M", "beta_loc", "lambda2",
-                     "C_min", "C_max", "mu"):
+        for name in ("C", "C_prime", "kappa", "M", "beta_loc"):
             if float(getattr(self, name)) < 0:
                 raise InvalidStabilityInput(f"{name} must be non-negative")
-        if int(self.rho_G) < 0:
-            raise InvalidStabilityInput("rho_G must be non-negative")
 
 
 def ltr_stability_bound(inputs: StabilityInputs) -> float:

@@ -7,10 +7,22 @@ import math
 import numpy as np
 import pytest
 
-from stabreg import FullSample, NoSweepData, ParseError, ZeroVarianceFeature, sample_partition
+from stabreg import (
+    FullSample,
+    NoSweepData,
+    ParseError,
+    PseudoTargetUnavailable,
+    ZeroVarianceFeature,
+    empirical_error,
+    gaussian_kernel,
+    sample_partition,
+    test_error,
+)
 from stabreg.cli import (
     ALGORITHMS,
     ExperimentConfig,
+    _cv_sigma,
+    _ltr_at,
     build_parser,
     derive_seed,
     emit_plot_data,
@@ -283,6 +295,84 @@ def test_select_radius_all_infeasible_raises(tmp_path):
         select_radius(sample, part, cfg)
 
 
+@pytest.mark.parametrize("fallback", ["zero", "error"])
+@pytest.mark.parametrize("C_prime", [0.5, 0.0])
+def test_select_radius_matches_one_solve_per_radius(toy_csv, C_prime, fallback):
+    # the sweep solves every radius at once; the oracle solves each radius
+    # from scratch through the same entry run and stability use
+    sample = load_and_normalize(toy_csv)
+    part = sample_partition(sample, 12, derive_seed(0, 0))
+    cfg = ExperimentConfig(
+        data_path=toy_csv, algorithm="ltr", sigma=1.0, C_prime=C_prime,
+        radius_grid=(0.5, 1.5, 2.5, 3.0), fallback=fallback,
+    )
+    kern = gaussian_kernel(sample.points, 1.0)
+    fits = {}
+    r_star, per_r = select_radius(sample, part, cfg, fits=fits)
+    assert [row["r"] for row in per_r] == list(cfg.radius_grid)
+    infeasible = [row for row in per_r if not row["feasible"]]
+    assert len(infeasible) == (2 if fallback == "error" else 0)
+    assert r_star in fits
+    for row in per_r:
+        fit = _ltr_at(sample, part, cfg, 1.0, kern, row["r"])
+        if not row["feasible"]:
+            with pytest.raises(PseudoTargetUnavailable) as exc_info:
+                fit.solve(sample, part)
+            assert row["reason"] == str(exc_info.value)
+            assert row["r"] not in fits
+            continue
+        h = fit.solve(sample, part).scores
+        swept = fits[row["r"]][1].scores
+        assert np.max(np.abs(swept - h)) <= 1e-10 * np.max(np.abs(h))
+        assert row["train_mse"] == pytest.approx(empirical_error(h, sample, part), rel=1e-10)
+        assert row["test_mse"] == pytest.approx(test_error(h, sample, part), rel=1e-10)
+        assert row["beta"] == fit.beta
+
+
+def _cv_sigma_per_fold(sample, part, C):
+    """Sigma selection with a Gaussian kernel built per fold and a broadcast cross-kernel."""
+    xs = sample.points[part.train_idx]
+    ys = sample.targets[part.train_idx]
+    sq = np.sum(xs * xs, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (xs @ xs.T)
+    np.maximum(d2, 0.0, out=d2)
+    upper = d2[np.triu_indices(xs.shape[0], k=1)]
+    med = float(np.sqrt(np.median(upper))) if upper.size else 0.0
+    med = med if med > 0 else 1.0
+    folds = np.array_split(np.arange(xs.shape[0]), min(5, xs.shape[0]))
+    best = (math.inf, med)
+    for factor in (0.1, 0.3, 1.0, 3.0, 10.0):
+        sig = factor * med
+        err = 0.0
+        count = 0
+        for fold in folds:
+            if fold.size == 0 or fold.size == xs.shape[0]:
+                continue
+            fit = np.setdiff1d(np.arange(xs.shape[0]), fold, assume_unique=True)
+            reg = gaussian_kernel(xs[fit], sig) + (fit.size / max(C, 1e-12)) * np.eye(fit.size)
+            try:
+                coef = np.linalg.solve(reg, ys[fit])
+            except np.linalg.LinAlgError:
+                err = math.inf
+                break
+            diff = xs[fold][:, None, :] - xs[fit][None, :, :]
+            cross = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * sig * sig))
+            err += float(np.sum((cross @ coef - ys[fold]) ** 2))
+            count += fold.size
+        score = err / count if count else math.inf
+        if score < best[0]:
+            best = (score, sig)
+    return best[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cv_sigma_matches_the_per_fold_loop(toy_csv, seed):
+    sample = load_and_normalize(toy_csv)
+    part = sample_partition(sample, 12, derive_seed(seed, 0))
+    for C in (0.1, 1.0, 10.0):
+        assert _cv_sigma(sample, part, C) == _cv_sigma_per_fold(sample, part, C)
+
+
 # ---------------------------------------------------------------------------
 # plot data
 
@@ -500,6 +590,16 @@ def _run_and_stability(toy_csv, algorithm, capsys):
         ["stability", "--data", toy_csv, "--algorithm", algorithm, "--empirical", *extra]
     ) == 0
     return record, json.loads(capsys.readouterr().out)
+
+
+def test_cli_stability_ltr_evaluates_the_radius_run_selects(toy_csv, capsys):
+    extra = ["--radius", "0.8,1.5", "--C-prime", "0.5"]
+    assert main(["run", "--data", toy_csv, "--algorithm", "ltr", *extra]) == 0
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert main(["stability", "--data", toy_csv, "--algorithm", "ltr", *extra]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["r_star"] == record["r_star"]
+    assert report["cost_bound"] == record["beta_used"]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

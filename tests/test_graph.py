@@ -147,6 +147,16 @@ def test_spectrum_eigenvector_is_unit_norm():
     assert np.linalg.norm(summary.eigenvector_min) == pytest.approx(1.0)
 
 
+def test_spectrum_without_eigenvector_matches_eigh_eigenvalues():
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=(30, 30))
+    full = spectrum(b + b.T)
+    values = spectrum(b + b.T, eigenvector=False)
+    assert values.eigenvector_min is None
+    for name in ("lambda_min", "lambda2", "lambda_max"):
+        assert getattr(values, name) == pytest.approx(getattr(full, name), rel=1e-12, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # pseudo-inverse
 
@@ -214,6 +224,13 @@ def test_path_graph_diameter_and_connectivity():
 
 def test_complete_graph_diameter_is_one():
     assert diameter(complete_graph(6)) == 1
+
+
+def test_complete_graph_minus_one_edge_has_diameter_two():
+    # one missing edge is the boundary of the all-positive-weights shortcut
+    w = np.ones((6, 6)) - np.eye(6)
+    w[1, 4] = w[4, 1] = 0.0
+    assert diameter(GraphSpec(weights=w)) == 2
 
 
 def test_disconnected_graph_detected():

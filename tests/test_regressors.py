@@ -491,6 +491,30 @@ def test_ltr_solution_minimizes_objective(seed):
         assert base <= ltr_objective(p, perturbed, kept) + 1e-10
 
 
+@pytest.mark.parametrize("c_val, cp_val", [(1.3, 0.7), (1.3, 0.0), (0.0, 0.7), (0.0, 0.0)])
+def test_ltr_block_of_pseudo_targets_matches_one_solve_per_column(c_val, cp_val):
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(10, 2))
+    part = random_partition(10, 4, 5)
+    y = rng.uniform(-1, 1, part.m)
+    block = rng.uniform(-1, 1, (part.u, 3))
+
+    def problem(y_tilde):
+        return LtrProblem(K=gaussian_kernel(pts, 1.0), part=part, y=y, y_tilde=y_tilde,
+                          C=c_val, C_prime=cp_val, kappa=1.0)
+
+    alpha, kept = ltr_dual_coefficients(problem(block))
+    assert alpha.shape == (kept.size, 3)
+    for j in range(3):
+        alpha_j, kept_j = ltr_dual_coefficients(problem(block[:, j]))
+        assert np.array_equal(kept, kept_j)
+        assert np.allclose(alpha[:, j], alpha_j, rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        solve_ltr(problem(block))
+    with pytest.raises(ValueError):
+        ltr_objective(problem(block), alpha[:, 0], kept)
+
+
 def test_ltr_transduction_vs_induction_agree_when_c_prime_zero():
     rng = np.random.default_rng(17)
     pts = rng.normal(size=(9, 2))
