@@ -9,10 +9,19 @@ key streams on any platform, and a draw is reproducible from the seed alone.
 Sampling m points without replacement from n is done by keying every index
 and keeping the m smallest keys.  Keys within one draw are distinct (the
 finalizer is a bijection and the counters are distinct), so the selected
-subset is well defined and identical across paths.  Per-trial *means* may
-differ between paths in the last float ulp because summation order differs;
-for integer-valued populations the sums are exact and the paths agree
-bit-for-bit.
+subset is well defined and identical across paths.
+
+The numpy path draws many trials at once in blocks of ``rows`` trials, one
+row of n keys per trial, with ``rows = 131072 // n`` (at least 1): a block
+holds about 1 MB of keys.  One (rows, n) key buffer and its scratch buffers
+are allocated per call and refilled in place for every block, so the memory
+a call needs does not grow with the trial count (beyond the output and one
+uint64 base per trial).
+
+Per-trial *means* may differ between paths, and from a per-trial sum, by a
+few float ulps because summation order differs (the tests allow 4 * eps
+times the largest |value|); for integer-valued populations the sums are
+exact and every path agrees bit-for-bit.
 
 Set ``STABREG_DISABLE_NUMBA=1`` to force the numpy fallback.  When numba is
 not importable the fallback is selected automatically.
@@ -29,6 +38,7 @@ __all__ = [
     "mix64_int",
     "mix64_array",
     "partition_keys",
+    "subset_blocks",
     "numba_available",
     "numba_enabled",
     "sample_means_without_replacement",
@@ -160,25 +170,86 @@ if _HAS_NUMBA:
         return out
 
 
+_BLOCK_KEYS = 131_072  # uint64 keys per block: 1 MB
+
+
+def _block_rows(n: int, trials: int) -> int:
+    """Trials per key block: about 1 MB of keys, at least 1, at most ``trials``."""
+    return min(max(1, _BLOCK_KEYS // n), trials)
+
+
+def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> None:
+    """``mix64_array`` computed into ``z`` itself; ``scratch`` has z's shape."""
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        np.bitwise_xor(z, scratch, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    np.bitwise_xor(z, scratch, out=z)
+
+
+def _key_blocks(bases: np.ndarray, n: int):
+    """Yield ``(start, keys)`` with ``keys[r, i] = mix64(bases[start + r] + (i+1)*GOLDEN)``.
+
+    ``keys`` is a view of one (rows, n) buffer of about 1 MB that is
+    refilled in place for the next block, so a consumer must be done with a
+    block before it asks for the next one.
+    """
+    rows = _block_rows(n, bases.size)
+    with np.errstate(over="ignore"):
+        item_off = np.arange(1, n + 1, dtype=np.uint64) * GOLDEN
+    buf = np.empty((rows, n), dtype=np.uint64)
+    tmp = np.empty_like(buf)
+    for start in range(0, bases.size, max(rows, 1)):
+        block = bases[start:start + rows]
+        keys, scratch = buf[:block.size], tmp[:block.size]
+        np.add(block[:, None], item_off, out=keys)
+        _mix64_inplace(keys, scratch)
+        yield start, keys
+
+
 def _means_np(values: np.ndarray, m: int, trials: int, root: int) -> np.ndarray:
-    """Vectorized fallback; identical subset selection as the jitted path."""
+    """Vectorized fallback; identical subset selection as the jitted path.
+
+    Per block, one partition finds every row's m-th smallest key; the row's
+    subset is the keys at or below it (exactly m, the keys being distinct),
+    and the subset sums are one matrix-vector product with that 0/1 mask.
+    """
     n = values.shape[0]
     out = np.empty(trials, dtype=np.float64)
-    root64 = np.uint64(root)
-    item_off = (np.arange(1, n + 1, dtype=np.uint64) * GOLDEN)[None, :]
-    # ~16 MB of keys per chunk
-    chunk = max(1, int(2_000_000 // max(n, 1)))
-    start = 0
-    while start < trials:
-        stop = min(start + chunk, trials)
-        tidx = np.arange(start + 1, stop + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            base = mix64_array(root64 + tidx * GOLDEN)[:, None]
-            keys = mix64_array(base + item_off)
-        sel = np.argpartition(keys, m - 1, axis=1)[:, :m]
-        out[start:stop] = values[sel].sum(axis=1) / m
-        start = stop
+    with np.errstate(over="ignore"):
+        bases = mix64_array(
+            np.uint64(root) + np.arange(1, trials + 1, dtype=np.uint64) * GOLDEN
+        )
+    rows = _block_rows(n, trials)
+    select = np.empty((rows, n), dtype=np.uint64)
+    mask = np.empty((rows, n), dtype=np.float64)
+    for start, keys in _key_blocks(bases, n):
+        count = keys.shape[0]
+        np.copyto(select[:count], keys)
+        select[:count].partition(m - 1, axis=1)
+        np.less_equal(keys, select[:count, m - 1:m], out=mask[:count])
+        np.matmul(mask[:count], values, out=out[start:start + count])
+    out /= m
     return out
+
+
+def subset_blocks(root: int, n: int, m: int, count: int):
+    """Yield ``(start, subsets)`` for draws ``start, start+1, ...`` of ``count``.
+
+    Row r of ``subsets`` holds the sorted indices of the m smallest keys of
+    ``partition_keys(root + start + r + 1, n)``: the draw that key stream
+    defines.  Draws are made one block of trials at a time (see the module
+    docstring); ``subsets`` is a fresh (rows, m) array per block.
+    """
+    with np.errstate(over="ignore"):
+        bases = mix64_array(
+            np.uint64(int(root) % (1 << 64)) + np.arange(1, count + 1, dtype=np.uint64)
+        )
+    for start, keys in _key_blocks(bases, n):
+        subsets = np.argpartition(keys, m - 1, axis=1)[:, :m]
+        subsets.sort(axis=1)
+        yield start, subsets
 
 
 def sample_means_without_replacement(

@@ -180,10 +180,9 @@ def concentration_harness(
     def draws(count: int, stream_seed: int) -> np.ndarray:
         out = np.empty(count)
         root = _kernels.mix64_int(stream_seed)
-        for t in range(count):
-            keys = _kernels.partition_keys(root + t + 1, n)
-            subset = np.sort(np.argpartition(keys, m - 1)[:m])
-            out[t] = float(phi(pop[subset]))
+        for start, subsets in _kernels.subset_blocks(root, n, m, count):
+            for t, subset in enumerate(subsets, start):
+                out[t] = float(phi(pop[subset]))
         return out
 
     expectation = float(np.mean(draws(est_trials, _kernels.mix64_int(int(seed) + 1))))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -82,10 +83,21 @@ from .regressors import (
     ltr_dual_coefficients,
     pseudo_targets,
     solve_constrained,
-    solve_krr_induction,
     solve_ltr,
     solve_unconstrained,
-    stabilize,
+)
+# The swap harness solves one partition after another on the same kernel or
+# graph, so the entries below check K (PSD) and L (null space) once at set-up
+# and solve each partition with these unchecked variants.
+from .regressors import (
+    _check_null_space,
+    _labels_to_full,
+    _psd_check,
+    _solve_constrained_unchecked,
+    _solve_krr_unchecked,
+    _solve_ltr_unchecked,
+    _split_diag,
+    _stabilize_with,
 )
 from .stability import (
     StabilityInputs,
@@ -365,9 +377,11 @@ def _kernel_fit(solve, part: Partition, cfg: ExperimentConfig, M: float,
 def _krr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
          sigma: float, kern: np.ndarray) -> Fit:
     """Kernel ridge regression on the labeled points (LTR with C' = 0)."""
+    if cfg.C > 0:  # with C = 0 the solution is zero and K is never factored
+        _psd_check(kern)
 
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        return solve_krr_induction(
+        return _solve_krr_unchecked(
             LtrProblem(K=kern, part=p, y=s.targets[p.train_idx], y_tilde=np.zeros(0),
                        C=cfg.C, C_prime=0.0, kappa=1.0)
         )
@@ -389,11 +403,11 @@ def _ltr_problem(s: FullSample, p: Partition, cfg: ExperimentConfig,
 
 def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
             sigma: float, kern: np.ndarray, r: float) -> Fit:
-    """LTR with the local estimator at radius r."""
+    """LTR with the local estimator at radius r; the caller has checked K for PSD."""
     local = _local_estimator(cfg, sigma, r)
 
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        return solve_ltr(_ltr_problem(s, p, cfg, kern, pseudo_targets(s, p, local)))
+        return _solve_ltr_unchecked(_ltr_problem(s, p, cfg, kern, pseudo_targets(s, p, local)))
 
     M = sample.label_bound_M
     m_r = m_of_r(sample, part, r)
@@ -411,9 +425,10 @@ def _ltr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
          sigma: float, kern: np.ndarray) -> Fit:
     """LTR at the single radius given, or at the radius select_radius picks."""
     if len(cfg.radius_grid) == 1:
+        _psd_check(kern)
         return _ltr_at(sample, part, cfg, sigma, kern, cfg.radius_grid[0])
     fits: dict = {}
-    r_star, per_r = select_radius(sample, part, cfg, sigma, kern, fits)
+    r_star, per_r = select_radius(sample, part, cfg, sigma, kern, fits)  # checks K
     fit, h = fits[r_star]
     return replace(fit, h=h, run_fields={"r_star": r_star, "per_r": per_r})
 
@@ -428,24 +443,37 @@ def _diag_spectrum(diag: np.ndarray) -> SpectrumSummary:
 
 def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
                    sigma: float, graph: GraphSpec) -> Fit:
-    """cm, llreg, gmf and their stabilized variants."""
+    """cm, llreg, gmf and their stabilized variants.
+
+    Q comes from the graph alone, so it is built once; another partition
+    changes only y and, for llreg and gmf, the diagonal of Cmat.
+    """
     algo = cfg.algorithm
     family = algo.removeprefix("stabilized-")
     M, m = sample.label_bound_M, part.m
+    y_home = sample.targets[part.train_idx]
+    if family == "cm":
+        home = build_cm(graph, cfg.mu, y_home, part)
+    elif family == "llreg":
+        home = build_llreg(graph.weights, cfg.C_l, cfg.C_u, y_home, part)
+    else:
+        home = build_gmf(graph, cfg.C_l, cfg.C_u, y_home, part)
 
-    def build(s: FullSample, p: Partition):
-        y = s.targets[p.train_idx]
-        if family == "cm":
-            return build_cm(graph, cfg.mu, y, p)
-        if family == "llreg":
-            return build_llreg(graph.weights, cfg.C_l, cfg.C_u, y, p)
-        return build_gmf(graph, cfg.C_l, cfg.C_u, y, p)
+    def problem(s: FullSample, p: Partition) -> UnconstrainedProblem:
+        if s is sample and p is part:
+            return home
+        cmat = home.Cmat if family == "cm" else _split_diag(p, cfg.C_l, cfg.C_u)
+        return UnconstrainedProblem(Q=home.Q, Cmat=cmat,
+                                    y=_labels_to_full(s.targets[p.train_idx], p))
 
-    home = build(sample, part)
+    @functools.cache
+    def bottom_eigenvector() -> np.ndarray:  # of Q; computed on the first stabilized solve
+        return spectrum(home.Q).eigenvector_min
 
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        problem = home if s is sample and p is part else build(s, p)
-        return solve_unconstrained(problem) if algo == family else stabilize(problem)
+        if algo == family:
+            return solve_unconstrained(problem(s, p))
+        return _stabilize_with(problem(s, p), bottom_eigenvector())
 
     c_min, c_max = (cfg.mu, cfg.mu) if family == "cm" else sorted((cfg.C_l, cfg.C_u))
     if algo == "cm":
@@ -489,11 +517,13 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     home = problem(sample, part)  # rejects C <= 0 before a bound divides by C
 
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        return solve_constrained(home if s is sample and p is part else problem(s, p))
+        return _solve_constrained_unchecked(home if s is sample and p is part else problem(s, p))
 
-    lam2 = spectrum(lap, eigenvector=False).lambda2
+    lap_spectrum = spectrum(lap, eigenvector=False)
+    lam2 = lap_spectrum.lambda2
     rho = diameter(graph)
     beta = belkin_cost_stability(cfg.C, M, m, lam2, rho)  # raises unless lam2 > 0
+    _check_null_space(lap_spectrum)  # the problem's constraint is all-ones
     b_resid = M * (1.0 + math.sqrt(min(1.0 / lam2, float(rho)) * cfg.C))
     theorem_beta = belkin_score_stability(M, m, cfg.C, lam2) if m * lam2 / cfg.C > 1 else None
     shared = {"lambda2": lam2, "rho_G": rho}

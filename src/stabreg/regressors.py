@@ -38,6 +38,7 @@ from .errors import (
 )
 from .graph import (
     GraphSpec,
+    SpectrumSummary,
     _check_symmetric,
     laplacian,
     normalized_laplacian,
@@ -317,7 +318,11 @@ def stabilize(p: UnconstrainedProblem) -> HypothesisScores:
     The feasible subspace's smallest Q-eigenvalue is the second-smallest
     eigenvalue of Q, which tightens the score-perturbation denominator.
     """
-    v = spectrum(p.Q).eigenvector_min
+    return _stabilize_with(p, spectrum(p.Q).eigenvector_min)
+
+
+def _stabilize_with(p: UnconstrainedProblem, v: np.ndarray) -> HypothesisScores:
+    """``stabilize`` with Q's bottom eigenvector ``v`` computed by the caller."""
     n = p.n
     kkt = np.zeros((n + 1, n + 1))
     kkt[:n, :n] = p.Q + p.Cmat
@@ -339,15 +344,24 @@ def solve_constrained(p: ConstrainedProblem) -> HypothesisScores:
             Laplacian has a multi-dimensional null space (disconnected).
         SingularSystem: the KKT system is numerically singular.
     """
+    u = p.u_vec
+    if np.allclose(u, np.full(p.n, u[0]), rtol=1e-12, atol=0.0) and u[0] != 0:
+        _check_null_space(spectrum(p.L, eigenvector=False))
+    return _solve_constrained_unchecked(p)
+
+
+def _check_null_space(lap_spectrum: SpectrumSummary) -> None:
+    """Reject an all-ones constraint on a Laplacian with a multi-dimensional null space."""
+    if lap_spectrum.lambda2 <= 1e-9 * max(abs(lap_spectrum.lambda_max), 1.0):
+        raise ConstraintSpansNullSpace(
+            "all-ones constraint cannot pin the null space of a disconnected Laplacian"
+        )
+
+
+def _solve_constrained_unchecked(p: ConstrainedProblem) -> HypothesisScores:
+    """``solve_constrained`` without the null-space check, for an L already checked."""
     n = p.n
     u = p.u_vec
-    ones_like = np.allclose(u, np.full(n, u[0]), rtol=1e-12, atol=0.0) and u[0] != 0
-    if ones_like:
-        spec = spectrum(p.L, eigenvector=False)
-        if spec.lambda2 <= 1e-9 * max(abs(spec.lambda_max), 1.0):
-            raise ConstraintSpansNullSpace(
-                "all-ones constraint cannot pin the null space of a disconnected Laplacian"
-            )
     y = p.y_S
     offset = 0.0
     if p.center_labels:
@@ -487,6 +501,11 @@ def ltr_dual_coefficients(p: LtrProblem) -> tuple[np.ndarray, np.ndarray]:
         (alpha, kept) where ``kept`` are the expansion indices into 0..n-1.
     """
     _psd_check(p.K)
+    return _ltr_dual_unchecked(p)
+
+
+def _ltr_dual_unchecked(p: LtrProblem) -> tuple[np.ndarray, np.ndarray]:
+    """``ltr_dual_coefficients`` without the PSD check, for a kernel already checked."""
     cols = p.y_tilde.shape[1:]  # () for one problem, (k,) for a block
     kept_parts = []
     inv_weights = []
@@ -514,7 +533,13 @@ def solve_ltr(p: LtrProblem) -> HypothesisScores:
     """Minimize ``||f||_K^2 + (C/m) sum_S (f - y)^2 + (C'/u) sum_T (f - y_tilde)^2``."""
     if p.y_tilde.ndim == 2:
         raise ValueError("a y_tilde block is solved by ltr_dual_coefficients")
-    alpha, kept = ltr_dual_coefficients(p)
+    _psd_check(p.K)
+    return _solve_ltr_unchecked(p)
+
+
+def _solve_ltr_unchecked(p: LtrProblem) -> HypothesisScores:
+    """``solve_ltr`` without the PSD check, for a kernel already checked."""
+    alpha, kept = _ltr_dual_unchecked(p)
     if kept.size == 0:
         return HypothesisScores(scores=np.zeros(p.n))
     return HypothesisScores(scores=p.K[:, kept] @ alpha)
@@ -549,9 +574,15 @@ def solve_krr_induction(p: LtrProblem) -> HypothesisScores:
     """
     if p.C_prime != 0:
         raise ValueError("solve_krr_induction requires C_prime = 0")
+    if p.C > 0:
+        _psd_check(p.K)
+    return _solve_krr_unchecked(p)
+
+
+def _solve_krr_unchecked(p: LtrProblem) -> HypothesisScores:
+    """``solve_krr_induction`` without its checks, for a kernel already checked."""
     if p.C == 0:
         return HypothesisScores(scores=np.zeros(p.n))
-    _psd_check(p.K)
     s = p.part.train_idx
     sub = p.K[np.ix_(s, s)] + (p.part.m / p.C) * np.eye(p.part.m)
     alpha = _solve(sub, p.y)

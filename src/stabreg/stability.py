@@ -282,13 +282,22 @@ class EmpiricalStabilityReport:
 
 
 def _default_swaps(part: Partition, seed: int) -> tuple[list[SwapPair], str]:
+    """All swaps, or a seeded subset of ``SWAP_BUDGET`` in ``enumerate_swaps`` order.
+
+    Swap k of that order exchanges ``train_idx[k // u]`` with ``test_idx[k % u]``,
+    so only the sampled pairs are built.
+    """
     total = part.m * part.u
-    all_swaps = enumerate_swaps(part)
     if total <= SWAP_BUDGET:
-        return all_swaps, "exhaustive"
+        return enumerate_swaps(part), "exhaustive"
     keys = _kernels.partition_keys(seed, total)
     chosen = np.sort(np.argpartition(keys, SWAP_BUDGET - 1)[:SWAP_BUDGET])
-    return [all_swaps[i] for i in chosen], "sampled"
+    removed, added = np.divmod(chosen, part.u)
+    swaps = [
+        SwapPair(removed=i, added=j)
+        for i, j in zip(part.train_idx[removed], part.test_idx[added])
+    ]
+    return swaps, "sampled"
 
 
 def empirical_stability(

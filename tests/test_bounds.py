@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabreg import _kernels
 from stabreg import (
     InvalidConfidence,
     InvalidPartitionSize,
@@ -230,3 +231,39 @@ def test_harness_rejects_bad_m():
         concentration_harness(np.arange(5.0), 0, 0.1, 10, seed=0)
     with pytest.raises(InvalidPartitionSize):
         concentration_harness(np.arange(5.0), 5, 0.1, 10, seed=0)
+
+
+def draws_per_trial(pop, m, count, stream_seed, phi):
+    """The custom-statistic draws before blocking: one key stream per draw."""
+    root = _kernels.mix64_int(stream_seed)
+    out = []
+    for t in range(count):
+        keys = _kernels.partition_keys(root + t + 1, pop.size)
+        out.append(float(phi(pop[np.sort(np.argpartition(keys, m - 1)[:m])])))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "phi", [np.median, lambda drawn: float(drawn.max() - drawn[::3].mean())],
+    ids=["median", "lambda"],
+)
+def test_harness_custom_statistic_matches_per_draw_loop(phi):
+    pop = np.random.default_rng(5).uniform(size=200)
+    m, seed, eps = 60, 11, 0.002
+    trials = _kernels._BLOCK_KEYS // pop.size + 2  # one block boundary per pass
+    seen, want_seen = [], []
+
+    def recorded(into):
+        def statistic(drawn):
+            into.append(drawn.copy())
+            return phi(drawn)
+        return statistic
+
+    got = concentration_harness(pop, m, eps, trials, seed=seed, phi=recorded(seen), c=1.0)
+    expectation = float(np.mean(draws_per_trial(
+        pop, m, trials, _kernels.mix64_int(seed + 1), recorded(want_seen))))
+    values = draws_per_trial(pop, m, trials, seed, recorded(want_seen))
+    assert len(seen) == len(want_seen) == 2 * trials
+    assert all(np.array_equal(a, b) for a, b in zip(seen, want_seen))
+    assert got.empirical_tail == float(np.count_nonzero(values - expectation >= eps)) / trials
+    assert 0.0 < got.empirical_tail < 1.0

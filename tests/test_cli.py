@@ -3,25 +3,42 @@
 import csv
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from stabreg import (
+    ConstrainedProblem,
     FullSample,
+    LocalEstimatorConfig,
+    LtrProblem,
     NoSweepData,
     ParseError,
     PseudoTargetUnavailable,
     ZeroVarianceFeature,
+    build_cm,
+    build_gmf,
+    build_llreg,
     empirical_error,
+    empirical_stability,
+    gaussian_affinity,
     gaussian_kernel,
+    laplacian,
+    pseudo_targets,
     sample_partition,
+    solve_constrained,
+    solve_krr_induction,
+    solve_ltr,
+    solve_unconstrained,
+    stabilize,
     test_error,
 )
 from stabreg.cli import (
     ALGORITHMS,
     ExperimentConfig,
     _cv_sigma,
+    _dump_json,
     _ltr_at,
     build_parser,
     derive_seed,
@@ -633,3 +650,68 @@ def test_cli_stability_empirical_within_cost_bound(toy_csv, algorithm, capsys):
     assert empirical["mode"] == "exhaustive"
     assert empirical["swaps_evaluated"] == report["m"] * report["u"] == 144
     assert empirical["max_cost_delta"] <= report["cost_bound"]
+
+
+SWAP_FLAGS = ["--C", "2", "--mu", "0.7", "--C-l", "2", "--C-u", "0.5"]
+
+
+def _per_swap_solver(algorithm, sample, sigma):
+    """The swap solver as a closure that rebuilds and rechecks everything per call.
+
+    Every partition gets its own problem from the public builders, and the
+    public solvers run their PSD, null-space and eigenvector work each time,
+    with the trade-offs of ``SWAP_FLAGS`` (and ltr at r = 1.5, C' = 0.5).
+    """
+    family = algorithm.removeprefix("stabilized-")
+    if family in ("krr", "ltr"):
+        kern = gaussian_kernel(sample.points, sigma)
+        local = LocalEstimatorConfig(radius_r=1.5, sigma=sigma, fallback="zero")
+
+        def solve_kernel(s, p):
+            y = s.targets[p.train_idx]
+            if family == "krr":
+                return solve_krr_induction(LtrProblem(
+                    K=kern, part=p, y=y, y_tilde=np.zeros(0), C=2.0, C_prime=0.0, kappa=1.0))
+            return solve_ltr(LtrProblem(K=kern, part=p, y=y, y_tilde=pseudo_targets(s, p, local),
+                                        C=2.0, C_prime=0.5, kappa=1.0))
+        return solve_kernel
+    graph = gaussian_affinity(sample.points, sigma)
+
+    def solve_graph(s, p):
+        y = s.targets[p.train_idx]
+        if family == "laplacian":
+            return solve_constrained(ConstrainedProblem(
+                L=laplacian(graph), C_tradeoff=2.0, part=p, y_S=y, center_labels=True))
+        if family == "cm":
+            problem = build_cm(graph, 0.7, y, p)
+        elif family == "llreg":
+            problem = build_llreg(graph.weights, 2.0, 0.5, y, p)
+        else:
+            problem = build_gmf(graph, 2.0, 0.5, y, p)
+        return solve_unconstrained(problem) if family == algorithm else stabilize(problem)
+    return solve_graph
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cli_stability_empirical_matches_the_per_swap_solver(toy_csv, algorithm, capsys):
+    extra = ["--radius", "1.5", "--C-prime", "0.5"] if algorithm == "ltr" else []
+    assert main(["stability", "--data", toy_csv, "--algorithm", algorithm, "--empirical",
+                 *SWAP_FLAGS, *extra]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    sample = load_and_normalize(toy_csv)
+    part = sample_partition(sample, report["m"], derive_seed(0, 0))
+    reference = empirical_stability(
+        _per_swap_solver(algorithm, sample, report["sigma"]), sample, part, B=report["B"], seed=0
+    )
+    assert text == _dump_json({**report, "empirical": asdict(reference)})
+
+
+@pytest.mark.parametrize("command", [["run"], ["stability", "--empirical"]])
+def test_cli_laplacian_on_disconnected_graph_exits_one(toy_csv, tmp_path, command, capsys):
+    edges = tmp_path / "two_paths.txt"  # 1-2-...-12 and 13-14-...-24
+    edges.write_text("".join(f"{i} {i + 1} 1.0\n" for i in [*range(1, 12), *range(13, 24)]))
+    code = main([*command, "--data", toy_csv, "--algorithm", "laplacian",
+                 "--graph", str(edges)])
+    assert code == 1
+    assert "GraphDisconnected" in capsys.readouterr().err

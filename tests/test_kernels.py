@@ -128,3 +128,63 @@ def test_means_rejects_bad_m(monkeypatch):
         _kernels.sample_means_without_replacement(np.arange(5.0), 0, 10, 0)
     with pytest.raises(ValueError):
         _kernels.sample_means_without_replacement(np.arange(5.0), 6, 10, 0)
+
+
+# ---------------------------------------------------------------------------
+# the blocked numpy path against the per-trial reference
+
+GOLDEN_INT = int(_kernels.GOLDEN)
+
+
+def means_per_trial(values, m, trials, seed):
+    """The numpy path before blocking, one trial at a time.
+
+    Trial t keys index i with mix64(base_t + (i+1)*GOLDEN), base_t =
+    mix64(root + (t+1)*GOLDEN), keeps the m smallest keys and sums their
+    values in argpartition order.
+    """
+    root = _kernels.mix64_int(int(seed) % (1 << 64))
+    out = np.empty(trials)
+    for t in range(trials):
+        keys = _kernels.partition_keys(root + (t + 1) * GOLDEN_INT, values.size)
+        out[t] = values[np.argpartition(keys, m - 1)[:m]].sum() / m
+    return out
+
+
+N_POP = 512
+BLOCK = _kernels._BLOCK_KEYS // N_POP  # trials per block at this population size
+TRIAL_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1]
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+@pytest.mark.parametrize("m", [1, 37, N_POP])
+def test_blocked_means_bit_identical_on_integer_population(monkeypatch, trials, m):
+    monkeypatch.setenv("STABREG_DISABLE_NUMBA", "1")
+    values = np.random.default_rng(1).integers(-50, 50, N_POP).astype(np.float64)
+    got = _kernels.sample_means_without_replacement(values, m, trials, 2**64 - 5)
+    assert np.array_equal(got, means_per_trial(values, m, trials, 2**64 - 5))
+
+
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+@pytest.mark.parametrize("m", [1, 200, N_POP])
+def test_blocked_means_within_four_eps_on_float_population(monkeypatch, trials, m):
+    monkeypatch.setenv("STABREG_DISABLE_NUMBA", "1")
+    values = np.random.default_rng(2).uniform(-1, 1, N_POP)
+    got = _kernels.sample_means_without_replacement(values, m, trials, 17)
+    want = means_per_trial(values, m, trials, 17)
+    # same subsets; only the summation order differs
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("count", [1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("m", [1, 100, N_POP])
+def test_subset_blocks_match_partition_keys_per_draw(count, m):
+    root = 2**64 - 3  # root + t + 1 wraps past 2**64
+    rows = []
+    for start, subsets in _kernels.subset_blocks(root, N_POP, m, count):
+        assert start == len(rows)
+        rows.extend(subsets)
+    assert len(rows) == count
+    for t, row in enumerate(rows):
+        keys = _kernels.partition_keys(root + t + 1, N_POP)
+        assert np.array_equal(row, np.sort(np.argpartition(keys, m - 1)[:m]))

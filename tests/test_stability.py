@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabreg import _kernels
 from stabreg import (
     BoundDiverges,
     EmptyNeighborhood,
@@ -31,6 +32,7 @@ from stabreg import (
     cm_lower_bound_instance,
     cm_score_bound,
     empirical_stability,
+    enumerate_swaps,
     llreg_score_bound,
     llreg_score_bound_spectral,
     ltr_stability_bound,
@@ -38,6 +40,7 @@ from stabreg import (
     solve_unconstrained,
     unconstrained_score_bound,
 )
+from stabreg.stability import SWAP_BUDGET, _default_swaps
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +311,18 @@ def test_empirical_stability_sampled_mode_kicks_in():
     report = empirical_stability(solver, sample, part, B=2.0, seed=3)
     assert report.mode == "sampled"
     assert report.swaps_evaluated == 400  # the sweep budget
+
+
+@pytest.mark.parametrize("n, m", [(60, 30), (61, 17)])
+def test_sampled_swaps_are_the_chosen_entries_of_the_full_enumeration(n, m):
+    sample, part, _ = make_instance(n, m, 2)
+    total = part.m * part.u
+    keys = _kernels.partition_keys(5, total)
+    chosen = np.sort(np.argpartition(keys, SWAP_BUDGET - 1)[:SWAP_BUDGET])
+    all_swaps = enumerate_swaps(part)
+    swaps, mode = _default_swaps(part, 5)
+    assert mode == "sampled"
+    assert swaps == [all_swaps[k] for k in chosen]
 
 
 def test_empirical_stability_custom_swaps():
