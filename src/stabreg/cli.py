@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -466,14 +465,10 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         return UnconstrainedProblem(Q=home.Q, Cmat=cmat,
                                     y=_labels_to_full(s.targets[p.train_idx], p))
 
-    @functools.cache
-    def bottom_eigenvector() -> np.ndarray:  # of Q; computed on the first stabilized solve
-        return spectrum(home.Q).eigenvector_min
-
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
         if algo == family:
             return solve_unconstrained(problem(s, p))
-        return _stabilize_with(problem(s, p), bottom_eigenvector())
+        return _stabilize_with(problem(s, p), bottom)
 
     c_min, c_max = (cfg.mu, cfg.mu) if family == "cm" else sorted((cfg.C_l, cfg.C_u))
     if algo == "cm":
@@ -481,10 +476,12 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     elif algo == "llreg":
         score_beta = llreg_score_bound(M, m, c_min, c_max)
     else:
-        q_spec = spectrum(home.Q, eigenvector=False)
+        q_spec = spectrum(home.Q, eigenvector=algo != family)
         if algo != family:
-            # the stabilized solve lives on the complement of Q's bottom
+            # every stabilized variant comes here, and its one eigh serves
+            # twice: the solve lives on the complement of Q's bottom
             # eigenvector, where Q's smallest eigenvalue is lambda2
+            bottom = q_spec.eigenvector_min
             q_spec = replace(q_spec, lambda_min=q_spec.lambda2)
         c_spec = _diag_spectrum(np.diagonal(home.Cmat))
         score_beta = unconstrained_score_bound(

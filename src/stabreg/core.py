@@ -241,12 +241,31 @@ def enumerate_swaps(part: Partition) -> list[SwapPair]:
 
 def apply_swap(part: Partition, swap: SwapPair) -> Partition:
     """Return the partition with ``swap.removed`` and ``swap.added`` exchanged."""
-    if swap.removed not in part.train_idx:
+    i = _sorted_position(part.train_idx, swap.removed)
+    if i is None:
         raise ValueError(f"index {swap.removed} is not in the labeled set")
-    if swap.added not in part.test_idx:
+    j = _sorted_position(part.test_idx, swap.added)
+    if j is None:
         raise ValueError(f"index {swap.added} is not in the unlabeled set")
-    s = part.train_idx[part.train_idx != swap.removed]
-    t = part.test_idx[part.test_idx != swap.added]
-    new_s = np.sort(np.append(s, swap.added))
-    new_t = np.sort(np.append(t, swap.removed))
+    new_s = _replace_sorted(part.train_idx, i, swap.added)
+    new_t = _replace_sorted(part.test_idx, j, swap.removed)
     return Partition(train_idx=new_s, test_idx=new_t, seed=part.seed)
+
+
+def _sorted_position(a: np.ndarray, value: int) -> int | None:
+    """Index of ``value`` in the sorted array ``a``, or None when absent."""
+    i = int(np.searchsorted(a, value))
+    return i if i < a.size and a[i] == value else None
+
+
+def _replace_sorted(a: np.ndarray, i: int, value: int) -> np.ndarray:
+    """Sorted ``a`` with ``a[i]`` replaced by ``value``, which ``a`` does not hold."""
+    k = int(np.searchsorted(a, value))  # value's slot among a's entries
+    out = a.copy()
+    if k > i:  # entries i+1..k-1 move one down
+        out[i : k - 1] = a[i + 1 : k]
+        out[k - 1] = value
+    else:  # entries k..i-1 move one up
+        out[k + 1 : i + 1] = a[k:i]
+        out[k] = value
+    return out

@@ -60,6 +60,8 @@ class GraphSpec:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weights must be a square matrix")
+        if w.shape[0] == 0:
+            raise ValueError("a graph needs at least one vertex")
         if not np.array_equal(w, w.T):
             raise NotSymmetric("weights[i][j] must equal weights[j][i] exactly")
         if np.any(w < 0):
@@ -119,9 +121,22 @@ def normalized_laplacian(g: GraphSpec) -> np.ndarray:
 
 
 def _check_symmetric(mat: np.ndarray) -> np.ndarray:
+    """``mat`` as a float64 symmetric matrix.
+
+    Asymmetry up to 1e-12 relative to the largest entry is averaged away,
+    ``0.5 * (mat + mat.T)``.  An exactly symmetric input, which that average
+    would reproduce bit for bit, is returned as is: no copy when it already
+    is a float64 array, so the result may be the caller's own array and
+    must not be written to.
+
+    Raises:
+        NotSymmetric: if the asymmetry exceeds the tolerance.
+    """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
+    if np.array_equal(mat, mat.T):
+        return mat
     scale = np.max(np.abs(mat), initial=0.0)
     if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-12 * max(scale, 1.0):
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative tolerance")
@@ -211,21 +226,59 @@ def diameter(g: GraphSpec) -> int:
     not enter the distance.  A complete graph (every off-diagonal weight
     positive, as in a dense Gaussian affinity) has diameter 1 without a BFS.
 
+    Otherwise all n breadth-first searches run at once, one level per step:
+    row v of ``reach`` is the bitset (n bits packed into ceil(n/64) uint64
+    words) of the vertices within k hops of v, and one step replaces it by
+    the OR of the rows of v and of its neighbours, the vertices within
+    k + 1 hops.  The diameter is the number of steps until every row is
+    full; a step that changes no row before then means the graph is
+    disconnected, and so does a vertex of degree zero.  A step gathers the
+    neighbour rows in row chunks of about n edges, so no temporary exceeds
+    the size of ``reach`` itself, n * ceil(n/64) words (0.5 MB at n = 2000),
+    however dense the graph.
+
     Raises:
         GraphDisconnected: if some pair of vertices is not connected.
     """
-    if g.n == 1:
+    n = g.n
+    if n == 1:
         return 0
     adj = g.weights > 0
-    if np.count_nonzero(adj) == g.n * (g.n - 1):  # the diagonal is zero
+    deg = np.count_nonzero(adj, axis=1)
+    if not deg.all():
+        raise GraphDisconnected("diameter undefined: graph is disconnected")
+    if deg.sum() == n * (n - 1):  # the diagonal is zero
         return 1
-    worst = 0
-    for source in range(g.n):
-        dist = _bfs_levels(adj, source)
-        if (dist < 0).any():
+    np.fill_diagonal(adj, True)  # v is its own neighbour: k + 1 hops covers k
+    rows_start = np.concatenate(([0], np.cumsum(deg + 1)))  # row v's first edge, row-major
+    chunks = []  # (first row, end row) with about n edges each
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(rows_start, rows_start[lo] + n, side="right")) - 1)
+        chunks.append((lo, hi))
+        lo = hi
+
+    def bitsets(bits: np.ndarray) -> np.ndarray:
+        packed = np.packbits(bits, axis=-1, bitorder="little")
+        out = np.zeros(bits.shape[:-1] + (-(-n // 64) * 8,), dtype=np.uint8)
+        out[..., : packed.shape[-1]] = packed
+        return out.view(np.uint64)
+
+    reach = bitsets(adj)  # within one hop
+    full = bitsets(np.ones(n, dtype=bool))
+    hops = 1
+    while not (reach == full).all():
+        grown = np.empty_like(reach)
+        for lo, hi in chunks:
+            cols = np.flatnonzero(adj[lo:hi]) % n
+            grown[lo:hi] = np.bitwise_or.reduceat(
+                reach[cols], rows_start[lo:hi] - rows_start[lo], axis=0
+            )
+        if np.array_equal(grown, reach):
             raise GraphDisconnected("diameter undefined: graph is disconnected")
-        worst = max(worst, int(dist.max()))
-    return worst
+        reach = grown
+        hops += 1
+    return hops
 
 
 def row_normalize(mat: np.ndarray) -> np.ndarray:

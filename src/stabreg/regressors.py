@@ -86,7 +86,8 @@ class UnconstrainedProblem:
         if q.shape != (n, n) or c.shape != (n, n):
             raise ValueError("Q, Cmat and y disagree on dimension")
         if _is_diagonal(c):
-            if np.any(np.diagonal(c) <= 0):
+            d = np.diagonal(c)
+            if not np.all(np.isfinite(d) & (d > 0)):
                 raise ValueError("Cmat must be positive definite")
         elif np.linalg.eigvalsh(c)[0] <= 0:
             raise ValueError("Cmat must be positive definite")
@@ -283,7 +284,8 @@ def build_gmf(
 
 
 def _is_diagonal(mat: np.ndarray) -> bool:
-    return not np.any(mat - np.diag(np.diagonal(mat)))
+    """True when every nonzero entry (NaN included) sits on the diagonal."""
+    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
 
 
 def _solve(a_sys: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,9 @@ from stabreg import (
     LtrProblem,
     NoSweepData,
     ParseError,
+    Partition,
     PseudoTargetUnavailable,
+    UnconstrainedProblem,
     ZeroVarianceFeature,
     build_cm,
     build_gmf,
@@ -31,9 +33,11 @@ from stabreg import (
     solve_krr_induction,
     solve_ltr,
     solve_unconstrained,
+    spectrum,
     stabilize,
     test_error,
 )
+from stabreg import cli
 from stabreg.cli import (
     ALGORITHMS,
     ExperimentConfig,
@@ -715,3 +719,64 @@ def test_cli_laplacian_on_disconnected_graph_exits_one(toy_csv, tmp_path, comman
                  "--graph", str(edges)])
     assert code == 1
     assert "GraphDisconnected" in capsys.readouterr().err
+
+
+def _two_spectra(mat, eigenvector=True):
+    """``spectrum`` with its eigenvalues from eigvalsh and, on request, the
+    bottom eigenvector from a second, full eigh."""
+    values = spectrum(mat, eigenvector=False)
+    if not eigenvector:
+        return values
+    return replace(values, eigenvector_min=spectrum(mat).eigenvector_min)
+
+
+def _assert_close(got, want, where="report"):
+    """Equal JSON values, floats within 1e-10 relative."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("algorithm", ["stabilized-cm", "stabilized-llreg", "stabilized-gmf"])
+@pytest.mark.parametrize("command", [["run", "--partitions", "2"], ["stability", "--empirical"]])
+def test_cli_stabilized_fit_matches_the_two_spectrum_path(toy_csv, algorithm, command,
+                                                          capsys, monkeypatch):
+    argv = [*command, "--data", toy_csv, "--algorithm", algorithm, *SWAP_FLAGS]
+    assert main(argv) == 0
+    one_eigh = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "spectrum", _two_spectra)
+    assert main(argv) == 0
+    _assert_close(one_eigh, json.loads(capsys.readouterr().out))
+
+
+def test_problems_do_not_change_when_the_caller_mutates_its_arrays(toy_csv):
+    sample = load_and_normalize(toy_csv)
+    part = Partition(train_idx=np.arange(0, 24, 2), test_idx=np.arange(1, 24, 2))
+    lap = laplacian(gaussian_affinity(sample.points, 1.0))
+    cmat = np.diag(np.linspace(0.5, 2.0, 24))
+    kern = gaussian_kernel(sample.points, 1.0)
+    y = sample.targets[part.train_idx].copy()
+    y_full = np.zeros(24)
+    y_full[part.train_idx] = y
+    problems = [
+        UnconstrainedProblem(Q=lap, Cmat=cmat, y=y_full),
+        ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part, y_S=y),
+        LtrProblem(K=kern, part=part, y=y, y_tilde=np.zeros(0), C=1.0, C_prime=0.0,
+                   kappa=1.0),
+    ]
+    before = [{k: np.array(v) for k, v in vars(p).items() if isinstance(v, np.ndarray)}
+              for p in problems]
+    for arr in (lap, cmat, kern, y, y_full):
+        arr += 1.0
+    for problem, arrays in zip(problems, before):
+        for name, value in arrays.items():
+            assert np.array_equal(getattr(problem, name), value), name

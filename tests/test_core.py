@@ -226,6 +226,17 @@ def test_apply_swap_moves_one_point_each_way():
     assert (q.m, q.u) == (p.m, p.u)
 
 
+def test_apply_swap_matches_sorting_the_exchanged_sets():
+    p = Partition(train_idx=np.array([1, 4, 5, 9]), test_idx=np.array([0, 2, 3, 6, 7, 8, 10]),
+                  seed=7)
+    for sw in enumerate_swaps(p):
+        q = apply_swap(p, sw)
+        s = np.sort(np.append(p.train_idx[p.train_idx != sw.removed], sw.added))
+        t = np.sort(np.append(p.test_idx[p.test_idx != sw.added], sw.removed))
+        assert np.array_equal(q.train_idx, s) and np.array_equal(q.test_idx, t)
+        assert q.seed == p.seed
+
+
 def test_apply_swap_validates_membership():
     p = Partition(train_idx=np.array([0, 1]), test_idx=np.array([2, 3]))
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from stabreg import (
     spectrum,
 )
 from stabreg.errors import ZeroConstraintVector
+from stabreg.graph import _bfs_levels, _check_symmetric
 
 
 def path_graph(n):
@@ -65,6 +66,11 @@ def test_graph_spec_rejects_self_loops():
     w = np.array([[1.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         GraphSpec(weights=w)
+
+
+def test_graph_spec_rejects_empty_graph():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        GraphSpec(weights=np.zeros((0, 0)))
 
 
 def test_graph_spec_is_read_only():
@@ -249,6 +255,130 @@ def test_diameter_ignores_edge_weights():
     w[0, 1] = w[1, 0] = 100.0
     w[1, 2] = w[2, 1] = 0.001
     assert diameter(GraphSpec(weights=w)) == 2
+
+
+def _per_source_diameter(g):
+    """Reference: one BFS per source, the worst eccentricity."""
+    if g.n == 1:
+        return 0
+    adj = g.weights > 0
+    worst = 0
+    for source in range(g.n):
+        dist = _bfs_levels(adj, source)
+        if (dist < 0).any():
+            raise GraphDisconnected("disconnected")
+        worst = max(worst, int(dist.max()))
+    return worst
+
+
+def _diameter_or_disconnected(fn, g):
+    try:
+        return fn(g)
+    except GraphDisconnected:
+        return "disconnected"
+
+
+def _random_graph(n, seed):
+    # edge density around the connectivity threshold log(n)/n, so that both
+    # connected graphs of several hops and disconnected ones come up
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.5, 3.0) * np.log(n + 1) / n
+    w = np.triu(rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < p), 1)
+    return GraphSpec(weights=w + w.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17, 33, 63, 64, 65, 100, 127, 128, 129, 130])
+def test_diameter_matches_per_source_bfs_on_random_graphs(n):
+    for seed in range(6):
+        g = _random_graph(n, 1000 * n + seed)
+        assert _diameter_or_disconnected(diameter, g) == _diameter_or_disconnected(
+            _per_source_diameter, g
+        ), seed
+
+
+def _star(n):
+    w = np.zeros((n, n))
+    w[0, 1:] = w[1:, 0] = 1.0
+    return w
+
+
+def _near_complete(n, seed):
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.random((n, n)) > 0.01, 1).astype(float)
+    return w + w.T
+
+
+def _complete_minus_one_edge(n):
+    w = np.ones((n, n)) - np.eye(n)
+    w[0, n - 1] = w[n - 1, 0] = 0.0
+    return w
+
+
+def _isolated_vertex(n):
+    w = path_graph(n).weights.copy()
+    w[n - 1, n - 2] = w[n - 2, n - 1] = 0.0
+    return w
+
+
+@pytest.mark.parametrize(
+    "weights, expected",
+    [
+        (np.zeros((2, 2)), "disconnected"),
+        (_isolated_vertex(70), "disconnected"),
+        (path_graph(70).weights, 69),
+        (path_graph(129).weights, 128),
+        (_star(65), 2),
+        (_complete_minus_one_edge(64), 2),
+        (_near_complete(600, 0), 2),
+    ],
+    ids=["two-isolated", "isolated-vertex", "path-70", "path-129", "star-65",
+         "complete-minus-edge-64", "near-complete-600"],
+)
+def test_diameter_matches_per_source_bfs_on_shaped_graphs(weights, expected):
+    g = GraphSpec(weights=weights)
+    assert _diameter_or_disconnected(diameter, g) == expected
+    assert _diameter_or_disconnected(_per_source_diameter, g) == expected
+
+
+# ---------------------------------------------------------------------------
+# the symmetric-matrix check
+
+
+def _symmetrized_by_averaging(mat):
+    """Reference: the check without its exact-symmetry shortcut."""
+    mat = np.asarray(mat, dtype=np.float64)
+    scale = np.max(np.abs(mat), initial=0.0)
+    if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-12 * max(scale, 1.0):
+        raise NotSymmetric("not symmetric")
+    return 0.5 * (mat + mat.T)
+
+
+def _symmetric(n, seed):
+    a = np.random.default_rng(seed).normal(scale=1e3, size=(n, n))
+    return a + a.T
+
+
+@pytest.mark.parametrize("mat", [_symmetric(40, 0), _symmetric(1, 1), np.zeros((0, 0)),
+                                 np.array([[2, 1], [1, -0.0]]), np.array([[1, 2], [2, 5]])])
+def test_check_symmetric_keeps_exactly_symmetric_input_bit_for_bit(mat):
+    out = _check_symmetric(mat)
+    assert out.dtype == np.float64
+    assert out.tobytes() == _symmetrized_by_averaging(mat).tobytes()
+
+
+def test_check_symmetric_averages_asymmetry_within_tolerance():
+    mat = _symmetric(30, 2)
+    mat[3, 7] += 1e-13 * np.max(np.abs(mat))
+    out = _check_symmetric(mat)
+    assert np.array_equal(out, out.T)
+    assert out.tobytes() == _symmetrized_by_averaging(mat).tobytes()
+
+
+def test_check_symmetric_rejects_asymmetry_beyond_tolerance():
+    mat = _symmetric(30, 3)
+    mat[3, 7] += 1e-11 * np.max(np.abs(mat))
+    with pytest.raises(NotSymmetric):
+        _check_symmetric(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,13 @@ def test_unconstrained_rejects_non_pd_cmat():
         UnconstrainedProblem(Q=q, Cmat=np.diag([1.0, 0.0]), y=np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_unconstrained_rejects_non_finite_diagonal_cmat(bad):
+    # an infinite weight used to pass and solve to NaN scores
+    with pytest.raises(ValueError):
+        UnconstrainedProblem(Q=np.eye(2), Cmat=np.diag([1.0, bad]), y=np.zeros(2))
+
+
 # ---------------------------------------------------------------------------
 # builders
 
