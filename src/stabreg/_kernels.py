@@ -1,35 +1,29 @@
-"""Seeded sampling kernels with a numba fast path and a pure-numpy fallback.
+"""Seeded sampling kernels in vectorized numpy.
 
 The generator is SplitMix64: a counter-based scheme whose k-th output is
 ``mix64(seed' + (k+1)*GOLDEN)`` where ``mix64`` is the standard 64-bit
 avalanche finalizer and ``seed' = mix64(seed)``.  Everything is unsigned
-64-bit integer arithmetic, so both execution paths produce bit-identical
-key streams on any platform, and a draw is reproducible from the seed alone.
+64-bit integer arithmetic, so the key streams are bit-identical on any
+platform, and a draw is reproducible from the seed alone.
 
 Sampling m points without replacement from n is done by keying every index
 and keeping the m smallest keys.  Keys within one draw are distinct (the
 finalizer is a bijection and the counters are distinct), so the selected
-subset is well defined and identical across paths.
+subset is well defined.
 
-The numpy path draws many trials at once in blocks of ``rows`` trials, one
-row of n keys per trial, with ``rows = 131072 // n`` (at least 1): a block
-holds about 1 MB of keys.  One (rows, n) key buffer and its scratch buffers
-are allocated per call and refilled in place for every block, so the memory
-a call needs does not grow with the trial count (beyond the output and one
+Many trials are drawn at once in blocks of ``rows`` trials, one row of n
+keys per trial, with ``rows = 131072 // n`` (at least 1): a block holds
+about 1 MB of keys.  One (rows, n) key buffer and its scratch buffers are
+allocated per call and refilled in place for every block, so the memory a
+call needs does not grow with the trial count (beyond the output and one
 uint64 base per trial).
 
-Per-trial *means* may differ between paths, and from a per-trial sum, by a
-few float ulps because summation order differs (the tests allow 4 * eps
-times the largest |value|); for integer-valued populations the sums are
-exact and every path agrees bit-for-bit.
-
-Set ``STABREG_DISABLE_NUMBA=1`` to force the numpy fallback.  When numba is
-not importable the fallback is selected automatically.
+Per-trial *means* may differ from a per-trial sum by a few float ulps
+because the summation order differs (the tests allow 4 * eps times the
+largest |value|); for integer-valued populations the sums are exact.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -39,7 +33,6 @@ __all__ = [
     "mix64_array",
     "partition_keys",
     "subset_blocks",
-    "numba_available",
     "numba_enabled",
     "sample_means_without_replacement",
 ]
@@ -53,40 +46,10 @@ GOLDEN = np.uint64(_GOLDEN_INT)
 _M1 = np.uint64(_M1_INT)
 _M2 = np.uint64(_M2_INT)
 
-try:  # pragma: no cover - exercised implicitly by the dispatch tests
-    import numba
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        """No-op decorator stand-in used when numba is absent."""
-
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_available() -> bool:
-    """True when numba imported successfully."""
-    return _HAS_NUMBA
-
 
 def numba_enabled() -> bool:
-    """True when the jitted path is selected for this call.
-
-    The environment flag is consulted at call time so tests can flip it.
-    """
-    if not _HAS_NUMBA:
-        return False
-    flag = os.environ.get("STABREG_DISABLE_NUMBA", "").strip().lower()
-    return flag not in {"1", "true", "yes", "on"}
+    """Always False (the kernels are numpy only); kept for callers that report the path."""
+    return False
 
 
 def mix64_int(z: int) -> int:
@@ -116,58 +79,6 @@ def partition_keys(seed: int, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         counters = base + idx * GOLDEN
     return mix64_array(counters)
-
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _mix64_nb(z):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-    @njit(cache=True)
-    def _means_nb(values, m, trials, root):
-        # Per trial: regenerate the key stream, quickselect the m smallest
-        # keys in place (values co-moved), and average those values.  The
-        # scratch buffers are reused across trials, so a trial allocates
-        # nothing; keys are distinct, which keeps the subset well defined
-        # and the select's middle region at most one element wide.
-        n = values.shape[0]
-        golden = np.uint64(0x9E3779B97F4A7C15)
-        out = np.empty(trials, dtype=np.float64)
-        keys = np.empty(n, dtype=np.uint64)
-        vals = np.empty(n, dtype=np.float64)
-        for t in range(trials):
-            base = _mix64_nb(root + np.uint64(t + 1) * golden)
-            for i in range(n):
-                keys[i] = _mix64_nb(base + np.uint64(i + 1) * golden)
-                vals[i] = values[i]
-            lo, hi, target = 0, n - 1, m - 1
-            while lo < hi:
-                pivot = keys[(lo + hi) >> 1]
-                i, j = lo, hi
-                while i <= j:
-                    while keys[i] < pivot:
-                        i += 1
-                    while keys[j] > pivot:
-                        j -= 1
-                    if i <= j:
-                        keys[i], keys[j] = keys[j], keys[i]
-                        vals[i], vals[j] = vals[j], vals[i]
-                        i += 1
-                        j -= 1
-                if target <= j:
-                    hi = j
-                elif target >= i:
-                    lo = i
-                else:  # the target slot sits between the halves: done
-                    break
-            acc = 0.0
-            for i in range(m):
-                acc += vals[i]
-            out[t] = acc / m
-        return out
 
 
 _BLOCK_KEYS = 131_072  # uint64 keys per block: 1 MB
@@ -208,32 +119,6 @@ def _key_blocks(bases: np.ndarray, n: int):
         yield start, keys
 
 
-def _means_np(values: np.ndarray, m: int, trials: int, root: int) -> np.ndarray:
-    """Vectorized fallback; identical subset selection as the jitted path.
-
-    Per block, one partition finds every row's m-th smallest key; the row's
-    subset is the keys at or below it (exactly m, the keys being distinct),
-    and the subset sums are one matrix-vector product with that 0/1 mask.
-    """
-    n = values.shape[0]
-    out = np.empty(trials, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        bases = mix64_array(
-            np.uint64(root) + np.arange(1, trials + 1, dtype=np.uint64) * GOLDEN
-        )
-    rows = _block_rows(n, trials)
-    select = np.empty((rows, n), dtype=np.uint64)
-    mask = np.empty((rows, n), dtype=np.float64)
-    for start, keys in _key_blocks(bases, n):
-        count = keys.shape[0]
-        np.copyto(select[:count], keys)
-        select[:count].partition(m - 1, axis=1)
-        np.less_equal(keys, select[:count, m - 1:m], out=mask[:count])
-        np.matmul(mask[:count], values, out=out[start:start + count])
-    out /= m
-    return out
-
-
 def subset_blocks(root: int, n: int, m: int, count: int):
     """Yield ``(start, subsets)`` for draws ``start, start+1, ...`` of ``count``.
 
@@ -268,6 +153,11 @@ def sample_means_without_replacement(
 
     Returns:
         Float array of shape (trials,) with the per-trial sample means.
+
+    Per block of trials, one partition finds every row's m-th smallest key;
+    the row's subset is the keys at or below it (exactly m, the keys being
+    distinct), and the subset sums are one matrix-vector product with that
+    0/1 mask.
     """
     values = np.ascontiguousarray(np.asarray(values, dtype=np.float64).ravel())
     n = values.shape[0]
@@ -275,7 +165,21 @@ def sample_means_without_replacement(
         raise ValueError(f"subset size {m} outside [1, {n}]")
     if trials < 0:
         raise ValueError("trials must be non-negative")
+    trials = int(trials)
     root = mix64_int(int(seed) % (1 << 64))
-    if numba_enabled():
-        return _means_nb(values, m, int(trials), np.uint64(root))
-    return _means_np(values, m, int(trials), root)
+    out = np.empty(trials, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        bases = mix64_array(
+            np.uint64(root) + np.arange(1, trials + 1, dtype=np.uint64) * GOLDEN
+        )
+    rows = _block_rows(n, trials)
+    select = np.empty((rows, n), dtype=np.uint64)
+    mask = np.empty((rows, n), dtype=np.float64)
+    for start, keys in _key_blocks(bases, n):
+        count = keys.shape[0]
+        np.copyto(select[:count], keys)
+        select[:count].partition(m - 1, axis=1)
+        np.less_equal(keys, select[:count, m - 1:m], out=mask[:count])
+        np.matmul(mask[:count], values, out=out[start:start + count])
+    out /= m
+    return out

@@ -39,8 +39,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from . import _kernels
 from . import bounds as _bounds
+from ._kernels import mix64_int
 from .bounds import concentration_harness, generalization_bound
 from .core import (
     FullSample,
@@ -72,31 +72,21 @@ from .graph import (
 )
 from .regressors import (
     ConstrainedProblem,
+    KernelSystem,
+    LaplacianSystem,
     LocalEstimatorConfig,
     LtrProblem,
+    QuadraticSystem,
     UnconstrainedProblem,
     build_cm,
     build_gmf,
     build_llreg,
     gaussian_kernel,
-    ltr_dual_coefficients,
+    labels_to_full,
     pseudo_targets,
     solve_constrained,
     solve_ltr,
     solve_unconstrained,
-)
-# The swap harness solves one partition after another on the same kernel or
-# graph, so the entries below check K (PSD) and L (null space) once at set-up
-# and solve each partition with these unchecked variants.
-from .regressors import (
-    _check_null_space,
-    _labels_to_full,
-    _psd_check,
-    _solve_constrained_unchecked,
-    _solve_krr_unchecked,
-    _solve_ltr_unchecked,
-    _split_diag,
-    _stabilize_with,
 )
 from .stability import (
     StabilityInputs,
@@ -263,9 +253,7 @@ class ExperimentConfig:
 def derive_seed(master: int, index: int) -> int:
     """Deterministic per-partition seed from the master seed."""
     golden = 0x9E3779B97F4A7C15
-    return _kernels.mix64_int(
-        (_kernels.mix64_int(master) + (index + 1) * golden) % (1 << 64)
-    )
+    return mix64_int((mix64_int(master) + (index + 1) * golden) % (1 << 64))
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +364,10 @@ def _kernel_fit(solve, part: Partition, cfg: ExperimentConfig, M: float,
 def _krr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
          sigma: float, kern: np.ndarray) -> Fit:
     """Kernel ridge regression on the labeled points (LTR with C' = 0)."""
-    if cfg.C > 0:  # with C = 0 the solution is zero and K is never factored
-        _psd_check(kern)
+    system = KernelSystem(kern)
 
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        return _solve_krr_unchecked(
-            LtrProblem(K=kern, part=p, y=s.targets[p.train_idx], y_tilde=np.zeros(0),
-                       C=cfg.C, C_prime=0.0, kappa=1.0)
-        )
+        return system.solve(p, s.targets[p.train_idx], np.zeros(0), cfg.C, 0.0)
 
     return _kernel_fit(solve, part, cfg, sample.label_bound_M, 0.0)
 
@@ -394,19 +378,14 @@ def _local_estimator(cfg: ExperimentConfig, sigma: float, r: float) -> LocalEsti
     )
 
 
-def _ltr_problem(s: FullSample, p: Partition, cfg: ExperimentConfig,
-                 kern: np.ndarray, y_tilde: np.ndarray) -> LtrProblem:
-    return LtrProblem(K=kern, part=p, y=s.targets[p.train_idx], y_tilde=y_tilde,
-                      C=cfg.C, C_prime=cfg.C_prime, kappa=1.0)
-
-
 def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
-            sigma: float, kern: np.ndarray, r: float) -> Fit:
-    """LTR with the local estimator at radius r; the caller has checked K for PSD."""
+            sigma: float, system: KernelSystem, r: float) -> Fit:
+    """LTR with the local estimator at radius r on the partition's kernel system."""
     local = _local_estimator(cfg, sigma, r)
 
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        return _solve_ltr_unchecked(_ltr_problem(s, p, cfg, kern, pseudo_targets(s, p, local)))
+        return system.solve(p, s.targets[p.train_idx], pseudo_targets(s, p, local),
+                            cfg.C, cfg.C_prime)
 
     M = sample.label_bound_M
     m_r = m_of_r(sample, part, r)
@@ -423,11 +402,11 @@ def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
 def _ltr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
          sigma: float, kern: np.ndarray) -> Fit:
     """LTR at the single radius given, or at the radius select_radius picks."""
+    system = KernelSystem(kern)
     if len(cfg.radius_grid) == 1:
-        _psd_check(kern)
-        return _ltr_at(sample, part, cfg, sigma, kern, cfg.radius_grid[0])
+        return _ltr_at(sample, part, cfg, sigma, system, cfg.radius_grid[0])
     fits: dict = {}
-    r_star, per_r = select_radius(sample, part, cfg, sigma, kern, fits)  # checks K
+    r_star, per_r = select_radius(sample, part, cfg, sigma, system, fits)
     fit, h = fits[r_star]
     return replace(fit, h=h, run_fields={"r_star": r_star, "per_r": per_r})
 
@@ -444,8 +423,8 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
                    sigma: float, graph: GraphSpec) -> Fit:
     """cm, llreg, gmf and their stabilized variants.
 
-    Q comes from the graph alone, so it is built once; another partition
-    changes only y and, for llreg and gmf, the diagonal of Cmat.
+    Q comes from the graph alone, so its system is built once; another
+    partition changes only y and, for llreg and gmf, the diagonal weights.
     """
     algo = cfg.algorithm
     family = algo.removeprefix("stabilized-")
@@ -458,18 +437,7 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     else:
         home = build_gmf(graph, cfg.C_l, cfg.C_u, y_home, part)
 
-    def problem(s: FullSample, p: Partition) -> UnconstrainedProblem:
-        if s is sample and p is part:
-            return home
-        cmat = home.Cmat if family == "cm" else _split_diag(p, cfg.C_l, cfg.C_u)
-        return UnconstrainedProblem(Q=home.Q, Cmat=cmat,
-                                    y=_labels_to_full(s.targets[p.train_idx], p))
-
-    def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        if algo == family:
-            return solve_unconstrained(problem(s, p))
-        return _stabilize_with(problem(s, p), bottom)
-
+    bottom = None
     c_min, c_max = (cfg.mu, cfg.mu) if family == "cm" else sorted((cfg.C_l, cfg.C_u))
     if algo == "cm":
         score_beta = cm_score_bound(M)
@@ -490,6 +458,14 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
             math.sqrt(m) * M,
             math.sqrt(2.0) * (1.0 / c_min - 1.0 / c_max),
         )
+    system = QuadraticSystem(home.Q, bottom)
+
+    def solve(s: FullSample, p: Partition) -> HypothesisScores:
+        c = np.full(p.n, float(cfg.mu if family == "cm" else cfg.C_u))
+        if family != "cm":
+            c[p.train_idx] = cfg.C_l
+        return system.solve(c, labels_to_full(s.targets[p.train_idx], p))
+
     stability_fields = {"score_bound": score_beta}
     if family == "llreg":
         stability_fields["score_bound_spectral"] = llreg_score_bound_spectral(
@@ -505,22 +481,18 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
                sigma: float, graph: GraphSpec) -> Fit:
     """The sum-zero-constrained Laplacian regularizer."""
     M, m = sample.label_bound_M, part.m
-    lap = laplacian(graph)
-
-    def problem(s: FullSample, p: Partition) -> ConstrainedProblem:
-        return ConstrainedProblem(L=lap, C_tradeoff=cfg.C, part=p,
-                                  y_S=s.targets[p.train_idx], center_labels=True)
-
-    home = problem(sample, part)  # rejects C <= 0 before a bound divides by C
+    # the home problem rejects C <= 0 before a bound divides by C
+    home = ConstrainedProblem(L=laplacian(graph), C_tradeoff=cfg.C, part=part,
+                              y_S=sample.targets[part.train_idx], center_labels=True)
+    rho = diameter(graph)  # a disconnected graph fails here, before the null-space check
+    system = LaplacianSystem(home.L, home.u_vec)
 
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        return _solve_constrained_unchecked(home if s is sample and p is part else problem(s, p))
+        y = labels_to_full(s.targets[p.train_idx], p)
+        return system.solve(p, y, cfg.C, center_labels=True)
 
-    lap_spectrum = spectrum(lap, eigenvector=False)
-    lam2 = lap_spectrum.lambda2
-    rho = diameter(graph)
-    beta = belkin_cost_stability(cfg.C, M, m, lam2, rho)  # raises unless lam2 > 0
-    _check_null_space(lap_spectrum)  # the problem's constraint is all-ones
+    lam2 = system.eigenvalues.lambda2
+    beta = belkin_cost_stability(cfg.C, M, m, lam2, rho)
     b_resid = M * (1.0 + math.sqrt(min(1.0 / lam2, float(rho)) * cfg.C))
     theorem_beta = belkin_score_stability(M, m, cfg.C, lam2) if m * lam2 / cfg.C > 1 else None
     shared = {"lambda2": lam2, "rho_G": rho}
@@ -566,7 +538,7 @@ def select_radius(
     part: Partition,
     cfg: ExperimentConfig,
     sigma: float | None = None,
-    kern: np.ndarray | None = None,
+    system: KernelSystem | None = None,
     fits: dict | None = None,
 ) -> tuple[float, list[dict]]:
     """Pick the estimator radius minimizing train error plus bound slack.
@@ -578,9 +550,9 @@ def select_radius(
     only and never enters the selection.  The kernel system does not depend
     on the radius, so every feasible radius is solved with one factorization.
 
-    ``sigma`` and ``kern`` default to the partition's resolved sigma and its
-    Gaussian kernel.  When ``fits`` is given it receives ``{r: (fit, h)}``
-    for every solvable radius, so a caller can reuse the chosen fit.
+    ``sigma`` and ``system`` default to the partition's resolved sigma and the
+    kernel system of its Gaussian kernel.  When ``fits`` is given it receives
+    ``{r: (fit, h)}`` for every solvable radius, so a caller can reuse the chosen fit.
 
     Returns:
         (r_star, per_r) — ties resolve toward the smaller radius.
@@ -593,8 +565,8 @@ def select_radius(
         raise NoFeasibleRadius("the radius grid is empty")
     if sigma is None:
         sigma = _resolve_sigma(sample, part, cfg)
-    if kern is None:
-        kern = gaussian_kernel(sample.points, sigma)
+    if system is None:
+        system = KernelSystem(gaussian_kernel(sample.points, sigma))
     rows: dict[float, dict] = {}
     targets: dict[float, np.ndarray] = {}
     for r in cfg.radius_grid:
@@ -605,11 +577,11 @@ def select_radius(
     if not targets:
         raise NoFeasibleRadius("no radius in the grid was solvable")
     block = np.column_stack(list(targets.values()))
-    alpha, kept = ltr_dual_coefficients(_ltr_problem(sample, part, cfg, kern, block))
-    scores = kern[:, kept] @ alpha
+    alpha, kept = system.dual(part, sample.targets[part.train_idx], block, cfg.C, cfg.C_prime)
+    scores = system.scores(alpha, kept)
     best = (math.inf, next(iter(targets)))  # all-infinite objectives: smallest feasible r
     for r, column in zip(targets, scores.T):
-        fit = _ltr_at(sample, part, cfg, sigma, kern, r)
+        fit = _ltr_at(sample, part, cfg, sigma, system, r)
         h = HypothesisScores(scores=column)
         if fits is not None:
             fits[r] = (fit, h)

@@ -37,6 +37,9 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``; an array that already is one is shared, not copied."""
+    if isinstance(a, np.ndarray) and a.flags.owndata and not a.flags.writeable:
+        return a
     a = np.array(a, copy=True)
     a.flags.writeable = False
     return a

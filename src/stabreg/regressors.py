@@ -1,20 +1,30 @@
 """Transductive regression solvers.
 
-Three families share one quadratic template:
+Three families share one quadratic template.  Each family's system matrix
+comes from the kernel or graph alone, and a partition changes only the labels
+and diagonal weights, so each family has one prepared system, checked once
+and then solved for any partition:
 
-* Unconstrained graph regularizers minimizing
-  ``h^T Q h + (h - y)^T C (h - y)`` with closed form
-  ``h = (C^{-1} Q + I)^{-1} y`` — consistency-method (CM) smoothing with the
-  normalized Laplacian, local-linear regularization (LL-Reg) with
+* ``QuadraticSystem(Q)``: unconstrained graph regularizers minimizing
+  ``h^T Q h + (h - y)^T C (h - y)`` for a positive diagonal C, with closed
+  form ``h = (C^{-1} Q + I)^{-1} y`` — consistency-method (CM) smoothing with
+  the normalized Laplacian, local-linear regularization (LL-Reg) with
   ``Q = (I - A)^T (I - A)`` for a row-stochastic A, and Gaussian-field style
-  smoothing (GMF) with the combinatorial Laplacian.
-* A norm-constrained Laplacian regularizer minimizing
-  ``h^T L h + (C/m) ||(h - y)_S||^2`` subject to ``u^T h = 0``, solved through
-  the augmented KKT system.
-* Kernel least squares over an explicit Gram matrix: labeled squared loss
-  weighted by C/m plus unlabeled squared loss against local pseudo-targets
-  weighted by C'/u (LTR).  With C' = 0 this is kernel ridge regression
+  smoothing (GMF) with the combinatorial Laplacian.  Given Q's bottom
+  eigenvector it solves on that vector's complement (the stabilized variants).
+* ``LaplacianSystem(L, u)``: a norm-constrained Laplacian regularizer
+  minimizing ``h^T L h + (C/m) ||(h - y)_S||^2`` subject to ``u^T h = 0``,
+  solved through the augmented KKT system.  A constant u must pin L's null
+  space; that check keeps L's eigenvalues.
+* ``KernelSystem(K)``: kernel least squares over a symmetric PSD Gram
+  matrix: labeled squared loss weighted by C/m plus unlabeled squared loss
+  against local pseudo-targets weighted by C'/u (LTR), for one pseudo-target
+  vector or a block of them.  With C' = 0 this is kernel ridge regression
   evaluated on the full sample.
+
+A system shares a matrix the caller already holds read-only (a problem
+dataclass does) and copies any other.  The public ``solve_*`` functions and
+``stabilize`` prepare a system from their problem and solve it once.
 
 Pseudo-targets for unlabeled points are radius-limited weighted averages of
 labeled neighbors; weights are either a Gaussian kernel value or an inverse
@@ -23,7 +33,7 @@ feature-space distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,9 +62,13 @@ __all__ = [
     "ConstrainedProblem",
     "LtrProblem",
     "LocalEstimatorConfig",
+    "KernelSystem",
+    "QuadraticSystem",
+    "LaplacianSystem",
     "build_cm",
     "build_llreg",
     "build_gmf",
+    "labels_to_full",
     "solve_unconstrained",
     "stabilize",
     "solve_constrained",
@@ -72,7 +86,7 @@ _RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class UnconstrainedProblem:
-    """min_h  h^T Q h + (h - y)^T Cmat (h - y)  with Q PSD, Cmat PD."""
+    """min_h  h^T Q h + (h - y)^T Cmat (h - y)  with Q PSD, Cmat PD and diagonal."""
 
     Q: np.ndarray
     Cmat: np.ndarray
@@ -85,11 +99,10 @@ class UnconstrainedProblem:
         n = y.size
         if q.shape != (n, n) or c.shape != (n, n):
             raise ValueError("Q, Cmat and y disagree on dimension")
-        if _is_diagonal(c):
-            d = np.diagonal(c)
-            if not np.all(np.isfinite(d) & (d > 0)):
-                raise ValueError("Cmat must be positive definite")
-        elif np.linalg.eigvalsh(c)[0] <= 0:
+        if np.count_nonzero(c) != np.count_nonzero(np.diagonal(c)):  # NaN counts as nonzero
+            raise ValueError("Cmat must be diagonal")
+        d = np.diagonal(c)
+        if not np.all(np.isfinite(d) & (d > 0)):
             raise ValueError("Cmat must be positive definite")
         object.__setattr__(self, "Q", _readonly(q))
         object.__setattr__(self, "Cmat", _readonly(c))
@@ -236,7 +249,8 @@ class LocalEstimatorConfig:
         object.__setattr__(self, "sigma", float(self.sigma))
 
 
-def _labels_to_full(labels_on_S, part: Partition) -> np.ndarray:
+def labels_to_full(labels_on_S, part: Partition) -> np.ndarray:
+    """Full-length labels: ``labels_on_S`` (sorted-S order) on S, zeros on T."""
     y = np.asarray(labels_on_S, dtype=np.float64).ravel()
     if y.size != part.m:
         raise ValueError("labels_on_S must have length m (sorted-S order)")
@@ -250,7 +264,7 @@ def build_cm(g: GraphSpec, mu: float, labels_on_S, part: Partition) -> Unconstra
     if not float(mu) > 0:
         raise ValueError("mu must be positive")
     q = normalized_laplacian(g)
-    y = _labels_to_full(labels_on_S, part)
+    y = labels_to_full(labels_on_S, part)
     return UnconstrainedProblem(Q=q, Cmat=float(mu) * np.eye(g.n), y=y)
 
 
@@ -271,7 +285,7 @@ def build_llreg(
     m_mat = np.eye(a.shape[0]) - a
     q = m_mat.T @ m_mat
     q = 0.5 * (q + q.T)
-    y = _labels_to_full(labels_on_S, part)
+    y = labels_to_full(labels_on_S, part)
     return UnconstrainedProblem(Q=q, Cmat=_split_diag(part, C_l, C_u), y=y)
 
 
@@ -279,13 +293,8 @@ def build_gmf(
     g: GraphSpec, C_l: float, C_u: float, labels_on_S, part: Partition
 ) -> UnconstrainedProblem:
     """Gaussian-field style smoothing with the combinatorial Laplacian."""
-    y = _labels_to_full(labels_on_S, part)
+    y = labels_to_full(labels_on_S, part)
     return UnconstrainedProblem(Q=laplacian(g), Cmat=_split_diag(part, C_l, C_u), y=y)
-
-
-def _is_diagonal(mat: np.ndarray) -> bool:
-    """True when every nonzero entry (NaN included) sits on the diagonal."""
-    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
 
 
 def _solve(a_sys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -296,22 +305,53 @@ def _solve(a_sys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularSystem(str(exc)) from None
 
 
+@dataclass(frozen=True)
+class QuadraticSystem:
+    """The unconstrained family's matrix Q, checked symmetric once.
+
+    ``bottom`` is Q's bottom eigenvector for the stabilized variants, else None.
+    """
+
+    Q: np.ndarray
+    bottom: np.ndarray | None = None
+
+    def __post_init__(self):
+        q = _check_symmetric(self.Q)
+        object.__setattr__(self, "Q", _readonly(q))
+        if self.bottom is not None:
+            object.__setattr__(self, "bottom", _readonly(np.asarray(self.bottom, np.float64)))
+
+    def solve(self, c: np.ndarray, y: np.ndarray) -> HypothesisScores:
+        """Solve ``(Q + diag(c)) h = c y`` for weights c > 0.
+
+        With ``bottom`` set, the KKT system bordered by it is solved instead.
+        Without, a residual above 1e-10 relative, or NaN, raises SingularSystem.
+        """
+        n = self.Q.shape[0]
+        rhs = c * y
+        if self.bottom is None:
+            a_sys = self.Q.copy()
+        else:
+            a_sys = np.zeros((n + 1, n + 1))
+            a_sys[:n, :n] = self.Q
+            a_sys[:n, n] = a_sys[n, :n] = self.bottom
+            rhs = np.append(rhs, 0.0)
+        diag = np.arange(n)
+        a_sys[diag, diag] += c
+        h = _solve(a_sys, rhs)[:n]
+        if self.bottom is None:
+            resid = (self.Q @ h) / c + h - y
+            if not np.linalg.norm(resid) <= _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(y))):
+                raise SingularSystem("solution residual exceeds tolerance")
+        return HypothesisScores(scores=h)
+
+
 def solve_unconstrained(p: UnconstrainedProblem) -> HypothesisScores:
     """Closed-form minimizer h = (Cmat^{-1} Q + I)^{-1} y.
 
     Solved as the equivalent symmetric system (Q + Cmat) h = Cmat y.
     """
-    rhs = p.Cmat @ p.y
-    h = _solve(p.Q + p.Cmat, rhs)
-    q_h = p.Q @ h
-    if _is_diagonal(p.Cmat):
-        q_h /= np.diagonal(p.Cmat)
-    else:
-        q_h = np.linalg.solve(p.Cmat, q_h)
-    resid = q_h + h - p.y
-    if np.linalg.norm(resid) > _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(p.y))):
-        raise SingularSystem("solution residual exceeds tolerance")
-    return HypothesisScores(scores=h)
+    return QuadraticSystem(p.Q).solve(np.diagonal(p.Cmat), p.y)
 
 
 def stabilize(p: UnconstrainedProblem) -> HypothesisScores:
@@ -320,77 +360,86 @@ def stabilize(p: UnconstrainedProblem) -> HypothesisScores:
     The feasible subspace's smallest Q-eigenvalue is the second-smallest
     eigenvalue of Q, which tightens the score-perturbation denominator.
     """
-    return _stabilize_with(p, spectrum(p.Q).eigenvector_min)
+    bottom = spectrum(p.Q).eigenvector_min
+    return QuadraticSystem(p.Q, bottom).solve(np.diagonal(p.Cmat), p.y)
 
 
-def _stabilize_with(p: UnconstrainedProblem, v: np.ndarray) -> HypothesisScores:
-    """``stabilize`` with Q's bottom eigenvector ``v`` computed by the caller."""
-    n = p.n
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = p.Q + p.Cmat
-    kkt[:n, n] = v
-    kkt[n, :n] = v
-    rhs = np.concatenate([p.Cmat @ p.y, [0.0]])
-    sol = _solve(kkt, rhs)
-    return HypothesisScores(scores=sol[:n])
+@dataclass(frozen=True)
+class LaplacianSystem:
+    """A Laplacian L and constraint direction u, checked once.
+
+    For a constant u, ``eigenvalues`` keeps L's spectrum (None otherwise).
+
+    Raises:
+        ZeroConstraintVector: u has (near-)zero norm.
+        ConstraintSpansNullSpace: constant u on a Laplacian with a
+            multi-dimensional null space (a disconnected graph).
+    """
+
+    L: np.ndarray
+    u_vec: np.ndarray
+    eigenvalues: SpectrumSummary | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        lap = _check_symmetric(self.L)
+        u = np.asarray(self.u_vec, dtype=np.float64).ravel()
+        if u.size != lap.shape[0]:
+            raise ValueError("u_vec must have one entry per row of L")
+        if float(u @ u) <= 1e-24:
+            raise ZeroConstraintVector("constraint vector has (near-)zero norm")
+        if np.allclose(u, np.full(u.size, u[0]), rtol=1e-12, atol=0.0):
+            eig = spectrum(lap, eigenvector=False)
+            if eig.lambda2 <= 1e-9 * max(abs(eig.lambda_max), 1.0):
+                raise ConstraintSpansNullSpace(
+                    "all-ones constraint cannot pin the null space of a disconnected Laplacian"
+                )
+            object.__setattr__(self, "eigenvalues", eig)
+        object.__setattr__(self, "L", _readonly(lap))
+        object.__setattr__(self, "u_vec", _readonly(u))
+
+    def solve(self, part: Partition, y_S: np.ndarray, C: float,
+              center_labels: bool = False) -> HypothesisScores:
+        """KKT solve for labels ``y_S`` (full length, zero off S) at trade-off C > 0.
+
+        Stationarity: ``L h + (C/m) I_S (h - y_S) + beta * u = 0`` with
+        multiplier beta, plus feasibility ``u^T h = 0``.  ``center_labels``
+        removes the labels' component along u before solving and adds it back
+        onto the scores.  A KKT residual above 1e-8 relative, or NaN, raises
+        SingularSystem.
+        """
+        n = self.L.shape[0]
+        u = self.u_vec
+        y = y_S
+        offset = 0.0
+        if center_labels:
+            mask = np.zeros(n)
+            mask[part.train_idx] = 1.0
+            u_s = u * mask
+            denom = float(u_s @ u_s)
+            if denom <= 1e-24:
+                raise ZeroConstraintVector("constraint vanishes on the labeled set")
+            offset = float(u_s @ y) / denom
+            y = y - offset * u_s
+        weight = C / part.m
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = self.L
+        kkt[part.train_idx, part.train_idx] += weight
+        kkt[:n, n] = kkt[n, :n] = u
+        rhs = np.concatenate([weight * y, [0.0]])
+        sol = _solve(kkt, rhs)
+        h = sol[:n]
+        resid = np.linalg.norm(kkt[:n] @ sol - rhs[:n])
+        scale = max(1.0, float(np.linalg.norm(rhs)))
+        if not (resid <= 1e-8 * scale and abs(float(u @ h)) <= 1e-8 * scale):
+            raise SingularSystem("KKT residual exceeds tolerance")
+        if center_labels:
+            h = h + offset * u
+        return HypothesisScores(scores=h)
 
 
 def solve_constrained(p: ConstrainedProblem) -> HypothesisScores:
-    """KKT solve of the constrained Laplacian problem.
-
-    Stationarity: ``L h + (C/m) I_S (h - y_S) + beta * u_vec = 0`` with
-    multiplier beta, plus feasibility ``u_vec^T h = 0``.
-
-    Raises:
-        ConstraintSpansNullSpace: all-ones constraint on a graph whose
-            Laplacian has a multi-dimensional null space (disconnected).
-        SingularSystem: the KKT system is numerically singular.
-    """
-    u = p.u_vec
-    if np.allclose(u, np.full(p.n, u[0]), rtol=1e-12, atol=0.0) and u[0] != 0:
-        _check_null_space(spectrum(p.L, eigenvector=False))
-    return _solve_constrained_unchecked(p)
-
-
-def _check_null_space(lap_spectrum: SpectrumSummary) -> None:
-    """Reject an all-ones constraint on a Laplacian with a multi-dimensional null space."""
-    if lap_spectrum.lambda2 <= 1e-9 * max(abs(lap_spectrum.lambda_max), 1.0):
-        raise ConstraintSpansNullSpace(
-            "all-ones constraint cannot pin the null space of a disconnected Laplacian"
-        )
-
-
-def _solve_constrained_unchecked(p: ConstrainedProblem) -> HypothesisScores:
-    """``solve_constrained`` without the null-space check, for an L already checked."""
-    n = p.n
-    u = p.u_vec
-    y = p.y_S
-    offset = 0.0
-    if p.center_labels:
-        mask = np.zeros(n)
-        mask[p.part.train_idx] = 1.0
-        u_s = u * mask
-        denom = float(u_s @ u_s)
-        if denom <= 1e-24:
-            raise ZeroConstraintVector("constraint vanishes on the labeled set")
-        offset = float(u_s @ y) / denom
-        y = y - offset * u_s
-    weight = p.C_tradeoff / p.part.m
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = p.L
-    kkt[p.part.train_idx, p.part.train_idx] += weight
-    kkt[:n, n] = u
-    kkt[n, :n] = u
-    rhs = np.concatenate([weight * y, [0.0]])
-    sol = _solve(kkt, rhs)
-    h = sol[:n]
-    resid = np.linalg.norm(kkt[:n] @ sol - rhs[:n])
-    scale = max(1.0, float(np.linalg.norm(rhs)))
-    if resid > 1e-8 * scale or abs(float(u @ h)) > 1e-8 * scale:
-        raise SingularSystem("KKT residual exceeds tolerance")
-    if p.center_labels:
-        h = h + offset * u
-    return HypothesisScores(scores=h)
+    """KKT solve of the constrained Laplacian problem; raises as ``LaplacianSystem``."""
+    return LaplacianSystem(p.L, p.u_vec).solve(p.part, p.y_S, p.C_tradeoff, p.center_labels)
 
 
 def laplacian_kernel_check(L: np.ndarray, h) -> bool:
@@ -481,70 +530,80 @@ def pseudo_targets(
     return out
 
 
-def _psd_check(k: np.ndarray) -> None:
-    shift = 1e-10 * max(1.0, float(np.max(np.diagonal(k), initial=0.0)))
-    try:
-        np.linalg.cholesky(k + shift * np.eye(k.shape[0]))
-    except np.linalg.LinAlgError:
-        raise NotPSDKernel("Gram matrix is not positive semidefinite") from None
+@dataclass(frozen=True)
+class KernelSystem:
+    """A Gram matrix K, checked once: symmetric and PSD.
+
+    NotPSDKernel when K + 1e-10 max(1, max diag K) I has no Cholesky factor.
+    """
+
+    K: np.ndarray
+
+    def __post_init__(self):
+        k = _check_symmetric(self.K)
+        shift = 1e-10 * max(1.0, float(np.max(np.diagonal(k), initial=0.0)))
+        shifted = k.copy()  # the shift goes onto the diagonal in place: one n x n temporary
+        shifted.flat[:: k.shape[0] + 1] += shift
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise NotPSDKernel("Gram matrix is not positive semidefinite") from None
+        object.__setattr__(self, "K", _readonly(k))
+
+    def dual(self, part: Partition, y: np.ndarray, y_tilde: np.ndarray,
+             C: float, C_prime: float) -> tuple[np.ndarray, np.ndarray]:
+        """Expansion ``(alpha, kept)`` of the LTR minimizer, ``kept`` indexing 0..n-1.
+
+        The minimizer expands over the points with a positive loss weight;
+        with Lambda the diagonal of those weights, ``(K_kk + Lambda^{-1})
+        alpha = [y_S; y_tilde]`` on the kept indices.  A (u, k) ``y_tilde``
+        block shares one factorization and gives a (|kept|, k) ``alpha``;
+        ``y_tilde`` may be empty when C' = 0.
+        """
+        if C < 0 or C_prime < 0:
+            raise ValueError("C and C_prime must be non-negative")
+        cols = y_tilde.shape[1:]  # () for one problem, (k,) for a block
+        kept_parts = []
+        inv_weights = []
+        targets = []
+        if C > 0:
+            kept_parts.append(part.train_idx)
+            inv_weights.append(np.full(part.m, part.m / C))
+            targets.append(np.tile(y[:, None], cols) if cols else y)
+        if C_prime > 0:
+            kept_parts.append(part.test_idx)
+            inv_weights.append(np.full(part.u, part.u / C_prime))
+            targets.append(y_tilde)
+        if not kept_parts:
+            return np.zeros((0, *cols)), np.zeros(0, dtype=np.int64)
+        kept = np.concatenate(kept_parts)
+        order = np.argsort(kept)
+        kept = kept[order]
+        inv_w = np.concatenate(inv_weights)[order]
+        y_all = np.concatenate(targets)[order]
+        sub = self.K[np.ix_(kept, kept)] + np.diag(inv_w)
+        return _solve(sub, y_all), kept
+
+    def scores(self, alpha: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """``f = sum_kept alpha_i K(., x_i)`` on every point (zero when nothing is kept)."""
+        return self.K[:, kept] @ alpha
+
+    def solve(self, part: Partition, y: np.ndarray, y_tilde: np.ndarray,
+              C: float, C_prime: float) -> HypothesisScores:
+        """Scores of the LTR minimizer for one pseudo-target vector."""
+        return HypothesisScores(scores=self.scores(*self.dual(part, y, y_tilde, C, C_prime)))
 
 
 def ltr_dual_coefficients(p: LtrProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion coefficients of the LTR minimizer.
-
-    The minimizer expands over the kernel sections of every point carrying a
-    positive loss weight; writing Lambda for the diagonal of those weights,
-    the coefficients solve ``(K_kk + Lambda^{-1}) alpha = [y_S; y_tilde]``
-    restricted to the kept indices.  The system does not depend on y_tilde,
-    so a (u, k) ``y_tilde`` is solved with one factorization and gives a
-    (|kept|, k) ``alpha``.
-
-    Returns:
-        (alpha, kept) where ``kept`` are the expansion indices into 0..n-1.
-    """
-    _psd_check(p.K)
-    return _ltr_dual_unchecked(p)
-
-
-def _ltr_dual_unchecked(p: LtrProblem) -> tuple[np.ndarray, np.ndarray]:
-    """``ltr_dual_coefficients`` without the PSD check, for a kernel already checked."""
-    cols = p.y_tilde.shape[1:]  # () for one problem, (k,) for a block
-    kept_parts = []
-    inv_weights = []
-    targets = []
-    if p.C > 0:
-        kept_parts.append(p.part.train_idx)
-        inv_weights.append(np.full(p.part.m, p.part.m / p.C))
-        targets.append(np.tile(p.y[:, None], cols) if cols else p.y)
-    if p.C_prime > 0:
-        kept_parts.append(p.part.test_idx)
-        inv_weights.append(np.full(p.part.u, p.part.u / p.C_prime))
-        targets.append(p.y_tilde)
-    if not kept_parts:
-        return np.zeros((0, *cols)), np.zeros(0, dtype=np.int64)
-    kept = np.concatenate(kept_parts)
-    order = np.argsort(kept)
-    kept = kept[order]
-    inv_w = np.concatenate(inv_weights)[order]
-    y_all = np.concatenate(targets)[order]
-    sub = p.K[np.ix_(kept, kept)] + np.diag(inv_w)
-    return _solve(sub, y_all), kept
+    """Expansion ``(alpha, kept)`` of the LTR minimizer; see ``KernelSystem.dual``."""
+    return KernelSystem(p.K).dual(p.part, p.y, p.y_tilde, p.C, p.C_prime)
 
 
 def solve_ltr(p: LtrProblem) -> HypothesisScores:
     """Minimize ``||f||_K^2 + (C/m) sum_S (f - y)^2 + (C'/u) sum_T (f - y_tilde)^2``."""
     if p.y_tilde.ndim == 2:
         raise ValueError("a y_tilde block is solved by ltr_dual_coefficients")
-    _psd_check(p.K)
-    return _solve_ltr_unchecked(p)
-
-
-def _solve_ltr_unchecked(p: LtrProblem) -> HypothesisScores:
-    """``solve_ltr`` without the PSD check, for a kernel already checked."""
-    alpha, kept = _ltr_dual_unchecked(p)
-    if kept.size == 0:
-        return HypothesisScores(scores=np.zeros(p.n))
-    return HypothesisScores(scores=p.K[:, kept] @ alpha)
+    return KernelSystem(p.K).solve(p.part, p.y, p.y_tilde, p.C, p.C_prime)
 
 
 def ltr_objective(p: LtrProblem, alpha: np.ndarray, kept: np.ndarray) -> float:
@@ -553,13 +612,8 @@ def ltr_objective(p: LtrProblem, alpha: np.ndarray, kept: np.ndarray) -> float:
         raise ValueError("ltr_objective takes one pseudo-target vector, not a block")
     alpha = np.asarray(alpha, dtype=np.float64).ravel()
     kept = np.asarray(kept, dtype=np.int64).ravel()
-    if kept.size == 0:
-        scores = np.zeros(p.n)
-        norm2 = 0.0
-    else:
-        scores = p.K[:, kept] @ alpha
-        norm2 = float(alpha @ p.K[np.ix_(kept, kept)] @ alpha)
-    total = norm2
+    scores = p.K[:, kept] @ alpha  # zeros when nothing is kept
+    total = float(alpha @ p.K[np.ix_(kept, kept)] @ alpha)
     if p.C > 0:
         d = scores[p.part.train_idx] - p.y
         total += (p.C / p.part.m) * float(d @ d)
@@ -572,20 +626,11 @@ def ltr_objective(p: LtrProblem, alpha: np.ndarray, kept: np.ndarray) -> float:
 def solve_krr_induction(p: LtrProblem) -> HypothesisScores:
     """Kernel ridge regression on the labeled points, evaluated everywhere.
 
-    Requires C_prime = 0; with C = 0 the solution is identically zero.
+    Requires C_prime = 0; with C = 0 the solution is identically zero and K
+    is not checked.
     """
     if p.C_prime != 0:
         raise ValueError("solve_krr_induction requires C_prime = 0")
-    if p.C > 0:
-        _psd_check(p.K)
-    return _solve_krr_unchecked(p)
-
-
-def _solve_krr_unchecked(p: LtrProblem) -> HypothesisScores:
-    """``solve_krr_induction`` without its checks, for a kernel already checked."""
     if p.C == 0:
         return HypothesisScores(scores=np.zeros(p.n))
-    s = p.part.train_idx
-    sub = p.K[np.ix_(s, s)] + (p.part.m / p.C) * np.eye(p.part.m)
-    alpha = _solve(sub, p.y)
-    return HypothesisScores(scores=p.K[:, s] @ alpha)
+    return KernelSystem(p.K).solve(p.part, p.y, np.zeros(0), p.C, 0.0)

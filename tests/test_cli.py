@@ -11,6 +11,7 @@ import pytest
 from stabreg import (
     ConstrainedProblem,
     FullSample,
+    KernelSystem,
     LocalEstimatorConfig,
     LtrProblem,
     NoSweepData,
@@ -335,7 +336,7 @@ def test_select_radius_matches_one_solve_per_radius(toy_csv, C_prime, fallback):
     assert len(infeasible) == (2 if fallback == "error" else 0)
     assert r_star in fits
     for row in per_r:
-        fit = _ltr_at(sample, part, cfg, 1.0, kern, row["r"])
+        fit = _ltr_at(sample, part, cfg, 1.0, KernelSystem(kern), row["r"])
         if not row["feasible"]:
             with pytest.raises(PseudoTargetUnavailable) as exc_info:
                 fit.solve(sample, part)

@@ -1,4 +1,4 @@
-"""Counter-based sampling kernels: determinism and cross-path agreement."""
+"""Counter-based sampling kernels: determinism and agreement with per-trial references."""
 
 import itertools
 import math
@@ -50,53 +50,18 @@ def test_partition_keys_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# subset means across implementation paths
+# subset means
 
 
-def both_paths(values, m, trials, seed, monkeypatch):
-    monkeypatch.delenv("STABREG_DISABLE_NUMBA", raising=False)
-    fast = _kernels.sample_means_without_replacement(values, m, trials, seed)
-    monkeypatch.setenv("STABREG_DISABLE_NUMBA", "1")
-    plain = _kernels.sample_means_without_replacement(values, m, trials, seed)
-    return fast, plain
-
-
-@pytest.mark.skipif(not _kernels.numba_available(), reason="numba not installed")
-def test_paths_bit_identical_on_integer_population(monkeypatch):
-    values = np.concatenate([np.zeros(64), np.ones(64)])
-    fast, plain = both_paths(values, 32, 2000, 7, monkeypatch)
-    assert np.array_equal(fast, plain)
-
-
-@pytest.mark.skipif(not _kernels.numba_available(), reason="numba not installed")
-def test_paths_agree_to_last_ulp_on_float_population(monkeypatch):
-    rng = np.random.default_rng(0)
-    values = rng.uniform(-1, 1, 100)
-    fast, plain = both_paths(values, 30, 1000, 3, monkeypatch)
-    # same subsets selected; summation order differs, so allow rounding in the
-    # final bits but nothing larger
-    assert np.max(np.abs(fast - plain)) <= 4 * np.finfo(np.float64).eps
-
-
-def test_env_flag_values(monkeypatch):
-    for flag, expected in [("1", False), ("true", False), ("YES", False),
-                           ("on", False), ("0", True), ("", True)]:
-        monkeypatch.setenv("STABREG_DISABLE_NUMBA", flag)
-        enabled = _kernels.numba_enabled()
-        assert enabled == (expected and _kernels.numba_available())
-
-
-def test_means_deterministic_per_seed(monkeypatch):
-    monkeypatch.setenv("STABREG_DISABLE_NUMBA", "1")
+def test_means_deterministic_per_seed():
     values = np.arange(50.0)
     a = _kernels.sample_means_without_replacement(values, 10, 500, 9)
     b = _kernels.sample_means_without_replacement(values, 10, 500, 9)
     assert np.array_equal(a, b)
 
 
-def test_means_are_subset_means(monkeypatch):
+def test_means_are_subset_means():
     """Every produced mean must be attainable by some m-subset (oracle check)."""
-    monkeypatch.setenv("STABREG_DISABLE_NUMBA", "1")
     values = np.array([0.0, 1.0, 2.0, 4.0, 8.0])
     m = 2
     attainable = {
@@ -108,8 +73,7 @@ def test_means_are_subset_means(monkeypatch):
         assert round(float(mean), 12) in attainable
 
 
-def test_means_expectation_matches_population_mean(monkeypatch):
-    monkeypatch.setenv("STABREG_DISABLE_NUMBA", "1")
+def test_means_expectation_matches_population_mean():
     values = np.arange(20.0)
     trials = 40_000
     means = _kernels.sample_means_without_replacement(values, 5, trials, 11)
@@ -122,8 +86,7 @@ def test_means_expectation_matches_population_mean(monkeypatch):
     assert abs(float(means.mean()) - pop_mean) <= tol
 
 
-def test_means_rejects_bad_m(monkeypatch):
-    monkeypatch.setenv("STABREG_DISABLE_NUMBA", "1")
+def test_means_rejects_bad_m():
     with pytest.raises(ValueError):
         _kernels.sample_means_without_replacement(np.arange(5.0), 0, 10, 0)
     with pytest.raises(ValueError):
@@ -158,8 +121,7 @@ TRIAL_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1]
 
 @pytest.mark.parametrize("trials", TRIAL_COUNTS)
 @pytest.mark.parametrize("m", [1, 37, N_POP])
-def test_blocked_means_bit_identical_on_integer_population(monkeypatch, trials, m):
-    monkeypatch.setenv("STABREG_DISABLE_NUMBA", "1")
+def test_blocked_means_bit_identical_on_integer_population(trials, m):
     values = np.random.default_rng(1).integers(-50, 50, N_POP).astype(np.float64)
     got = _kernels.sample_means_without_replacement(values, m, trials, 2**64 - 5)
     assert np.array_equal(got, means_per_trial(values, m, trials, 2**64 - 5))
@@ -167,8 +129,7 @@ def test_blocked_means_bit_identical_on_integer_population(monkeypatch, trials, 
 
 @pytest.mark.parametrize("trials", TRIAL_COUNTS)
 @pytest.mark.parametrize("m", [1, 200, N_POP])
-def test_blocked_means_within_four_eps_on_float_population(monkeypatch, trials, m):
-    monkeypatch.setenv("STABREG_DISABLE_NUMBA", "1")
+def test_blocked_means_within_four_eps_on_float_population(trials, m):
     values = np.random.default_rng(2).uniform(-1, 1, N_POP)
     got = _kernels.sample_means_without_replacement(values, m, trials, 17)
     want = means_per_trial(values, m, trials, 17)

@@ -12,13 +12,19 @@ from stabreg import (
     ConstraintSpansNullSpace,
     FullSample,
     GraphSpec,
+    KernelSystem,
+    LaplacianSystem,
     LocalEstimatorConfig,
     LtrProblem,
     NotInRange,
     NotPSDKernel,
+    NotSymmetric,
     Partition,
     PseudoTargetUnavailable,
+    QuadraticSystem,
     UnconstrainedProblem,
+    apply_swap,
+    enumerate_swaps,
     build_cm,
     build_gmf,
     build_llreg,
@@ -39,6 +45,7 @@ from stabreg import (
     stabilize,
 )
 from stabreg.errors import SingularSystem, ZeroConstraintVector
+from stabreg.regressors import labels_to_full
 
 
 def random_graph(n, seed):
@@ -574,3 +581,142 @@ def test_ltr_problem_rejects_bad_label_lengths():
             K=np.eye(3), part=part, y=np.array([1.0]), y_tilde=np.zeros(1),
             C=1.0, C_prime=0.5, kappa=1.0,
         )
+
+
+def test_unconstrained_rejects_non_diagonal_cmat():
+    cmat = np.array([[2.0, 0.5], [0.5, 2.0]])  # positive definite, not diagonal
+    with pytest.raises(ValueError, match="diagonal"):
+        UnconstrainedProblem(Q=np.eye(2), Cmat=cmat, y=np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# a NaN residual is a failed solve, not a result
+
+
+def test_unconstrained_nan_residual_raises():
+    q = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(SingularSystem):
+        solve_unconstrained(UnconstrainedProblem(Q=q, Cmat=np.eye(2), y=np.ones(2)))
+
+
+def test_constrained_nan_residual_raises():
+    lap = laplacian(random_graph(3, 14))
+    lap[0, 1] = lap[1, 0] = np.nan
+    part = Partition(train_idx=np.array([0]), test_idx=np.array([1, 2]))
+    problem = ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part, y_S=np.array([1.0]),
+                                 u_vec=np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(SingularSystem):
+        solve_constrained(problem)
+
+
+# ---------------------------------------------------------------------------
+# prepared systems: built once, solved for every partition
+
+
+def _swapped_partitions(part):
+    return [part, *(apply_swap(part, swap) for swap in enumerate_swaps(part))]
+
+
+@pytest.mark.parametrize("family", ["cm", "llreg", "gmf"])
+@pytest.mark.parametrize("stabilized", [False, True])
+def test_quadratic_system_matches_the_public_solver_on_every_swap(family, stabilized):
+    g = random_graph(7, 20)
+    targets = np.random.default_rng(20).uniform(-1, 1, 7)
+    home = random_partition(7, 3, 20)
+
+    def problem(p):
+        y = targets[p.train_idx]
+        if family == "cm":
+            return build_cm(g, 0.7, y, p)
+        if family == "llreg":
+            return build_llreg(g.weights, 2.0, 0.5, y, p)
+        return build_gmf(g, 2.0, 0.5, y, p)
+
+    q = problem(home).Q
+    system = QuadraticSystem(q, spectrum(q).eigenvector_min if stabilized else None)
+    public = stabilize if stabilized else solve_unconstrained
+    for p in _swapped_partitions(home):
+        prob = problem(p)
+        got = system.solve(np.diagonal(prob.Cmat), prob.y).scores
+        assert np.array_equal(got, public(prob).scores)
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_laplacian_system_matches_the_public_solver_on_every_swap(center):
+    lap = laplacian(random_graph(7, 21))
+    targets = np.random.default_rng(21).uniform(-1, 1, 7)
+    home = random_partition(7, 3, 21)
+    system = LaplacianSystem(lap, np.ones(7))
+    assert system.eigenvalues.lambda2 == spectrum(lap, eigenvector=False).lambda2
+    for p in _swapped_partitions(home):
+        y = targets[p.train_idx]
+        got = system.solve(p, labels_to_full(y, p), 2.0, center_labels=center).scores
+        want = solve_constrained(
+            ConstrainedProblem(L=lap, C_tradeoff=2.0, part=p, y_S=y, center_labels=center)
+        ).scores
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("c_val, cp_val", [(1.3, 0.7), (1.3, 0.0), (0.0, 0.7)])
+def test_kernel_system_matches_the_public_solvers_on_every_swap(c_val, cp_val):
+    rng = np.random.default_rng(22)
+    kern = gaussian_kernel(rng.normal(size=(7, 2)), 1.0)
+    targets = rng.uniform(-1, 1, 7)
+    pseudo = rng.uniform(-1, 1, 7)
+    home = random_partition(7, 3, 22)
+    system = KernelSystem(kern)
+    for p in _swapped_partitions(home):
+        y, y_t = targets[p.train_idx], pseudo[p.test_idx]
+        got = system.solve(p, y, y_t, c_val, cp_val).scores
+        prob = LtrProblem(K=kern, part=p, y=y, y_tilde=y_t, C=c_val, C_prime=cp_val, kappa=1.0)
+        assert np.array_equal(got, solve_ltr(prob).scores)
+        if cp_val == 0:
+            assert np.array_equal(got, solve_krr_induction(prob).scores)
+
+
+def test_systems_check_their_matrix_at_construction():
+    asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+    for system in (KernelSystem, QuadraticSystem, lambda m: LaplacianSystem(m, np.ones(2))):
+        with pytest.raises(NotSymmetric):
+            system(asym)
+    with pytest.raises(NotPSDKernel):
+        KernelSystem(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    w = np.zeros((4, 4))
+    w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0  # two components
+    with pytest.raises(ConstraintSpansNullSpace):
+        LaplacianSystem(laplacian(GraphSpec(weights=w)), np.ones(4))
+    with pytest.raises(ZeroConstraintVector):
+        LaplacianSystem(np.eye(2), np.zeros(2))
+
+
+def test_systems_do_not_change_when_the_caller_mutates_the_source():
+    rng = np.random.default_rng(23)
+    kern = gaussian_kernel(rng.normal(size=(6, 2)), 1.0)
+    lap = laplacian(random_graph(6, 23))
+    bottom = spectrum(lap).eigenvector_min.copy()
+    u = np.ones(6)
+    systems = [KernelSystem(kern), QuadraticSystem(lap, bottom), LaplacianSystem(lap, u)]
+    before = [{k: np.array(v) for k, v in vars(s).items() if isinstance(v, np.ndarray)}
+              for s in systems]
+    for arr in (kern, lap, bottom, u):
+        arr += 1.0
+    for system, arrays in zip(systems, before):
+        for name, value in arrays.items():
+            assert np.array_equal(getattr(system, name), value), name
+
+
+def test_systems_share_a_read_only_matrix():
+    lap = laplacian(random_graph(5, 24))
+    problem = UnconstrainedProblem(Q=lap, Cmat=np.eye(5), y=np.zeros(5))
+    assert QuadraticSystem(problem.Q).Q is problem.Q
+
+
+def test_krr_at_zero_tradeoff_returns_zeros():
+    rng = np.random.default_rng(25)
+    kern = gaussian_kernel(rng.normal(size=(6, 2)), 1.0)
+    part = random_partition(6, 3, 25)
+    y = rng.uniform(-1, 1, 3)
+    assert np.array_equal(KernelSystem(kern).solve(part, y, np.zeros(0), 0.0, 0.0).scores,
+                          np.zeros(6))
+    p = LtrProblem(K=kern, part=part, y=y, y_tilde=np.zeros(0), C=0.0, C_prime=0.0, kappa=1.0)
+    assert np.array_equal(solve_krr_induction(p).scores, np.zeros(6))
