@@ -334,15 +334,18 @@ def _resolve_sigma(sample: FullSample, part: Partition, cfg: ExperimentConfig) -
 class Fit:
     """One algorithm set up on one partition.
 
-    ``solve(sample, part)`` fits the algorithm on any partition of the sample
-    (the swap harness calls it on swapped partitions).  ``beta`` is the cost
-    stability coefficient and ``B`` the residual bound on the partition the
-    fit was set up on.  ``run_fields`` and ``stability_fields`` are the extra
+    ``solve(sample, part)`` fits the algorithm on any partition of the sample.
+    ``swap_engine()`` builds, on demand, the system's ``swap_engine`` for the
+    partition the fit was set up on: the scores of a block of swaps of it
+    from one factorization, which ``stability --empirical`` evaluates.
+    ``beta`` is the cost stability coefficient and ``B`` the residual bound
+    on that partition.  ``run_fields`` and ``stability_fields`` are the extra
     values ``run`` and ``stability`` report; ``h`` holds scores already
     computed on that partition, if any.
     """
 
     solve: Callable[[FullSample, Partition], HypothesisScores]
+    swap_engine: Callable[[], Callable[[np.ndarray, np.ndarray], np.ndarray]]
     beta: float
     B: float
     run_fields: dict = field(default_factory=dict)
@@ -350,7 +353,7 @@ class Fit:
     h: HypothesisScores | None = None
 
 
-def _kernel_fit(solve, part: Partition, cfg: ExperimentConfig, M: float,
+def _kernel_fit(solve, swap_engine, part: Partition, cfg: ExperimentConfig, M: float,
                 C_prime: float, beta_loc: float = 0.0, **fields) -> Fit:
     """Kernel least squares: the LTR coefficient and B = M (1 + sqrt(C + C'))."""
     beta = math.inf  # an empty neighborhood leaves beta_loc, and so beta, unbounded
@@ -358,7 +361,7 @@ def _kernel_fit(solve, part: Partition, cfg: ExperimentConfig, M: float,
         beta = ltr_stability_bound(StabilityInputs(
             m=part.m, u=part.u, C=cfg.C, C_prime=C_prime, kappa=1.0, M=M, beta_loc=beta_loc
         ))
-    return Fit(solve, beta, M * (1.0 + math.sqrt(cfg.C + C_prime)), **fields)
+    return Fit(solve, swap_engine, beta, M * (1.0 + math.sqrt(cfg.C + C_prime)), **fields)
 
 
 def _krr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
@@ -369,7 +372,10 @@ def _krr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
         return system.solve(p, s.targets[p.train_idx], np.zeros(0), cfg.C, 0.0)
 
-    return _kernel_fit(solve, part, cfg, sample.label_bound_M, 0.0)
+    def swap_engine():
+        return system.swap_engine(sample, part, cfg.C, 0.0)
+
+    return _kernel_fit(solve, swap_engine, part, cfg, sample.label_bound_M, 0.0)
 
 
 def _local_estimator(cfg: ExperimentConfig, sigma: float, r: float) -> LocalEstimatorConfig:
@@ -387,6 +393,9 @@ def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         return system.solve(p, s.targets[p.train_idx], pseudo_targets(s, p, local),
                             cfg.C, cfg.C_prime)
 
+    def swap_engine():
+        return system.swap_engine(sample, part, cfg.C, cfg.C_prime, local)
+
     M = sample.label_bound_M
     m_r = m_of_r(sample, part, r)
     if m_r < 1:
@@ -395,7 +404,7 @@ def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         b_loc = beta_loc_gaussian(M, m_r, r, sigma)
     else:
         b_loc = beta_loc_invdist(M, m_r, r)
-    return _kernel_fit(solve, part, cfg, M, cfg.C_prime, b_loc,
+    return _kernel_fit(solve, swap_engine, part, cfg, M, cfg.C_prime, b_loc,
                        run_fields={"r_star": r}, stability_fields={"r_star": r, "beta_loc": b_loc})
 
 
@@ -459,12 +468,15 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
             math.sqrt(2.0) * (1.0 / c_min - 1.0 / c_max),
         )
     system = QuadraticSystem(home.Q, bottom)
+    c_S, c_T = (cfg.mu, cfg.mu) if family == "cm" else (cfg.C_l, cfg.C_u)
 
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        c = np.full(p.n, float(cfg.mu if family == "cm" else cfg.C_u))
-        if family != "cm":
-            c[p.train_idx] = cfg.C_l
+        c = np.full(p.n, float(c_T))
+        c[p.train_idx] = c_S
         return system.solve(c, labels_to_full(s.targets[p.train_idx], p))
+
+    def swap_engine():
+        return system.swap_engine(sample, part, c_S, c_T)
 
     stability_fields = {"score_bound": score_beta}
     if family == "llreg":
@@ -473,7 +485,7 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         )
     # residuals stay within M (1 + sqrt(c_max / c_min) sqrt(m))
     b_resid = M * (1.0 + math.sqrt(c_max / c_min) * math.sqrt(m))
-    return Fit(solve, score_to_cost_stability(score_beta, b_resid), b_resid,
+    return Fit(solve, swap_engine, score_to_cost_stability(score_beta, b_resid), b_resid,
                run_fields={"score_beta": score_beta}, stability_fields=stability_fields)
 
 
@@ -491,12 +503,15 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         y = labels_to_full(s.targets[p.train_idx], p)
         return system.solve(p, y, cfg.C, center_labels=True)
 
+    def swap_engine():
+        return system.swap_engine(sample, part, cfg.C, center_labels=True)
+
     lam2 = system.eigenvalues.lambda2
     beta = belkin_cost_stability(cfg.C, M, m, lam2, rho)
     b_resid = M * (1.0 + math.sqrt(min(1.0 / lam2, float(rho)) * cfg.C))
     theorem_beta = belkin_score_stability(M, m, cfg.C, lam2) if m * lam2 / cfg.C > 1 else None
     shared = {"lambda2": lam2, "rho_G": rho}
-    return Fit(solve, beta, b_resid, run_fields=shared,
+    return Fit(solve, swap_engine, beta, b_resid, run_fields=shared,
                stability_fields={**shared, "theorem_beta": theorem_beta})
 
 
@@ -1245,9 +1260,9 @@ def _cmd_stability(args) -> int:
         **fit.stability_fields,
     }
     if args.empirical:
-        out["empirical"] = asdict(
-            empirical_stability(fit.solve, sample, part, B=fit.B, seed=cfg.seed)
-        )
+        out["empirical"] = asdict(empirical_stability(
+            fit.solve, sample, part, B=fit.B, seed=cfg.seed, batch=fit.swap_engine()
+        ))
     _emit(_dump_json(out), args.out)
     return 0
 

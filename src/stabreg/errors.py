@@ -12,6 +12,7 @@ __all__ = [
     "GraphDisconnected",
     "ZeroRowSum",
     "SingularSystem",
+    "NonFiniteMatrix",
     "ConstraintSpansNullSpace",
     "NotPSDKernel",
     "PseudoTargetUnavailable",
@@ -67,6 +68,11 @@ class ZeroRowSum(StabregError):
 
 class SingularSystem(StabregError):
     """A linear system required by a solver is singular."""
+
+
+class NonFiniteMatrix(SingularSystem, ValueError):
+    """A matrix has NaN or infinite entries: a bad input value, on which no
+    system has a finite solution."""
 
 
 class ConstraintSpansNullSpace(StabregError):

@@ -20,6 +20,7 @@ import numpy as np
 from .core import _readonly
 from .errors import (
     GraphDisconnected,
+    NonFiniteMatrix,
     NotSymmetric,
     ParseError,
     ZeroConstraintVector,
@@ -130,11 +131,16 @@ def _check_symmetric(mat: np.ndarray) -> np.ndarray:
     must not be written to.
 
     Raises:
+        NonFiniteMatrix: if an entry is NaN or infinite.
         NotSymmetric: if the asymmetry exceeds the tolerance.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
+    # NaN would pass the tolerance test below; max and min find it (and any
+    # infinity) without an n x n temporary
+    if mat.size and not (np.isfinite(mat.max()) and np.isfinite(mat.min())):
+        raise NonFiniteMatrix("matrix has non-finite (NaN or infinite) entries")
     if np.array_equal(mat, mat.T):
         return mat
     scale = np.max(np.abs(mat), initial=0.0)

@@ -22,6 +22,10 @@ and then solved for any partition:
   vector or a block of them.  With C' = 0 this is kernel ridge regression
   evaluated on the full sample.
 
+Each system also has a ``swap_engine``: the scores of every partition one
+S/T exchange away from a home partition, from one factorization of the home
+system (``stabreg.swaps``, imported on first use).
+
 A system shares a matrix the caller already holds read-only (a problem
 dataclass does) and copies any other.  The public ``solve_*`` functions and
 ``stabilize`` prepare a system from their problem and solve it once.
@@ -34,6 +38,7 @@ feature-space distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -345,6 +350,13 @@ class QuadraticSystem:
                 raise SingularSystem("solution residual exceeds tolerance")
         return HypothesisScores(scores=h)
 
+    def swap_engine(self, sample: FullSample, part: Partition, c_S: float,
+                    c_T: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Swapped scores of ``part`` from one inverse; see ``stabreg.swaps.quadratic``."""
+        from . import swaps  # loaded on first use: fitting never compiles it
+
+        return swaps.quadratic(self, sample, part, c_S, c_T)
+
 
 def solve_unconstrained(p: UnconstrainedProblem) -> HypothesisScores:
     """Closed-form minimizer h = (Cmat^{-1} Q + I)^{-1} y.
@@ -435,6 +447,13 @@ class LaplacianSystem:
         if center_labels:
             h = h + offset * u
         return HypothesisScores(scores=h)
+
+    def swap_engine(self, sample: FullSample, part: Partition, C: float,
+                    center_labels: bool = False) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Swapped scores of ``part`` from one inverse; see ``stabreg.swaps.laplacian``."""
+        from . import swaps  # loaded on first use: fitting never compiles it
+
+        return swaps.laplacian(self, sample, part, C, center_labels)
 
 
 def solve_constrained(p: ConstrainedProblem) -> HypothesisScores:
@@ -583,6 +602,14 @@ class KernelSystem:
         y_all = np.concatenate(targets)[order]
         sub = self.K[np.ix_(kept, kept)] + np.diag(inv_w)
         return _solve(sub, y_all), kept
+
+    def swap_engine(self, sample: FullSample, part: Partition, C: float, C_prime: float,
+                    local: LocalEstimatorConfig | None = None,
+                    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Swapped LTR scores of ``part`` from one factorization; see ``stabreg.swaps.kernel``."""
+        from . import swaps  # loaded on first use: fitting never compiles it
+
+        return swaps.kernel(self, sample, part, C, C_prime, local)
 
     def scores(self, alpha: np.ndarray, kept: np.ndarray) -> np.ndarray:
         """``f = sum_kept alpha_i K(., x_i)`` on every point (zero when nothing is kept)."""

@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 SWAP_BUDGET = 400
+# a batched evaluation takes this many swaps at a time, so it holds a few
+# (128, n) arrays: 0.5 MB each at n=506
+_BLOCK_SWAPS = 128
 
 
 @dataclass(frozen=True)
@@ -272,12 +275,14 @@ class EmpiricalStabilityReport:
 
     ``mode`` records coverage: "exhaustive" (every m*u swap), "sampled"
     (seeded subset of the full swap set) or "custom" (caller-provided list).
+    ``swaps_total`` is m*u, the number of swaps of the partition.
     """
 
     max_score_delta: float
     max_cost_delta: float
     worst_swap: SwapPair
     swaps_evaluated: int
+    swaps_total: int
     mode: str
 
 
@@ -307,18 +312,27 @@ def empirical_stability(
     swaps: list[SwapPair] | None = None,
     B: float = 1.0,
     seed: int = 0,
+    *,
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> EmpiricalStabilityReport:
     """Measure worst-case score and cost movement under S/T swaps.
 
     Args:
         solver: closure mapping (sample, partition) to HypothesisScores.
         sample: the fixed full sample.
-        part: base partition; each swap re-solves on the swapped partition.
+        part: base partition; each swap is evaluated on the swapped partition.
         swaps: explicit swap list; None evaluates all m*u swaps when there
             are at most ``SWAP_BUDGET``, else a seeded subset of that size.
         B: residual bound used by the cost/score consistency contract
             (cost delta <= 2 B score delta when residuals stay within B).
         seed: seed for the sampled-subset mode.
+        batch: ``batch(removed, added)`` giving the (k, n) scores of k swaps
+            of ``part`` at once, one row per swap (index arrays, swap k
+            exchanging removed[k] and added[k]), e.g. a system's
+            ``swap_engine``.  It gets blocks of 128 swaps, so memory does
+            not grow with the swap count.  Without it the solver
+            runs from scratch on every swapped partition; either way the
+            solver gives the base scores.
     """
     if not B > 0:
         raise InvalidStabilityInput("B must be positive")
@@ -328,29 +342,51 @@ def empirical_stability(
         mode = "exhaustive" if len(swaps) == part.m * part.u else "custom"
     if not swaps:
         raise InvalidStabilityInput("no swaps to evaluate")
-    base = solver(sample, part)
-    base_scores = base.scores
-    base_cost = (base_scores - sample.targets) ** 2
+    base = solver(sample, part).scores
+    base_cost = (base - sample.targets) ** 2
     max_score = -1.0
     max_cost = 0.0
     worst = swaps[0]
-    for swap in swaps:
-        swapped = apply_swap(part, swap)
-        moved = solver(sample, swapped)
-        score_delta = float(np.max(np.abs(moved.scores - base_scores)))
-        cost = (moved.scores - sample.targets) ** 2
-        cost_delta = float(np.max(np.abs(cost - base_cost)))
-        if score_delta > max_score:
-            max_score = score_delta
-            worst = swap
-        max_cost = max(max_cost, cost_delta)
+    if batch is None:
+        blocks = (([swap], solver(sample, apply_swap(part, swap)).scores[None, :])
+                  for swap in swaps)
+    else:
+        blocks = _batched(batch, part, swaps, _BLOCK_SWAPS)
+    for block, scores in blocks:
+        score_delta = np.max(np.abs(scores - base), axis=1)
+        cost = (scores - sample.targets) ** 2
+        cost_delta = np.max(np.abs(cost - base_cost), axis=1)
+        k = int(np.argmax(score_delta))  # the first of equal maxima, as a scan would keep
+        if score_delta[k] > max_score:
+            max_score = float(score_delta[k])
+            worst = block[k]
+        max_cost = max(max_cost, float(np.max(cost_delta)))
     return EmpiricalStabilityReport(
         max_score_delta=max_score,
         max_cost_delta=max_cost,
         worst_swap=worst,
         swaps_evaluated=len(swaps),
+        swaps_total=part.m * part.u,
         mode=mode,
     )
+
+
+def _batched(batch, part: Partition, swaps: list[SwapPair], size: int):
+    """``(block, scores)`` for consecutive blocks of at most ``size`` swaps.
+
+    A swap whose indices are not on the sides it names ends the sequence
+    with ``apply_swap``'s ValueError, after the swaps before it.
+    """
+    for start in range(0, len(swaps), size):
+        block = swaps[start : start + size]
+        removed = np.fromiter((s.removed for s in block), np.int64, len(block))
+        added = np.fromiter((s.added for s in block), np.int64, len(block))
+        valid = np.isin(removed, part.train_idx) & np.isin(added, part.test_idx)
+        stop = len(block) if valid.all() else int(np.argmin(valid))
+        if stop:
+            yield block[:stop], batch(removed[:stop], added[:stop])
+        if stop < len(block):
+            apply_swap(part, block[stop])  # raises for the invalid swap
 
 
 def cm_lower_bound_instance(

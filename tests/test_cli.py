@@ -12,19 +12,23 @@ from stabreg import (
     ConstrainedProblem,
     FullSample,
     KernelSystem,
+    LaplacianSystem,
     LocalEstimatorConfig,
     LtrProblem,
     NoSweepData,
     ParseError,
     Partition,
     PseudoTargetUnavailable,
+    QuadraticSystem,
     UnconstrainedProblem,
     ZeroVarianceFeature,
+    apply_swap,
     build_cm,
     build_gmf,
     build_llreg,
     empirical_error,
     empirical_stability,
+    enumerate_swaps,
     gaussian_affinity,
     gaussian_kernel,
     laplacian,
@@ -702,14 +706,97 @@ def test_cli_stability_empirical_matches_the_per_swap_solver(toy_csv, algorithm,
     extra = ["--radius", "1.5", "--C-prime", "0.5"] if algorithm == "ltr" else []
     assert main(["stability", "--data", toy_csv, "--algorithm", algorithm, "--empirical",
                  *SWAP_FLAGS, *extra]) == 0
-    text = capsys.readouterr().out
-    report = json.loads(text)
+    report = json.loads(capsys.readouterr().out)
     sample = load_and_normalize(toy_csv)
     part = sample_partition(sample, report["m"], derive_seed(0, 0))
     reference = empirical_stability(
         _per_swap_solver(algorithm, sample, report["sigma"]), sample, part, B=report["B"], seed=0
     )
-    assert text == _dump_json({**report, "empirical": asdict(reference)})
+    # the CLI's rank-2 swap updates round differently from per-swap solves:
+    # the two maxima agree to 1e-10, every other value exactly
+    _assert_close(report, json.loads(_dump_json({**report, "empirical": asdict(reference)})))
+
+
+def _home_fit(data, algorithm, target_scale=1.0, **options):
+    """Partition 0 of seed 0 and the CLI's fit of ``algorithm`` on it."""
+    cfg = ExperimentConfig(data_path=data, algorithm=algorithm, target_scale=target_scale,
+                           **options)
+    sample = load_and_normalize(data, target_scale)
+    part = sample_partition(sample, cli._labeled_size(cfg, sample.n), derive_seed(0, 0))
+    sigma = cli._resolve_sigma(sample, part, cfg)
+    return sample, part, cli._setup(sample, part, cfg, sigma)
+
+
+def _assert_engine_matches_per_swap_solves(sample, part, fit, swaps):
+    removed = np.array([s.removed for s in swaps])
+    added = np.array([s.added for s in swaps])
+    got = fit.swap_engine()(removed, added)
+    want = np.vstack([fit.solve(sample, apply_swap(part, s)).scores for s in swaps])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, float(np.max(np.abs(want))))
+
+
+_TOY_OPTIONS = dict(C=2.0, mu=0.7, C_l=2.0, C_u=0.5)
+
+
+@pytest.mark.parametrize("algorithm, options", [
+    *[(algo, {}) for algo in ALGORITHMS if algo != "ltr"],
+    ("ltr", dict(radius_grid=(1.5,), C_prime=0.5)),
+    # a narrow Gaussian: one neighbour carries nearly all of a pseudo-target's
+    # weight, so updating its sums by subtraction would cancel
+    ("ltr", dict(radius_grid=(1.5,), C_prime=0.5, sigma=0.12)),
+    ("ltr", dict(radius_grid=(0.8,), C_prime=0.5, weighting="inverse-distance")),
+])
+def test_swap_engine_matches_the_per_swap_solver_on_every_swap(toy_csv, algorithm, options):
+    sample, part, fit = _home_fit(toy_csv, algorithm, **_TOY_OPTIONS, **options)
+    swaps = enumerate_swaps(part)
+    assert len(swaps) == 144
+    _assert_engine_matches_per_swap_solves(sample, part, fit, swaps)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_swap_engine_matches_the_per_swap_solver_at_n80(tmp_path, algorithm):
+    """A seeded 50-swap subset of a bound-check-sized input (80 housing-like rows)."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(80, 13))
+    x[:, 3] = (x[:, 3] > 0.8).astype(float)
+    x[:, 7] = np.abs(x[:, 7]) * 3.0 + 1.0
+    y = 22.0 + 6.0 * np.tanh(x[:, 0]) - 4.0 * x[:, 1] / (1.0 + x[:, 7] / 4.0) \
+        + 3.0 * np.sin(1.5 * x[:, 2]) + 2.0 * x[:, 3] + rng.normal(scale=1.5, size=80)
+    path = tmp_path / "housing80.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(13)] + ["target"])
+        writer.writerows([*(f"{v:.10f}" for v in row), f"{t:.10f}"] for row, t in zip(x, y))
+    options = (dict(radius_grid=(4.0,), C_prime=1.0, weighting="inverse-distance")
+               if algorithm == "ltr" else {})
+    sample, part, fit = _home_fit(str(path), algorithm, target_scale=0.02, **options)
+    swaps = enumerate_swaps(part)
+    chosen = np.sort(np.random.default_rng(50).choice(len(swaps), size=50, replace=False))
+    _assert_engine_matches_per_swap_solves(sample, part, fit, [swaps[k] for k in chosen])
+
+
+def test_run_and_select_radius_never_build_a_swap_engine(toy_csv, capsys, monkeypatch):
+    commands = [["run", "--partitions", "2", "--algorithm", algo, *SWAP_FLAGS,
+                 *(["--radius", "1.5,2.5", "--C-prime", "0.5"] if algo == "ltr" else [])]
+                for algo in ALGORITHMS]
+    commands.append(["select-radius", "--radius", "1,1.5,2.5", "--C-prime", "0.5"])
+
+    def outputs():
+        texts = []
+        for argv in commands:
+            assert main([argv[0], "--data", toy_csv, *argv[1:]]) == 0
+            texts.append(capsys.readouterr().out)
+        return texts
+
+    before = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a swap engine was built")
+
+    for system in (QuadraticSystem, LaplacianSystem, KernelSystem):
+        monkeypatch.setattr(system, "swap_engine", refuse)
+    assert outputs() == before
 
 
 @pytest.mark.parametrize("command", [["run"], ["stability", "--empirical"]])

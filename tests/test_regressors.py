@@ -16,6 +16,7 @@ from stabreg import (
     LaplacianSystem,
     LocalEstimatorConfig,
     LtrProblem,
+    NonFiniteMatrix,
     NotInRange,
     NotPSDKernel,
     NotSymmetric,
@@ -200,6 +201,12 @@ def test_stabilize_is_optimal_on_the_subspace():
         z = rng.normal(size=6)
         z -= (z @ v) * v  # feasible directions only
         assert base <= objective(h + 0.1 * z) + 1e-10
+
+
+def test_stabilize_rejects_a_nan_quadratic_form():
+    with pytest.raises(NonFiniteMatrix, match="non-finite"):
+        stabilize(UnconstrainedProblem(Q=np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                                       Cmat=np.eye(2), y=np.ones(2)))
 
 
 def test_stabilize_matches_unconstrained_when_q_is_pd():
@@ -560,6 +567,16 @@ def test_ltr_rejects_indefinite_kernel():
         solve_ltr(p)
 
 
+def test_ltr_rejects_a_nan_kernel():
+    part = Partition(train_idx=np.array([0]), test_idx=np.array([1]))
+    k_nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(NonFiniteMatrix, match="non-finite"):
+        solve_ltr(LtrProblem(K=k_nan, part=part, y=np.array([1.0]), y_tilde=np.zeros(0),
+                             C=1.0, C_prime=0.0, kappa=1.0))
+    with pytest.raises(NonFiniteMatrix, match="non-finite"):
+        KernelSystem(k_nan)
+
+
 def test_ltr_problem_rejects_kappa_below_diagonal():
     part = Partition(train_idx=np.array([0]), test_idx=np.array([1]))
     with pytest.raises(ValueError):
@@ -603,10 +620,10 @@ def test_constrained_nan_residual_raises():
     lap = laplacian(random_graph(3, 14))
     lap[0, 1] = lap[1, 0] = np.nan
     part = Partition(train_idx=np.array([0]), test_idx=np.array([1, 2]))
-    problem = ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part, y_S=np.array([1.0]),
-                                 u_vec=np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(SingularSystem):
-        solve_constrained(problem)
+    with pytest.raises(SingularSystem):  # NonFiniteMatrix, when the problem is built
+        solve_constrained(ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part,
+                                             y_S=np.array([1.0]),
+                                             u_vec=np.array([1.0, 2.0, 3.0])))
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +689,55 @@ def test_kernel_system_matches_the_public_solvers_on_every_swap(c_val, cp_val):
         assert np.array_equal(got, solve_ltr(prob).scores)
         if cp_val == 0:
             assert np.array_equal(got, solve_krr_induction(prob).scores)
+
+
+def _engine_rows(engine, home):
+    swaps = enumerate_swaps(home)
+    return engine(np.array([s.removed for s in swaps]), np.array([s.added for s in swaps]))
+
+
+@pytest.mark.parametrize("center", [False, True])
+@pytest.mark.parametrize("u", [np.ones(7), np.linspace(0.5, 2.0, 7)])
+def test_laplacian_swap_engine_matches_the_system_on_every_swap(center, u):
+    lap = laplacian(random_graph(7, 24))
+    sample = FullSample(points=np.zeros((7, 1)),
+                        targets=np.random.default_rng(24).uniform(-1, 1, 7), label_bound_M=1.0)
+    home = random_partition(7, 3, 24)
+    system = LaplacianSystem(lap, u)
+    want = [system.solve(p, labels_to_full(sample.targets[p.train_idx], p), 2.0, center).scores
+            for p in _swapped_partitions(home)[1:]]
+    got = _engine_rows(system.swap_engine(sample, home, 2.0, center_labels=center), home)
+    assert np.max(np.abs(got - np.vstack(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("c_val, cp_val", [(0.0, 0.7), (0.0, 0.0)])
+def test_kernel_swap_engine_with_a_zero_tradeoff(c_val, cp_val):
+    rng = np.random.default_rng(25)
+    sample = FullSample(points=rng.normal(size=(7, 2)), targets=rng.uniform(-1, 1, 7),
+                        label_bound_M=1.0)
+    local = LocalEstimatorConfig(radius_r=1.5, sigma=1.0, fallback="zero")
+    home = random_partition(7, 3, 25)
+    system = KernelSystem(gaussian_kernel(sample.points, 1.0))
+    want = [system.solve(p, sample.targets[p.train_idx], pseudo_targets(sample, p, local),
+                         c_val, cp_val).scores for p in _swapped_partitions(home)[1:]]
+    got = _engine_rows(system.swap_engine(sample, home, c_val, cp_val, local), home)
+    assert np.max(np.abs(got - np.vstack(want))) <= 1e-12
+
+
+def test_kernel_swap_engine_when_every_neighbour_weight_underflows():
+    # neighbours 0.5 apart at sigma 0.01 weigh exp(-1250) = 0: the
+    # pseudo-target falls back to the plain average of their labels
+    points = 0.5 * np.arange(8.0)
+    sample = FullSample(points=points, targets=np.random.default_rng(26).uniform(-1, 1, 8),
+                        label_bound_M=1.0)
+    local = LocalEstimatorConfig(radius_r=1.0, sigma=0.01, fallback="zero")
+    home = Partition(train_idx=[0, 2, 4, 6], test_idx=[1, 3, 5, 7])
+    system = KernelSystem(gaussian_kernel(points, 1.0))
+    assert np.any(pseudo_targets(sample, home, local) != 0.0)
+    want = [system.solve(p, sample.targets[p.train_idx], pseudo_targets(sample, p, local),
+                         1.3, 0.7).scores for p in _swapped_partitions(home)[1:]]
+    got = _engine_rows(system.swap_engine(sample, home, 1.3, 0.7, local), home)
+    assert np.max(np.abs(got - np.vstack(want))) <= 1e-12
 
 
 def test_systems_check_their_matrix_at_construction():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabreg import _kernels
+from stabreg import _kernels, regressors
 from stabreg import (
     BoundDiverges,
     EmptyNeighborhood,
@@ -16,7 +16,13 @@ from stabreg import (
     GraphSpec,
     InvalidInstance,
     InvalidStabilityInput,
+    KernelSystem,
+    LaplacianSystem,
+    LocalEstimatorConfig,
     Partition,
+    PseudoTargetUnavailable,
+    QuadraticSystem,
+    SingularSystem,
     SpectrumSummary,
     StabilityInputs,
     SwapPair,
@@ -33,13 +39,17 @@ from stabreg import (
     cm_score_bound,
     empirical_stability,
     enumerate_swaps,
+    gaussian_kernel,
+    laplacian,
     llreg_score_bound,
     llreg_score_bound_spectral,
     ltr_stability_bound,
+    pseudo_targets,
     sample_partition,
     solve_unconstrained,
     unconstrained_score_bound,
 )
+from stabreg.regressors import labels_to_full
 from stabreg.stability import SWAP_BUDGET, _default_swaps
 
 
@@ -285,7 +295,7 @@ def test_empirical_stability_exhaustive_under_cm_bound():
 
     report = empirical_stability(solver, sample, part, B=2.0)
     assert report.mode == "exhaustive"
-    assert report.swaps_evaluated == 36
+    assert report.swaps_evaluated == report.swaps_total == 36
     assert report.max_score_delta <= cm_score_bound(1.0) + 1e-9
     assert report.max_cost_delta >= 0.0
     assert report.worst_swap.removed in part.train_idx
@@ -311,6 +321,7 @@ def test_empirical_stability_sampled_mode_kicks_in():
     report = empirical_stability(solver, sample, part, B=2.0, seed=3)
     assert report.mode == "sampled"
     assert report.swaps_evaluated == 400  # the sweep budget
+    assert report.swaps_total == 900
 
 
 @pytest.mark.parametrize("n, m", [(60, 30), (61, 17)])
@@ -351,6 +362,109 @@ def test_empirical_stability_cost_delta_matches_direct_recomputation():
     assert report.max_score_delta == pytest.approx(
         float(np.max(np.abs(h_base - h_swap))), abs=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# the batched swap engine raises what the per-swap solver raises
+
+
+def _both_paths(solver, sample, part, batch, **kwargs):
+    """What each of the two evaluation paths raises: closure per swap, then batched."""
+    errors = []
+    for path in (None, batch):
+        with pytest.raises(Exception) as caught:
+            empirical_stability(solver, sample, part, B=2.0, batch=path, **kwargs)
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
+    return errors[0]
+
+
+def _cm_system(n, m, seed):
+    sample, part, g = make_instance(n, m, seed)
+    problem = build_cm(g, 1.0, sample.targets[part.train_idx], part)
+    system = QuadraticSystem(problem.Q)
+
+    def solver(s, p):
+        return system.solve(np.ones(p.n), labels_to_full(s.targets[p.train_idx], p))
+
+    return sample, part, system, solver
+
+
+def test_swap_engine_empty_neighbourhood_under_fallback_error():
+    # each unlabeled point has one labeled neighbour within r = 0.5; the second
+    # swap, 0 for 3, leaves points 0 and 1 with none
+    points = np.array([0.0, 0.1, 5.0, 5.1, 10.0, 10.1])
+    sample = FullSample(points=points, targets=np.linspace(-1.0, 1.0, 6), label_bound_M=1.0)
+    part = Partition(train_idx=[0, 2, 4], test_idx=[1, 3, 5])
+    system = KernelSystem(gaussian_kernel(points, 1.0))
+    local = LocalEstimatorConfig(radius_r=0.5, sigma=1.0, fallback="error")
+
+    def solver(s, p):
+        return system.solve(p, s.targets[p.train_idx], pseudo_targets(s, p, local), 1.0, 1.0)
+
+    batch = system.swap_engine(sample, part, 1.0, 1.0, local)
+    kind, message = _both_paths(solver, sample, part, batch)
+    assert kind is PseudoTargetUnavailable
+    assert message.startswith("unlabeled point 0 has no labeled neighbor")
+
+
+def test_swap_engine_invalid_custom_swap():
+    sample, part, system, solver = _cm_system(10, 5, 4)
+    swaps = [SwapPair(removed=int(part.train_idx[0]), added=int(part.test_idx[0])),
+             SwapPair(removed=int(part.test_idx[1]), added=int(part.test_idx[0]))]
+    batch = system.swap_engine(sample, part, 1.0, 1.0)
+    kind, message = _both_paths(solver, sample, part, batch, swaps=swaps)
+    assert kind is ValueError
+    assert message == f"index {int(part.test_idx[1])} is not in the labeled set"
+
+
+def test_swap_engine_applies_the_residual_test(monkeypatch):
+    sample, part, system, home_solver = _cm_system(10, 5, 6)
+
+    def solver(s, p):
+        h = home_solver(s, p)
+        monkeypatch.setattr(regressors, "_RESIDUAL_TOL", -1.0)  # every later solve fails it
+        return h
+
+    batch = system.swap_engine(sample, part, 1.0, 1.0)
+    for path in (None, batch):
+        monkeypatch.setattr(regressors, "_RESIDUAL_TOL", 1e-10)
+        with pytest.raises(SingularSystem, match="solution residual exceeds tolerance"):
+            empirical_stability(solver, sample, part, B=2.0, batch=path)
+
+
+def test_swap_engine_singular_swapped_system():
+    # two components, {0, 1} and {2, 3}, weighted only on S: swapping 0 for 3
+    # leaves {0, 1} unweighted, and the constraint direction cannot pin it
+    q = laplacian(GraphSpec(weights=np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])))
+    sample = FullSample(points=np.arange(4.0), targets=[0.5, -0.5, 0.25, 1.0],
+                        label_bound_M=1.0)
+    part = Partition(train_idx=[0, 2], test_idx=[1, 3])
+    system = QuadraticSystem(q, bottom=np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0))
+    c_home = np.array([1.0, 0.0, 1.0, 0.0])
+    batch = system.swap_engine(sample, part, 1.0, 0.0)
+    assert np.isfinite(batch(np.array([0]), np.array([1]))).all()
+    with pytest.raises(SingularSystem, match="swapped system is singular"):
+        empirical_stability(
+            lambda s, p: system.solve(c_home, labels_to_full(s.targets[p.train_idx], p)),
+            sample, part, swaps=[SwapPair(removed=0, added=3)], batch=batch,
+        )
+
+
+def test_swap_engine_constraint_vanishing_on_the_swapped_labeled_set():
+    sample, part, g = make_instance(8, 4, 7)
+    removed = int(part.train_idx[0])
+    u = np.zeros(8)
+    u[removed] = 1.0  # the constraint lives on one labeled point
+    system = LaplacianSystem(laplacian(g), u)
+
+    def solver(s, p):
+        return system.solve(p, labels_to_full(s.targets[p.train_idx], p), 1.0, center_labels=True)
+
+    batch = system.swap_engine(sample, part, 1.0, center_labels=True)
+    kind, message = _both_paths(solver, sample, part, batch)
+    assert kind.__name__ == "ZeroConstraintVector"
+    assert message == "constraint vanishes on the labeled set"
 
 
 # ---------------------------------------------------------------------------
