@@ -335,9 +335,9 @@ class Fit:
     """One algorithm set up on one partition.
 
     ``solve(sample, part)`` fits the algorithm on any partition of the sample.
-    ``swap_engine()`` builds, on demand, the system's ``swap_engine`` for the
-    partition the fit was set up on: the scores of a block of swaps of it
-    from one factorization, which ``stability --empirical`` evaluates.
+    ``swap_engine()`` builds, on demand, the ``stabreg.swaps`` engine that
+    ``stability --empirical`` evaluates: the scores of the swaps of the
+    partition the fit was set up on, from one factorization.
     ``beta`` is the cost stability coefficient and ``B`` the residual bound
     on that partition.  ``run_fields`` and ``stability_fields`` are the extra
     values ``run`` and ``stability`` report; ``h`` holds scores already
@@ -373,7 +373,9 @@ def _krr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         return system.solve(p, s.targets[p.train_idx], np.zeros(0), cfg.C, 0.0)
 
     def swap_engine():
-        return system.swap_engine(sample, part, cfg.C, 0.0)
+        from . import swaps  # loaded on first use: run and select-radius never compile it
+
+        return swaps.kernel(system, sample, part, cfg.C, 0.0)
 
     return _kernel_fit(solve, swap_engine, part, cfg, sample.label_bound_M, 0.0)
 
@@ -394,7 +396,9 @@ def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
                             cfg.C, cfg.C_prime)
 
     def swap_engine():
-        return system.swap_engine(sample, part, cfg.C, cfg.C_prime, local)
+        from . import swaps
+
+        return swaps.kernel(system, sample, part, cfg.C, cfg.C_prime, local)
 
     M = sample.label_bound_M
     m_r = m_of_r(sample, part, r)
@@ -476,7 +480,9 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         return system.solve(c, labels_to_full(s.targets[p.train_idx], p))
 
     def swap_engine():
-        return system.swap_engine(sample, part, c_S, c_T)
+        from . import swaps
+
+        return swaps.quadratic(system, sample, part, c_S, c_T)
 
     stability_fields = {"score_bound": score_beta}
     if family == "llreg":
@@ -504,7 +510,9 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         return system.solve(p, y, cfg.C, center_labels=True)
 
     def swap_engine():
-        return system.swap_engine(sample, part, cfg.C, center_labels=True)
+        from . import swaps
+
+        return swaps.laplacian(system, sample, part, cfg.C, center_labels=True)
 
     lam2 = system.eigenvalues.lambda2
     beta = belkin_cost_stability(cfg.C, M, m, lam2, rho)

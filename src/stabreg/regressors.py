@@ -22,10 +22,6 @@ and then solved for any partition:
   vector or a block of them.  With C' = 0 this is kernel ridge regression
   evaluated on the full sample.
 
-Each system also has a ``swap_engine``: the scores of every partition one
-S/T exchange away from a home partition, from one factorization of the home
-system (``stabreg.swaps``, imported on first use).
-
 A system shares a matrix the caller already holds read-only (a problem
 dataclass does) and copies any other.  The public ``solve_*`` functions and
 ``stabilize`` prepare a system from their problem and solve it once.
@@ -38,7 +34,6 @@ feature-space distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -350,13 +345,6 @@ class QuadraticSystem:
                 raise SingularSystem("solution residual exceeds tolerance")
         return HypothesisScores(scores=h)
 
-    def swap_engine(self, sample: FullSample, part: Partition, c_S: float,
-                    c_T: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """Swapped scores of ``part`` from one inverse; see ``stabreg.swaps.quadratic``."""
-        from . import swaps  # loaded on first use: fitting never compiles it
-
-        return swaps.quadratic(self, sample, part, c_S, c_T)
-
 
 def solve_unconstrained(p: UnconstrainedProblem) -> HypothesisScores:
     """Closed-form minimizer h = (Cmat^{-1} Q + I)^{-1} y.
@@ -448,13 +436,6 @@ class LaplacianSystem:
             h = h + offset * u
         return HypothesisScores(scores=h)
 
-    def swap_engine(self, sample: FullSample, part: Partition, C: float,
-                    center_labels: bool = False) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """Swapped scores of ``part`` from one inverse; see ``stabreg.swaps.laplacian``."""
-        from . import swaps  # loaded on first use: fitting never compiles it
-
-        return swaps.laplacian(self, sample, part, C, center_labels)
-
 
 def solve_constrained(p: ConstrainedProblem) -> HypothesisScores:
     """KKT solve of the constrained Laplacian problem; raises as ``LaplacianSystem``."""
@@ -502,6 +483,25 @@ def gaussian_kernel(points: np.ndarray, sigma: float) -> np.ndarray:
     return k
 
 
+def _neighbour_weights(xt: np.ndarray, xs: np.ndarray, cfg: LocalEstimatorConfig
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Row t, column s: whether ``xs[s]`` is ``xt[t]``'s neighbour, and its weight.
+
+    A neighbour lies within Euclidean distance ``radius_r``; its weight is
+    Gaussian or inverse-distance as ``cfg`` says, and any other point's is 0.
+    """
+    sq_s = np.sum(xs * xs, axis=1)
+    sq_t = np.sum(xt * xt, axis=1)
+    d2 = sq_t[:, None] + sq_s[None, :] - 2.0 * (xt @ xs.T)
+    np.maximum(d2, 0.0, out=d2)
+    member = d2 <= cfg.radius_r * cfg.radius_r
+    if cfg.weighting == "gaussian":
+        weights = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
+    else:
+        weights = 1.0 / (1.0 + np.sqrt(d2))
+    return member, np.where(member, weights, 0.0)
+
+
 def pseudo_targets(
     sample: FullSample, part: Partition, cfg: LocalEstimatorConfig
 ) -> np.ndarray:
@@ -517,19 +517,9 @@ def pseudo_targets(
     Raises:
         PseudoTargetUnavailable: an empty neighborhood with fallback="error".
     """
-    xs = sample.points[part.train_idx]
-    xt = sample.points[part.test_idx]
     ys = sample.targets[part.train_idx]
-    sq_s = np.sum(xs * xs, axis=1)
-    sq_t = np.sum(xt * xt, axis=1)
-    d2 = sq_t[:, None] + sq_s[None, :] - 2.0 * (xt @ xs.T)
-    np.maximum(d2, 0.0, out=d2)
-    member = d2 <= cfg.radius_r * cfg.radius_r
-    if cfg.weighting == "gaussian":
-        weights = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
-    else:
-        weights = 1.0 / (1.0 + np.sqrt(d2))
-    weights = np.where(member, weights, 0.0)
+    member, weights = _neighbour_weights(sample.points[part.test_idx],
+                                         sample.points[part.train_idx], cfg)
     totals = weights.sum(axis=1)
     counts = member.sum(axis=1)
     out = np.zeros(part.u)
@@ -602,14 +592,6 @@ class KernelSystem:
         y_all = np.concatenate(targets)[order]
         sub = self.K[np.ix_(kept, kept)] + np.diag(inv_w)
         return _solve(sub, y_all), kept
-
-    def swap_engine(self, sample: FullSample, part: Partition, C: float, C_prime: float,
-                    local: LocalEstimatorConfig | None = None,
-                    ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """Swapped LTR scores of ``part`` from one factorization; see ``stabreg.swaps.kernel``."""
-        from . import swaps  # loaded on first use: fitting never compiles it
-
-        return swaps.kernel(self, sample, part, C, C_prime, local)
 
     def scores(self, alpha: np.ndarray, kept: np.ndarray) -> np.ndarray:
         """``f = sum_kept alpha_i K(., x_i)`` on every point (zero when nothing is kept)."""

@@ -328,8 +328,8 @@ def empirical_stability(
         seed: seed for the sampled-subset mode.
         batch: ``batch(removed, added)`` giving the (k, n) scores of k swaps
             of ``part`` at once, one row per swap (index arrays, swap k
-            exchanging removed[k] and added[k]), e.g. a system's
-            ``swap_engine``.  It gets blocks of 128 swaps, so memory does
+            exchanging removed[k] and added[k]), e.g. an engine from
+            ``stabreg.swaps``.  It gets blocks of 128 swaps, so memory does
             not grow with the swap count.  Without it the solver
             runs from scratch on every swapped partition; either way the
             solver gives the base scores.

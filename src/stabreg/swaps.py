@@ -19,8 +19,8 @@ its inverse (Hager, "Updating the inverse of a matrix", SIAM Review 31,
 Each engine is ``evaluate(removed, added)``: index arrays of k swaps in, the
 (k, n) swapped scores out, one row per swap, with every check the matching
 system's ``solve`` makes, in batch.  A block raises the error of its earliest
-failing swap.  The systems' ``swap_engine`` methods import this module on
-first use, so fitting never loads it.
+failing swap.  The CLI imports this module on first use, so fitting never
+loads it.
 """
 
 from __future__ import annotations
@@ -152,19 +152,12 @@ def _pseudo_target_swaps(sample: FullSample, part: Partition, cfg: LocalEstimato
     each swapped S; it gives the (k, n) pseudo-targets (meaningful on each
     swapped T) and the mask of entries with an empty neighbourhood there.
     """
-    points, targets = sample.points, sample.targets
-    sq = np.sum(points * points, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    member = d2 <= cfg.radius_r * cfg.radius_r
-    if cfg.weighting == "gaussian":
-        weights = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
-    else:
-        weights = 1.0 / (1.0 + np.sqrt(d2))
+    targets = sample.targets
+    member, weights = regressors._neighbour_weights(sample.points, sample.points, cfg)
     # row s, column t: the weight (membership) of s as t's neighbour
-    weights_t = np.ascontiguousarray(np.where(member, weights, 0.0).T)
+    weights_t = np.ascontiguousarray(weights.T)
     member_t = np.ascontiguousarray(member.T, dtype=np.float64)
-    del d2, member, weights
+    del member, weights
     in_s = np.zeros(part.n)
     in_s[part.train_idx] = 1.0
     num, den, cnt = (targets * in_s) @ weights_t, in_s @ weights_t, in_s @ member_t

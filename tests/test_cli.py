@@ -42,7 +42,7 @@ from stabreg import (
     stabilize,
     test_error,
 )
-from stabreg import cli
+from stabreg import cli, swaps
 from stabreg.cli import (
     ALGORITHMS,
     ExperimentConfig,
@@ -794,8 +794,8 @@ def test_run_and_select_radius_never_build_a_swap_engine(toy_csv, capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("a swap engine was built")
 
-    for system in (QuadraticSystem, LaplacianSystem, KernelSystem):
-        monkeypatch.setattr(system, "swap_engine", refuse)
+    for builder in ("quadratic", "laplacian", "kernel"):
+        monkeypatch.setattr(swaps, builder, refuse)
     assert outputs() == before
 
 

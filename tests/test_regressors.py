@@ -45,6 +45,7 @@ from stabreg import (
     spectrum,
     stabilize,
 )
+from stabreg import swaps
 from stabreg.errors import SingularSystem, ZeroConstraintVector
 from stabreg.regressors import labels_to_full
 
@@ -611,16 +612,30 @@ def test_unconstrained_rejects_non_diagonal_cmat():
 
 
 def test_unconstrained_nan_residual_raises():
-    q = np.array([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(SingularSystem):
-        solve_unconstrained(UnconstrainedProblem(Q=q, Cmat=np.eye(2), y=np.ones(2)))
+    # a NaN weight passes every check on Q and reaches the residual test
+    with pytest.raises(SingularSystem, match="residual"):
+        QuadraticSystem(np.eye(2)).solve(np.array([np.nan, 1.0]), np.ones(2))
 
 
 def test_constrained_nan_residual_raises():
+    # u's NaN passes the norm check (NaN <= 1e-24 is False) and reaches the KKT test
+    system = LaplacianSystem(laplacian(random_graph(3, 14)), np.array([1.0, 2.0, np.nan]))
+    part = Partition(train_idx=np.array([0]), test_idx=np.array([1, 2]))
+    with pytest.raises(SingularSystem, match="KKT residual"):
+        system.solve(part, np.array([1.0, 0.0, 0.0]), 1.0)
+
+
+def test_unconstrained_nan_matrix_is_rejected():
+    q = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteMatrix, match="non-finite"):
+        solve_unconstrained(UnconstrainedProblem(Q=q, Cmat=np.eye(2), y=np.ones(2)))
+
+
+def test_constrained_nan_matrix_is_rejected():
     lap = laplacian(random_graph(3, 14))
     lap[0, 1] = lap[1, 0] = np.nan
     part = Partition(train_idx=np.array([0]), test_idx=np.array([1, 2]))
-    with pytest.raises(SingularSystem):  # NonFiniteMatrix, when the problem is built
+    with pytest.raises(NonFiniteMatrix, match="non-finite"):
         solve_constrained(ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part,
                                              y_S=np.array([1.0]),
                                              u_vec=np.array([1.0, 2.0, 3.0])))
@@ -706,7 +721,7 @@ def test_laplacian_swap_engine_matches_the_system_on_every_swap(center, u):
     system = LaplacianSystem(lap, u)
     want = [system.solve(p, labels_to_full(sample.targets[p.train_idx], p), 2.0, center).scores
             for p in _swapped_partitions(home)[1:]]
-    got = _engine_rows(system.swap_engine(sample, home, 2.0, center_labels=center), home)
+    got = _engine_rows(swaps.laplacian(system, sample, home, 2.0, center_labels=center), home)
     assert np.max(np.abs(got - np.vstack(want))) <= 1e-12
 
 
@@ -720,7 +735,7 @@ def test_kernel_swap_engine_with_a_zero_tradeoff(c_val, cp_val):
     system = KernelSystem(gaussian_kernel(sample.points, 1.0))
     want = [system.solve(p, sample.targets[p.train_idx], pseudo_targets(sample, p, local),
                          c_val, cp_val).scores for p in _swapped_partitions(home)[1:]]
-    got = _engine_rows(system.swap_engine(sample, home, c_val, cp_val, local), home)
+    got = _engine_rows(swaps.kernel(system, sample, home, c_val, cp_val, local), home)
     assert np.max(np.abs(got - np.vstack(want))) <= 1e-12
 
 
@@ -736,7 +751,7 @@ def test_kernel_swap_engine_when_every_neighbour_weight_underflows():
     assert np.any(pseudo_targets(sample, home, local) != 0.0)
     want = [system.solve(p, sample.targets[p.train_idx], pseudo_targets(sample, p, local),
                          1.3, 0.7).scores for p in _swapped_partitions(home)[1:]]
-    got = _engine_rows(system.swap_engine(sample, home, 1.3, 0.7, local), home)
+    got = _engine_rows(swaps.kernel(system, sample, home, 1.3, 0.7, local), home)
     assert np.max(np.abs(got - np.vstack(want))) <= 1e-12
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabreg import _kernels, regressors
+from stabreg import _kernels, regressors, swaps
 from stabreg import (
     BoundDiverges,
     EmptyNeighborhood,
@@ -402,7 +402,7 @@ def test_swap_engine_empty_neighbourhood_under_fallback_error():
     def solver(s, p):
         return system.solve(p, s.targets[p.train_idx], pseudo_targets(s, p, local), 1.0, 1.0)
 
-    batch = system.swap_engine(sample, part, 1.0, 1.0, local)
+    batch = swaps.kernel(system, sample, part, 1.0, 1.0, local)
     kind, message = _both_paths(solver, sample, part, batch)
     assert kind is PseudoTargetUnavailable
     assert message.startswith("unlabeled point 0 has no labeled neighbor")
@@ -410,10 +410,10 @@ def test_swap_engine_empty_neighbourhood_under_fallback_error():
 
 def test_swap_engine_invalid_custom_swap():
     sample, part, system, solver = _cm_system(10, 5, 4)
-    swaps = [SwapPair(removed=int(part.train_idx[0]), added=int(part.test_idx[0])),
-             SwapPair(removed=int(part.test_idx[1]), added=int(part.test_idx[0]))]
-    batch = system.swap_engine(sample, part, 1.0, 1.0)
-    kind, message = _both_paths(solver, sample, part, batch, swaps=swaps)
+    custom = [SwapPair(removed=int(part.train_idx[0]), added=int(part.test_idx[0])),
+              SwapPair(removed=int(part.test_idx[1]), added=int(part.test_idx[0]))]
+    batch = swaps.quadratic(system, sample, part, 1.0, 1.0)
+    kind, message = _both_paths(solver, sample, part, batch, swaps=custom)
     assert kind is ValueError
     assert message == f"index {int(part.test_idx[1])} is not in the labeled set"
 
@@ -426,7 +426,7 @@ def test_swap_engine_applies_the_residual_test(monkeypatch):
         monkeypatch.setattr(regressors, "_RESIDUAL_TOL", -1.0)  # every later solve fails it
         return h
 
-    batch = system.swap_engine(sample, part, 1.0, 1.0)
+    batch = swaps.quadratic(system, sample, part, 1.0, 1.0)
     for path in (None, batch):
         monkeypatch.setattr(regressors, "_RESIDUAL_TOL", 1e-10)
         with pytest.raises(SingularSystem, match="solution residual exceeds tolerance"):
@@ -442,7 +442,7 @@ def test_swap_engine_singular_swapped_system():
     part = Partition(train_idx=[0, 2], test_idx=[1, 3])
     system = QuadraticSystem(q, bottom=np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0))
     c_home = np.array([1.0, 0.0, 1.0, 0.0])
-    batch = system.swap_engine(sample, part, 1.0, 0.0)
+    batch = swaps.quadratic(system, sample, part, 1.0, 0.0)
     assert np.isfinite(batch(np.array([0]), np.array([1]))).all()
     with pytest.raises(SingularSystem, match="swapped system is singular"):
         empirical_stability(
@@ -461,7 +461,7 @@ def test_swap_engine_constraint_vanishing_on_the_swapped_labeled_set():
     def solver(s, p):
         return system.solve(p, labels_to_full(s.targets[p.train_idx], p), 1.0, center_labels=True)
 
-    batch = system.swap_engine(sample, part, 1.0, center_labels=True)
+    batch = swaps.laplacian(system, sample, part, 1.0, center_labels=True)
     kind, message = _both_paths(solver, sample, part, batch)
     assert kind.__name__ == "ZeroConstraintVector"
     assert message == "constraint vanishes on the labeled set"
