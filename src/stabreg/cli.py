@@ -54,6 +54,7 @@ from .core import (
 )
 from .errors import (
     NoFeasibleRadius,
+    NonFiniteMatrix,
     NoSweepData,
     ParseError,
     PseudoTargetUnavailable,
@@ -63,7 +64,6 @@ from .errors import (
 from .graph import (
     GraphSpec,
     SpectrumSummary,
-    diameter,
     gaussian_affinity,
     laplacian,
     load_edge_list,
@@ -79,9 +79,9 @@ from .regressors import (
     QuadraticSystem,
     UnconstrainedProblem,
     build_cm,
-    build_gmf,
     build_llreg,
     gaussian_kernel,
+    graph_quadratic,
     labels_to_full,
     pseudo_targets,
     solve_constrained,
@@ -424,58 +424,60 @@ def _ltr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     return replace(fit, h=h, run_fields={"r_star": r_star, "per_r": per_r})
 
 
-def _diag_spectrum(diag: np.ndarray) -> SpectrumSummary:
-    vals = np.sort(diag)
-    lam2 = vals[1] if vals.size > 1 else vals[0]
-    return SpectrumSummary(
-        lambda_min=float(vals[0]), lambda_max=float(vals[-1]), lambda2=float(lam2)
-    )
-
-
 def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
                    sigma: float, graph: GraphSpec) -> Fit:
     """cm, llreg, gmf and their stabilized variants.
 
     Q comes from the graph alone, so its system is built once; another
     partition changes only y and, for llreg and gmf, the diagonal weights.
+    A stabilized variant borders the system with Q's null vector, which
+    ``graph_quadratic`` gives in closed form, and reads only eigenvalues.
     """
     algo = cfg.algorithm
     family = algo.removeprefix("stabilized-")
     M, m = sample.label_bound_M, part.m
-    y_home = sample.targets[part.train_idx]
     if family == "cm":
-        home = build_cm(graph, cfg.mu, y_home, part)
-    elif family == "llreg":
-        home = build_llreg(graph.weights, cfg.C_l, cfg.C_u, y_home, part)
+        if not float(cfg.mu) > 0:
+            raise ValueError("mu must be positive")
+        c_S = c_T = float(cfg.mu)
     else:
-        home = build_gmf(graph, cfg.C_l, cfg.C_u, y_home, part)
+        if not (float(cfg.C_l) > 0 and float(cfg.C_u) > 0):
+            raise ValueError("C_l and C_u must be positive")
+        c_S, c_T = float(cfg.C_l), float(cfg.C_u)
+    if not (math.isfinite(c_S) and math.isfinite(c_T)):
+        raise NonFiniteMatrix(f"trade-off weights must be finite (got {c_S}, {c_T})")
+    q, null = graph_quadratic(family, graph)
 
     bottom = None
-    c_min, c_max = (cfg.mu, cfg.mu) if family == "cm" else sorted((cfg.C_l, cfg.C_u))
-    if algo == "cm":
+    c_min, c_max = sorted((c_S, c_T))
+    if algo == "cm" or (algo == "gmf" and c_min == c_max):
+        # gmf's Q is a Laplacian (lambda_min = 0) and with one weight C^{-1}
+        # does not move, so the generic bound's cross term is 0 and its lead
+        # term sqrt(2) M / (0 / c + 1) is cm's: no spectrum is needed
         score_beta = cm_score_bound(M)
     elif algo == "llreg":
         score_beta = llreg_score_bound(M, m, c_min, c_max)
     else:
-        q_spec = spectrum(home.Q, eigenvector=algo != family)
+        q_spec = graph.L_eigenvalues if family == "gmf" else spectrum(q, eigenvector=False)
         if algo != family:
-            # every stabilized variant comes here, and its one eigh serves
-            # twice: the solve lives on the complement of Q's bottom
-            # eigenvector, where Q's smallest eigenvalue is lambda2
-            bottom = q_spec.eigenvector_min
+            # the solve lives on the complement of Q's bottom eigenvector,
+            # where Q's smallest eigenvalue is lambda2
+            bottom = null
             q_spec = replace(q_spec, lambda_min=q_spec.lambda2)
-        c_spec = _diag_spectrum(np.diagonal(home.Cmat))
+        # diag(c): m entries c_S and u entries c_T
+        lo_count = m if c_S <= c_T else part.u
+        c_spec = SpectrumSummary(lambda_min=c_min, lambda_max=c_max,
+                                 lambda2=c_min if lo_count > 1 else c_max)
         score_beta = unconstrained_score_bound(
             q_spec, c_spec, c_spec,
             math.sqrt(2.0) * M,
             math.sqrt(m) * M,
             math.sqrt(2.0) * (1.0 / c_min - 1.0 / c_max),
         )
-    system = QuadraticSystem(home.Q, bottom)
-    c_S, c_T = (cfg.mu, cfg.mu) if family == "cm" else (cfg.C_l, cfg.C_u)
+    system = QuadraticSystem(q, bottom)
 
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        c = np.full(p.n, float(c_T))
+        c = np.full(p.n, c_T)
         c[p.train_idx] = c_S
         return system.solve(c, labels_to_full(s.targets[p.train_idx], p))
 
@@ -497,13 +499,37 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
 
 def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
                sigma: float, graph: GraphSpec) -> Fit:
-    """The sum-zero-constrained Laplacian regularizer."""
+    """The sum-zero-constrained Laplacian regularizer, solved on centered labels.
+
+    L, its eigenvalues and its hop diameter rho come from the graph alone,
+    which keeps them: a fixed graph pays for them once per run.
+
+    The solver centers the labels: with ybar the labeled mean and
+    z = y - ybar, it returns h = g(S, z) + ybar 1, where g(S, z) is the
+    sum-zero solution for labels z on S (linear in z).  Its residual is
+    h - y = g(S, z) - z, and |z| <= 2M.  Write s = sqrt(C min(1/lambda2, rho)).
+
+    * Residuals.  ||z_S||^2 <= ||y_S||^2 <= m M^2 (deviations from the mean
+      sum to at most the sum of squares), so the argument behind the
+      uncentered |g| <= M s holds for g(S, z) too, and
+      |h - y| <= M s + 2M =: B.
+    * Swap.  Exchanging labeled i with unlabeled j moves the labeled mean
+      by delta = (y_i - y_j) / m, |delta| <= 2M / m.  Then z' = z + delta
+      and, by linearity, the swapped solver returns
+      h' = g(S', z) + ybar 1 + delta (g(S', 1) - 1).  The first two terms are
+      the swap of the fixed label function z, |z| <= 2M, whose cost moves by
+      at most belkin_cost_stability at label bound 2M.  The last term moves
+      every residual by at most e = (2M / m)(1 + s), since |g(S', 1)| <= s
+      (labels bounded by 1), and so every cost by at most e (2B + e):
+      |r + e'|^2 - |r|^2 <= |e'| (2 |r + e'| + |e'|) with |r + e'| <= B.
+
+    So beta = belkin_cost_stability(C, 2M, m, lambda2, rho) + e (2B + e).
+    """
     M, m = sample.label_bound_M, part.m
-    # the home problem rejects C <= 0 before a bound divides by C
-    home = ConstrainedProblem(L=laplacian(graph), C_tradeoff=cfg.C, part=part,
-                              y_S=sample.targets[part.train_idx], center_labels=True)
-    rho = diameter(graph)  # a disconnected graph fails here, before the null-space check
-    system = LaplacianSystem(home.L, home.u_vec)
+    if not float(cfg.C) > 0:  # before a bound divides by C
+        raise ValueError("C_tradeoff must be positive")
+    rho = graph.hop_diameter  # a disconnected graph fails here, before the null-space check
+    system = LaplacianSystem(graph.L, np.ones(graph.n), graph.L_eigenvalues)
 
     def solve(s: FullSample, p: Partition) -> HypothesisScores:
         y = labels_to_full(s.targets[p.train_idx], p)
@@ -515,8 +541,10 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         return swaps.laplacian(system, sample, part, cfg.C, center_labels=True)
 
     lam2 = system.eigenvalues.lambda2
-    beta = belkin_cost_stability(cfg.C, M, m, lam2, rho)
-    b_resid = M * (1.0 + math.sqrt(min(1.0 / lam2, float(rho)) * cfg.C))
+    s_root = math.sqrt(min(1.0 / lam2, float(rho)) * cfg.C)
+    b_resid = M * (2.0 + s_root)
+    shift = 2.0 * M / m * (1.0 + s_root)
+    beta = belkin_cost_stability(cfg.C, 2.0 * M, m, lam2, rho) + shift * (2.0 * b_resid + shift)
     theorem_beta = belkin_score_stability(M, m, cfg.C, lam2) if m * lam2 / cfg.C > 1 else None
     shared = {"lambda2": lam2, "rho_G": rho}
     return Fit(solve, swap_engine, beta, b_resid, run_fields=shared,
@@ -534,14 +562,29 @@ ALGORITHMS = tuple(_ENTRIES)
 _KERNEL_ALGORITHMS = ("ltr", "krr")
 
 
+def _with_graph(sample: FullSample, cfg: ExperimentConfig) -> FullSample:
+    """The sample with ``cfg.graph_path``'s edge list attached, for a graph algorithm.
+
+    A sample that already has a graph, and any sample of a kernel algorithm,
+    is returned as it is.
+    """
+    if cfg.graph_path is None or sample.graph is not None or cfg.algorithm in _KERNEL_ALGORITHMS:
+        return sample
+    return replace(sample, graph=load_edge_list(cfg.graph_path, n=sample.n))
+
+
 def _setup(sample: FullSample, part: Partition, cfg: ExperimentConfig, sigma: float) -> Fit:
-    """Build the partition's kernel or graph and hand it to the algorithm's entry."""
+    """Build the partition's kernel or graph and hand it to the algorithm's entry.
+
+    A graph algorithm uses the sample's graph when it has one (``--graph``,
+    read once per run), else the Gaussian affinity at the partition's sigma.
+    """
     if cfg.algorithm in _KERNEL_ALGORITHMS:
         base = gaussian_kernel(sample.points, sigma)
-    elif cfg.graph_path:
-        base = load_edge_list(cfg.graph_path, n=sample.n)
     else:
-        base = gaussian_affinity(sample.points, sigma)
+        base = _with_graph(sample, cfg).graph
+        if base is None:
+            base = gaussian_affinity(sample.points, sigma)
     return _ENTRIES[cfg.algorithm](sample, part, cfg, sigma, base)
 
 
@@ -668,6 +711,7 @@ def run_experiment(cfg: ExperimentConfig, sample: FullSample | None = None) -> d
             warnings.simplefilter("always", ZeroVarianceFeature)
             sample = load_and_normalize(cfg.data_path, cfg.target_scale)
         load_warnings = [str(w.message) for w in caught]
+    sample = _with_graph(sample, cfg)  # one edge-list read serves every partition
     n = sample.n
     m = _labeled_size(cfg, n)
 

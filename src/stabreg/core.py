@@ -15,11 +15,15 @@ the seed alone on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
 from .errors import InvalidPartitionSize, InvalidStabilityInput
+
+if TYPE_CHECKING:
+    from .graph import GraphSpec
 
 __all__ = [
     "FullSample",
@@ -53,11 +57,15 @@ class FullSample:
         points: (n, d) float array of feature vectors.
         targets: (n,) float array with |targets[i]| <= label_bound_M.
         label_bound_M: positive bound M on the absolute targets.
+        graph: an optional graph on the n points, fixed like the points
+            (an edge list); graph algorithms use it in place of a Gaussian
+            affinity built per partition.
     """
 
     points: np.ndarray
     targets: np.ndarray
     label_bound_M: float
+    graph: GraphSpec | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -75,6 +83,8 @@ class FullSample:
             raise ValueError("label_bound_M must be positive")
         if np.max(np.abs(y), initial=0.0) > m_bound:
             raise ValueError("targets exceed label_bound_M")
+        if self.graph is not None and self.graph.n != pts.shape[0]:
+            raise ValueError("the graph and the points disagree on sample size")
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "targets", _readonly(y))
         object.__setattr__(self, "label_bound_M", m_bound)

@@ -13,7 +13,9 @@ each undirected edge listed once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +55,13 @@ ZERO_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Symmetric non-negative weight matrix with zero diagonal."""
+    """Symmetric non-negative weight matrix with zero diagonal.
+
+    ``L``, ``L_eigenvalues`` and ``hop_diameter`` depend on the weights
+    alone, so each is computed on first use and then kept with the graph:
+    a graph fixed for a whole run (an edge list) pays for them once, not
+    once per partition.
+    """
 
     weights: np.ndarray
 
@@ -74,6 +82,23 @@ class GraphSpec:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        """The combinatorial Laplacian ``laplacian(self)``, read-only."""
+        lap = laplacian(self)
+        lap.flags.writeable = False
+        return lap
+
+    @cached_property
+    def L_eigenvalues(self) -> SpectrumSummary:
+        """Eigenvalue summary of ``L`` (eigenvalues only)."""
+        return spectrum(self.L, eigenvector=False)
+
+    @cached_property
+    def hop_diameter(self) -> int:
+        """``diameter(self)``; raises GraphDisconnected on a disconnected graph."""
+        return diameter(self)
 
 
 @dataclass(frozen=True)
@@ -326,9 +351,11 @@ def load_edge_list(path, n: int | None = None) -> GraphSpec:
     the largest index seen.
 
     Raises:
-        ParseError: on malformed lines, with 1-based row/column positions.
+        ParseError: on malformed lines, with 1-based row/column positions: a
+            weight that is negative or not finite (column 3), or an edge
+            listed a second time in either orientation (column 0).
     """
-    triples = []
+    edges: dict[tuple[int, int], tuple[int, float]] = {}  # (i, j), i < j: (row, w)
     max_idx = 0
     with open(path, "r", encoding="utf-8") as fh:
         for row, line in enumerate(fh, start=1):
@@ -359,17 +386,22 @@ def load_edge_list(path, n: int | None = None) -> GraphSpec:
                     raise ParseError(row, 2, f"vertex {j} exceeds n={n}")
             if i == j:
                 raise ParseError(row, 1, "self-loops are not allowed")
+            if not math.isfinite(w):
+                raise ParseError(row, 3, f"non-finite weight {parts[2]!r}")
             if w < 0:
                 raise ParseError(row, 3, "weights must be non-negative")
-            triples.append((i - 1, j - 1, w))
+            edge = (min(i, j), max(i, j))
+            if edge in edges:
+                raise ParseError(row, 0, f"edge {edge[0]}-{edge[1]} already listed "
+                                         f"at row {edges[edge][0]}")
+            edges[edge] = (row, w)
             max_idx = max(max_idx, i, j)
     size = max_idx if n is None else int(n)
     if size < max_idx:
         raise ValueError(f"n={size} smaller than largest index {max_idx}")
     weights = np.zeros((size, size))
-    for i, j, w in triples:
-        weights[i, j] = w
-        weights[j, i] = w
+    for (i, j), (_, w) in edges.items():
+        weights[i - 1, j - 1] = weights[j - 1, i - 1] = w
     return GraphSpec(weights=weights)
 
 

@@ -33,7 +33,7 @@ feature-space distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +68,7 @@ __all__ = [
     "build_cm",
     "build_llreg",
     "build_gmf",
+    "graph_quadratic",
     "labels_to_full",
     "solve_unconstrained",
     "stabilize",
@@ -277,16 +278,20 @@ def _split_diag(part: Partition, C_l: float, C_u: float) -> np.ndarray:
     return np.diag(d)
 
 
+def _llreg_quadratic(A_raw: np.ndarray) -> np.ndarray:
+    """Q = (I - A)^T (I - A) for the row-normalized A."""
+    a = row_normalize(A_raw)
+    m_mat = np.eye(a.shape[0]) - a
+    q = m_mat.T @ m_mat
+    return 0.5 * (q + q.T)
+
+
 def build_llreg(
     A_raw: np.ndarray, C_l: float, C_u: float, labels_on_S, part: Partition
 ) -> UnconstrainedProblem:
     """Local-linear regularization: Q = (I - A)^T (I - A), A row-normalized."""
-    a = row_normalize(A_raw)
-    m_mat = np.eye(a.shape[0]) - a
-    q = m_mat.T @ m_mat
-    q = 0.5 * (q + q.T)
     y = labels_to_full(labels_on_S, part)
-    return UnconstrainedProblem(Q=q, Cmat=_split_diag(part, C_l, C_u), y=y)
+    return UnconstrainedProblem(Q=_llreg_quadratic(A_raw), Cmat=_split_diag(part, C_l, C_u), y=y)
 
 
 def build_gmf(
@@ -295,6 +300,33 @@ def build_gmf(
     """Gaussian-field style smoothing with the combinatorial Laplacian."""
     y = labels_to_full(labels_on_S, part)
     return UnconstrainedProblem(Q=laplacian(g), Cmat=_split_diag(part, C_l, C_u), y=y)
+
+
+def graph_quadratic(family: str, g: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The unconstrained family's Q on g, and a unit vector v with Q v = 0.
+
+    Each family's Q annihilates a known vector (Chung, Spectral Graph
+    Theory, 1997), so Q's bottom eigenvector needs no eigendecomposition:
+
+    * "cm", the normalized Laplacian I - D^{-1/2} W D^{-1/2}:
+      v = D^{1/2} 1 / ||D^{1/2} 1||, since D^{-1/2} W 1 = D^{1/2} 1;
+    * "llreg", (I - A)^T (I - A) for the row-normalized A: v = 1 / sqrt(n),
+      since (I - A) 1 = 0;
+    * "gmf", the combinatorial Laplacian D - W (``g.L``, kept with the
+      graph): v = 1 / sqrt(n), since W 1 = D 1.
+
+    On a connected graph v spans Q's null space, so it is the bottom
+    eigenvector up to sign; on a disconnected one it is one of several.
+    """
+    if family == "cm":
+        root = np.sqrt(g.weights.sum(axis=1))
+        return normalized_laplacian(g), root / np.linalg.norm(root)
+    flat = np.full(g.n, 1.0 / np.sqrt(g.n))
+    if family == "llreg":
+        return _llreg_quadratic(g.weights), flat
+    if family == "gmf":
+        return g.L, flat
+    raise ValueError(f"unknown unconstrained family {family!r}")
 
 
 def _solve(a_sys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -368,7 +400,9 @@ def stabilize(p: UnconstrainedProblem) -> HypothesisScores:
 class LaplacianSystem:
     """A Laplacian L and constraint direction u, checked once.
 
-    For a constant u, ``eigenvalues`` keeps L's spectrum (None otherwise).
+    For a constant u, ``eigenvalues`` keeps L's spectrum: the one given, when
+    the caller already holds it (``GraphSpec.L_eigenvalues``), else computed
+    here.  For any other u it stays as given, None by default.
 
     Raises:
         ZeroConstraintVector: u has (near-)zero norm.
@@ -378,7 +412,7 @@ class LaplacianSystem:
 
     L: np.ndarray
     u_vec: np.ndarray
-    eigenvalues: SpectrumSummary | None = field(init=False, default=None)
+    eigenvalues: SpectrumSummary | None = None
 
     def __post_init__(self):
         lap = _check_symmetric(self.L)
@@ -388,7 +422,7 @@ class LaplacianSystem:
         if float(u @ u) <= 1e-24:
             raise ZeroConstraintVector("constraint vector has (near-)zero norm")
         if np.allclose(u, np.full(u.size, u[0]), rtol=1e-12, atol=0.0):
-            eig = spectrum(lap, eigenvector=False)
+            eig = self.eigenvalues or spectrum(lap, eigenvector=False)
             if eig.lambda2 <= 1e-9 * max(abs(eig.lambda_max), 1.0):
                 raise ConstraintSpansNullSpace(
                     "all-ones constraint cannot pin the null space of a disconnected Laplacian"

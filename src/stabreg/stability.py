@@ -246,7 +246,11 @@ def beta_loc_bound(M: float, m_r: int, alpha_max: float, alpha_min: float) -> fl
 
 
 def beta_loc_gaussian(M: float, m_r: int, r: float, sigma: float) -> float:
-    """Gaussian-weighted pseudo-target stability: 4 M / (m_r e^{-2 r^2 / sigma^2})."""
+    """Gaussian-weighted pseudo-target stability: 4 M / (m_r e^{-2 r^2 / sigma^2}).
+
+    +inf when e^{2 r^2 / sigma^2} overflows a float, as for an empty
+    neighbourhood.
+    """
     M = float(M)
     r = float(r)
     if M < 0 or r < 0:
@@ -255,7 +259,10 @@ def beta_loc_gaussian(M: float, m_r: int, r: float, sigma: float) -> float:
         raise InvalidStabilityInput("sigma must be positive")
     if int(m_r) < 1:
         raise EmptyNeighborhood("no labeled point inside the radius")
-    return 4.0 * M * math.exp(2.0 * r * r / (float(sigma) ** 2)) / int(m_r)
+    try:
+        return 4.0 * M * math.exp(2.0 * r * r / (float(sigma) ** 2)) / int(m_r)
+    except OverflowError:  # the weight ratio exceeds the float range: unbounded
+        return math.inf
 
 
 def beta_loc_invdist(M: float, m_r: int, r: float) -> float:

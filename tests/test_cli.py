@@ -3,7 +3,8 @@
 import csv
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,8 @@ from stabreg import (
     test_error,
 )
 from stabreg import cli, swaps
+from stabreg import graph as graph_module
+from stabreg.regressors import graph_quadratic
 from stabreg.cli import (
     ALGORITHMS,
     ExperimentConfig,
@@ -59,6 +62,16 @@ from stabreg.cli import (
     select_radius,
     verify_suite,
 )
+
+
+@pytest.fixture()
+def toy_graph(tmp_path):
+    """A connected 24-vertex edge list for the toy sample: a ring plus chords."""
+    lines = [f"{i} {i % 24 + 1} {0.5 + (i % 3) / 4}\n" for i in range(1, 25)]
+    lines += [f"{i} {(i + 4) % 24 + 1} 0.25\n" for i in range(1, 25, 2)]
+    path = tmp_path / "toy_graph.txt"
+    path.write_text("".join(lines))
+    return str(path)
 
 
 @pytest.fixture()
@@ -637,22 +650,7 @@ def test_cli_stability_reports_the_coefficients_run_uses(toy_csv, algorithm, cap
         assert report["score_bound"] == record["score_beta"]
 
 
-@pytest.mark.parametrize(
-    "algorithm",
-    [
-        pytest.param(
-            algo,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="ROADMAP item 1: the labeled-mean centering is not covered "
-                "by belkin_cost_stability",
-            ),
-        )
-        if algo == "laplacian"
-        else algo
-        for algo in ALGORITHMS
-    ],
-)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_cli_stability_empirical_within_cost_bound(toy_csv, algorithm, capsys):
     _, report = _run_and_stability(toy_csv, algorithm, capsys)
     empirical = report["empirical"]
@@ -809,13 +807,11 @@ def test_cli_laplacian_on_disconnected_graph_exits_one(toy_csv, tmp_path, comman
     assert "GraphDisconnected" in capsys.readouterr().err
 
 
-def _two_spectra(mat, eigenvector=True):
-    """``spectrum`` with its eigenvalues from eigvalsh and, on request, the
-    bottom eigenvector from a second, full eigh."""
-    values = spectrum(mat, eigenvector=False)
-    if not eigenvector:
-        return values
-    return replace(values, eigenvector_min=spectrum(mat).eigenvector_min)
+def _two_spectra(family, g):
+    """``graph_quadratic`` with Q's bottom eigenvector from a second, full eigh
+    in place of the closed form (the eigenvalues still come from eigvalsh)."""
+    q, _ = graph_quadratic(family, g)
+    return q, spectrum(q).eigenvector_min
 
 
 def _assert_close(got, want, where="report"):
@@ -840,10 +836,10 @@ def test_cli_stabilized_fit_matches_the_two_spectrum_path(toy_csv, algorithm, co
                                                           capsys, monkeypatch):
     argv = [*command, "--data", toy_csv, "--algorithm", algorithm, *SWAP_FLAGS]
     assert main(argv) == 0
-    one_eigh = json.loads(capsys.readouterr().out)
-    monkeypatch.setattr(cli, "spectrum", _two_spectra)
+    closed_form = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "graph_quadratic", _two_spectra)
     assert main(argv) == 0
-    _assert_close(one_eigh, json.loads(capsys.readouterr().out))
+    _assert_close(closed_form, json.loads(capsys.readouterr().out))
 
 
 def test_problems_do_not_change_when_the_caller_mutates_its_arrays(toy_csv):
@@ -868,3 +864,111 @@ def test_problems_do_not_change_when_the_caller_mutates_its_arrays(toy_csv):
     for problem, arrays in zip(problems, before):
         for name, value in arrays.items():
             assert np.array_equal(getattr(problem, name), value), name
+
+
+# ---------------------------------------------------------------------------
+# graph work: once per run, and no spectrum the bound does not read
+
+
+@pytest.mark.parametrize("line, column", [("1 2 inf", 3), ("1 2 nan", 3), ("2 1 5.0", 0)])
+def test_cli_exit_code_two_on_bad_edge_list(toy_csv, toy_graph, tmp_path, capsys, line, column):
+    bad = tmp_path / "bad_graph.txt"
+    bad.write_text(Path(toy_graph).read_text() + line + "\n")
+    code = main(["run", "--data", toy_csv, "--algorithm", "laplacian", "--graph", str(bad)])
+    assert code == 2
+    assert f"row 37, column {column}" in capsys.readouterr().err
+
+
+def test_cli_gaussian_beta_loc_overflow_prints_null(toy_csv, capsys):
+    argv = ["--data", toy_csv, "--radius", "1.5", "--sigma", "0.05"]
+    assert main(["run", "--algorithm", "ltr", *argv]) == 0
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert record["beta_used"] is None and record["bound_value"] is None
+    assert record["train_mse"] is not None
+    assert main(["select-radius", *argv]) == 0
+    row = json.loads(capsys.readouterr().out)["per_r"][0]
+    assert row["feasible"] and row["beta_loc"] is None and row["objective"] is None
+
+
+def _counted(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _count_graph_work(monkeypatch):
+    calls = {}
+    _counted(monkeypatch, cli, "load_edge_list", calls)
+    _counted(monkeypatch, graph_module, "diameter", calls)
+    for name in ("eigh", "eigvalsh"):
+        _counted(monkeypatch, np.linalg, name, calls)
+    return calls
+
+
+def test_cli_laplacian_graph_work_runs_once_per_run(toy_csv, toy_graph, capsys, monkeypatch):
+    calls = _count_graph_work(monkeypatch)
+    assert main(["run", "--data", toy_csv, "--algorithm", "laplacian", "--graph", toy_graph,
+                 "--partitions", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 3
+    assert calls == {"load_edge_list": 1, "eigvalsh": 1, "diameter": 1}
+
+
+@pytest.mark.parametrize("graph", [False, True])
+def test_cli_gmf_with_one_weight_computes_no_spectrum(toy_csv, toy_graph, graph, capsys,
+                                                      monkeypatch):
+    calls = _count_graph_work(monkeypatch)
+    assert main(["run", "--data", toy_csv, "--algorithm", "gmf", "--partitions", "3",
+                 "--C-l", "2", "--C-u", "2", *(["--graph", toy_graph] if graph else [])]) == 0
+    capsys.readouterr()
+    assert "eigh" not in calls and "eigvalsh" not in calls
+
+
+@pytest.mark.parametrize("graph, expected", [
+    # beta_used of the two partitions, printed before the spectrum was skipped
+    (False, [2228.1418432853734, 2333.9495101050456]),
+    (True, [469.221118259348, 469.221118259348]),
+])
+def test_cli_gmf_with_two_weights_keeps_its_beta(toy_csv, toy_graph, graph, expected, capsys):
+    assert main(["run", "--data", toy_csv, "--algorithm", "gmf", "--partitions", "2",
+                 "--C-l", "2", "--C-u", "0.5", *(["--graph", toy_graph] if graph else [])]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert [r["beta_used"] for r in records] == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("algorithm", ["stabilized-cm", "stabilized-llreg", "stabilized-gmf"])
+@pytest.mark.parametrize("graph", [False, True])
+def test_cli_stabilized_fit_runs_no_eigh(toy_csv, toy_graph, algorithm, graph, capsys,
+                                         monkeypatch):
+    calls = _count_graph_work(monkeypatch)
+    extra = ["--graph", toy_graph] if graph else []
+    for command in (["run", "--partitions", "2"], ["stability", "--empirical"]):
+        assert main([*command, "--data", toy_csv, "--algorithm", algorithm, *SWAP_FLAGS,
+                     *extra]) == 0
+    capsys.readouterr()
+    assert "eigh" not in calls
+    assert calls["eigvalsh"] == (2 if graph and algorithm == "stabilized-gmf" else 3)
+
+
+@pytest.mark.parametrize("algorithm", ["laplacian", "gmf"])
+def test_cli_graph_run_jobs_two_is_byte_identical(toy_csv, toy_graph, algorithm, capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        assert main(["run", "--data", toy_csv, "--algorithm", algorithm, "--graph", toy_graph,
+                     "--partitions", "4", "--C-l", "2", "--C-u", "0.5", "--jobs", jobs]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0].replace('"jobs": 1', '"jobs": 2')
+
+
+@pytest.mark.parametrize("command", [["run", "--partitions", "2"], ["stability"]])
+def test_cli_kernel_algorithm_does_not_read_the_graph(toy_csv, tmp_path, command, capsys,
+                                                      monkeypatch):
+    calls = _count_graph_work(monkeypatch)
+    unread = tmp_path / "unread.txt"
+    unread.write_text("1 2 nan\n")
+    assert main([*command, "--data", toy_csv, "--algorithm", "krr", "--graph", str(unread)]) == 0
+    capsys.readouterr()
+    assert "load_edge_list" not in calls

@@ -478,3 +478,45 @@ def test_load_edge_list_rejects_out_of_range_vertex(tmp_path):
     path.write_text("1 7 1.0\n")
     with pytest.raises(ParseError):
         load_edge_list(path, n=3)
+
+
+@pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
+def test_load_edge_list_rejects_non_finite_weight(tmp_path, weight):
+    path = tmp_path / "g.txt"
+    path.write_text(f"2 3 1.0\n1 2 {weight}\n")
+    with pytest.raises(ParseError) as exc_info:
+        load_edge_list(path)
+    assert (exc_info.value.row, exc_info.value.column) == (2, 3)
+
+
+@pytest.mark.parametrize("repeat", ["1 2 5.0", "2 1 5.0", "2 1 1.0"])
+def test_load_edge_list_rejects_repeated_edge(tmp_path, repeat):
+    path = tmp_path / "g.txt"
+    path.write_text(f"1 2 1.0\n2 3 1.0\n\n{repeat}\n")
+    with pytest.raises(ParseError, match="already listed at row 1") as exc_info:
+        load_edge_list(path)
+    assert (exc_info.value.row, exc_info.value.column) == (4, 0)
+
+
+def test_graph_keeps_its_laplacian_eigenvalues_and_diameter(monkeypatch):
+    from stabreg import graph as graph_module
+
+    calls = []
+
+    def counted(name):
+        original = getattr(graph_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("laplacian", "spectrum", "diameter"):
+        monkeypatch.setattr(graph_module, name, counted(name))
+    g = path_graph(6)
+    for _ in range(2):
+        assert np.array_equal(g.L, laplacian(path_graph(6)))
+        assert g.L_eigenvalues == spectrum(laplacian(path_graph(6)), eigenvector=False)
+        assert g.hop_diameter == 5
+    assert sorted(calls) == ["diameter", "laplacian", "spectrum"]
+    assert not g.L.flags.writeable

@@ -29,6 +29,7 @@ from stabreg import (
     build_cm,
     build_gmf,
     build_llreg,
+    gaussian_affinity,
     gaussian_kernel,
     laplacian,
     laplacian_kernel_check,
@@ -47,7 +48,7 @@ from stabreg import (
 )
 from stabreg import swaps
 from stabreg.errors import SingularSystem, ZeroConstraintVector
-from stabreg.regressors import labels_to_full
+from stabreg.regressors import graph_quadratic, labels_to_full
 
 
 def random_graph(n, seed):
@@ -801,3 +802,51 @@ def test_krr_at_zero_tradeoff_returns_zeros():
                           np.zeros(6))
     p = LtrProblem(K=kern, part=part, y=y, y_tilde=np.zeros(0), C=0.0, C_prime=0.0, kappa=1.0)
     assert np.array_equal(solve_krr_induction(p).scores, np.zeros(6))
+
+
+def _ring_with_chords(n=24):
+    w = np.zeros((n, n))
+    for i in range(n):
+        w[i, (i + 1) % n] = w[(i + 1) % n, i] = 0.5 + (i % 3) / 4
+    for i in range(0, n, 2):
+        w[i, (i + 5) % n] = w[(i + 5) % n, i] = 0.25
+    return GraphSpec(weights=w)
+
+
+@pytest.mark.parametrize("family", ["cm", "llreg", "gmf"])
+@pytest.mark.parametrize("graph", ["affinity", "ring"])
+def test_graph_quadratic_null_vector_is_the_bottom_eigenvector(family, graph):
+    if graph == "ring":
+        g = _ring_with_chords()
+    else:
+        g = gaussian_affinity(np.random.default_rng(0).normal(size=(24, 3)), 1.0)
+    q, v = graph_quadratic(family, g)
+    bottom = spectrum(q).eigenvector_min
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(v - np.sign(v @ bottom) * bottom)) <= 1e-12
+    assert np.linalg.norm(q @ v) <= 1e-12 * np.linalg.norm(q, 2)
+
+
+def test_graph_quadratic_matches_the_builders():
+    g = _ring_with_chords(9)
+    part = Partition(train_idx=np.arange(0, 9, 2), test_idx=np.arange(1, 9, 2))
+    y = np.zeros(part.m)
+    for family, problem in (("cm", build_cm(g, 1.0, y, part)),
+                            ("llreg", build_llreg(g.weights, 1.0, 1.0, y, part)),
+                            ("gmf", build_gmf(g, 1.0, 1.0, y, part))):
+        assert np.array_equal(graph_quadratic(family, g)[0], problem.Q), family
+    with pytest.raises(ValueError, match="unknown"):
+        graph_quadratic("laplacian", g)
+
+
+def test_laplacian_system_takes_the_eigenvalues_it_is_given(monkeypatch):
+    g = _ring_with_chords()
+    given_spectrum = g.L_eigenvalues
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectrum was computed again")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    system = LaplacianSystem(g.L, np.ones(g.n), given_spectrum)
+    assert system.eigenvalues is given_spectrum
+    assert system.L is g.L  # shared, not copied

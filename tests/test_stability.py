@@ -238,6 +238,11 @@ def test_beta_loc_gaussian_frozen():
     assert beta_loc_gaussian(1.0, 10, 1.0, 1.0) == pytest.approx(2.9556224395722603, abs=1e-10)
 
 
+def test_beta_loc_gaussian_is_infinite_where_the_weight_ratio_overflows():
+    # e^{2 r^2 / sigma^2} = e^{1800} is beyond the float range
+    assert beta_loc_gaussian(1.0, 6, 1.5, 0.05) == math.inf
+
+
 def test_beta_loc_invdist_frozen():
     # M=1, m_r=4, r=1: (2r+1) 2M / m_r = 6/4
     assert beta_loc_invdist(1.0, 4, 1.0) == pytest.approx(1.5, abs=1e-15)
