@@ -39,15 +39,13 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from . import bounds as _bounds
 from ._kernels import mix64_int
-from .bounds import concentration_harness, generalization_bound
+from .bounds import generalization_bound
 from .core import (
     FullSample,
     HypothesisScores,
     Partition,
     empirical_error,
-    overall_error,
     sample_partition,
     score_to_cost_stability,
     test_error,
@@ -65,28 +63,19 @@ from .graph import (
     GraphSpec,
     SpectrumSummary,
     gaussian_affinity,
-    laplacian,
     load_edge_list,
-    pseudo_inverse,
     spectrum,
+    sq_distances,
 )
 from .regressors import (
-    ConstrainedProblem,
     KernelSystem,
     LaplacianSystem,
     LocalEstimatorConfig,
-    LtrProblem,
     QuadraticSystem,
-    UnconstrainedProblem,
-    build_cm,
-    build_llreg,
     gaussian_kernel,
     graph_quadratic,
     labels_to_full,
     pseudo_targets,
-    solve_constrained,
-    solve_ltr,
-    solve_unconstrained,
 )
 from .stability import (
     StabilityInputs,
@@ -260,15 +249,6 @@ def derive_seed(master: int, index: int) -> int:
 # sigma resolution
 
 
-def _sq_distances(points: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clamped at 0, zero diagonal."""
-    sq = np.sum(points * points, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
 def _median_pairwise_distance(d2: np.ndarray) -> float:
     """Median distance over the pairs of a squared-distance matrix; 1 if it is 0."""
     upper = d2[np.triu_indices(d2.shape[0], k=1)]
@@ -284,7 +264,7 @@ def _cv_sigma(sample: FullSample, part: Partition, C: float) -> float:
     """
     xs = sample.points[part.train_idx]
     ys = sample.targets[part.train_idx]
-    d2 = _sq_distances(xs)
+    d2 = sq_distances(xs)
     med = _median_pairwise_distance(d2)
     folds = np.array_split(np.arange(xs.shape[0]), min(_CV_FOLDS, xs.shape[0]))
     best = (math.inf, med)
@@ -316,7 +296,7 @@ def _resolve_sigma(sample: FullSample, part: Partition, cfg: ExperimentConfig) -
     if isinstance(cfg.sigma, str):
         if cfg.sigma == "cv" and cfg.algorithm in _KERNEL_ALGORITHMS:
             return _cv_sigma(sample, part, cfg.C)
-        return _median_pairwise_distance(_sq_distances(sample.points[part.train_idx]))
+        return _median_pairwise_distance(sq_distances(sample.points[part.train_idx]))
     return float(cfg.sigma)
 
 
@@ -799,260 +779,39 @@ def emit_plot_data(report: dict, kind: str, plot_scale: float = 1.0) -> list[dic
 # verification suite
 
 
-def _gd_minimize(q: np.ndarray, c: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Steepest descent with exact line search on h^T Q h + (h-y)^T C (h-y)."""
-    h = np.zeros_like(y)
-    a_sys = 2.0 * (q + c)
-    b = 2.0 * (c @ y)
-    for _ in range(200_000):
-        grad = a_sys @ h - b
-        gnorm = float(np.max(np.abs(grad)))
-        if gnorm <= tol:
-            break
-        denom = float(grad @ (a_sys @ grad))
-        if denom <= 0:
-            break
-        h = h - (float(grad @ grad) / denom) * grad
-    return h
-
-
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
 def verify_suite(level: str = "fast", seed: int = 0) -> dict:
-    """Self-check suite; "full" raises the Monte-Carlo trial counts.
+    """Run every check in ``stabreg.checks``; "full" raises the trial counts.
 
-    Returns a machine-readable dict with one entry per check and an overall
-    ``passed`` flag.
+    Returns a dict with one entry per check and an overall ``passed`` flag.
     """
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
-    rng = np.random.default_rng(seed)
-    checks: list[dict] = []
+    from . import checks  # loaded on first use: only verify and lowerbound-demo compile it
 
-    # independent recomputation of the variance factor; resolved through the
-    # module attribute so a broken implementation cannot hide behind an old
-    # import binding
-    worst = 0.0
-    for m in (1, 2, 3, 10, 100):
-        for u in (1, 2, 7, 50):
-            ref = (m * u / (m + u - 0.5)) / (1.0 - 1.0 / (2.0 * max(m, u)))
-            worst = max(worst, abs(_bounds.alpha(m, u) - ref))
-    checks.append(_check("alpha-formula", worst <= 1e-12, f"max deviation {worst:.3e}"))
-
-    # partition uniformity, single labeled point among four
-    draws = 100_000 if level == "full" else 20_000
-    tol = 0.01 if level == "full" else 0.02
-    sample4 = FullSample(points=np.arange(4.0)[:, None], targets=np.zeros(4), label_bound_M=1.0)
-    counts = np.zeros(4)
-    for t in range(draws):
-        counts[sample_partition(sample4, 1, seed * 1_000_003 + t).train_idx[0]] += 1
-    freq_dev = float(np.max(np.abs(counts / draws - 0.25)))
-    chi2 = float(np.sum((counts - draws / 4) ** 2 / (draws / 4)))
-    checks.append(
-        _check(
-            "partition-uniformity",
-            freq_dev <= tol and chi2 < 16.27,  # chi-square(3) at p=0.001
-            f"max |freq-1/4| {freq_dev:.4f}, chi2 {chi2:.2f} over {draws} draws",
-        )
+    full = level == "full"
+    draws, tol = (100_000, 0.01) if full else (20_000, 0.02)  # Monte-Carlo draws; tolerance
+    table = (  # name, check, its arguments at this level
+        ("alpha-formula", checks.alpha_formula, ()),
+        ("partition-uniformity", checks.partition_uniformity, (seed, draws, tol)),
+        ("error-identity", checks.error_identity, (seed, 20)),
+        ("pseudo-inverse", checks.pseudo_inverse_conditions, (seed,)),
+        ("unconstrained-oracle", checks.unconstrained_oracle, (seed, 50 if full else 10)),
+        ("constrained-optimality", checks.constrained_optimality, (seed, 20 if full else 3)),
+        ("rkhs-equivalence", checks.pinv_kernel_equivalence, (seed, 10 if full else 3)),
+        ("swap-stability-closed-forms", checks.swap_stability, (seed,)),
+        ("lower-bound-instance", checks.lower_bound_instance, ()),
+        ("concentration-harness", checks.concentration_tails, (seed, draws, 500 if full else 100)),
+        ("ltr-max-value", checks.ltr_output_bound, (seed, 1000 if full else 50)),
     )
-
-    # error decomposition identity
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(4, 40))
-        y = rng.uniform(-1, 1, n)
-        sample = FullSample(points=rng.normal(size=(n, 2)), targets=y, label_bound_M=1.0)
-        h = HypothesisScores(scores=rng.uniform(-2, 2, n))
-        m = int(rng.integers(1, n))
-        part = sample_partition(sample, m, int(rng.integers(1 << 30)))
-        lhs = test_error(h, sample, part)
-        rhs = (n / part.u) * overall_error(h, sample) - (part.m / part.u) * empirical_error(
-            h, sample, part
-        )
-        worst = max(worst, abs(lhs - rhs))
-    checks.append(_check("error-identity", worst <= 1e-12, f"max deviation {worst:.3e}"))
-
-    # pseudo-inverse obeys the Moore-Penrose conditions
-    b = rng.normal(size=(8, 8))
-    psd = b @ b.T
-    psd[0] -= psd[0]  # zero row/col to force rank deficiency
-    psd[:, 0] = psd[0]
-    pinv = pseudo_inverse(psd)
-    mp = max(
-        float(np.max(np.abs(psd @ pinv @ psd - psd))),
-        float(np.max(np.abs(pinv @ psd @ pinv - pinv))),
-        float(np.max(np.abs((psd @ pinv) - (psd @ pinv).T))),
-        float(np.max(np.abs((pinv @ psd) - (pinv @ psd).T))),
-    )
-    checks.append(_check("pseudo-inverse", mp <= 1e-8, f"worst MP residual {mp:.3e}"))
-
-    # closed-form unconstrained solve against gradient descent
-    worst = 0.0
-    for _ in range(3):
-        n = 10
-        b = rng.normal(size=(n, n))
-        q = b.T @ b / n
-        cmat = np.diag(rng.uniform(0.5, 2.0, n))
-        y = rng.uniform(-1, 1, n)
-        h = solve_unconstrained(UnconstrainedProblem(Q=q, Cmat=cmat, y=y)).scores
-        h_gd = _gd_minimize(q, cmat, y)
-        worst = max(worst, float(np.max(np.abs(h - h_gd))))
-    checks.append(_check("unconstrained-oracle", worst <= 1e-6, f"max gap {worst:.3e}"))
-
-    # constrained solution beats random feasible points
-    ok = True
-    detail = ""
-    for trial in range(3):
-        n = 8
-        w = rng.uniform(0.1, 1.0, size=(n, n))
-        w = np.triu(w, 1)
-        w = w + w.T
-        g = GraphSpec(weights=w)
-        lap = laplacian(g)
-        part = sample_partition(
-            FullSample(points=np.arange(float(n))[:, None], targets=np.zeros(n), label_bound_M=1.0),
-            n // 2,
-            seed + trial,
-        )
-        y_s = rng.uniform(-1, 1, part.m)
-        prob = ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part, y_S=y_s)
-        h = solve_constrained(prob).scores
-        y_full = np.zeros(n)
-        y_full[part.train_idx] = y_s
-
-        def objective(vec: np.ndarray) -> float:
-            d = vec[part.train_idx] - y_s
-            return float(vec @ lap @ vec + (1.0 / part.m) * (d @ d))
-
-        base = objective(h)
-        z = rng.normal(size=(2000, n))
-        z -= z.mean(axis=1, keepdims=True)  # project onto sum-zero hyperplane
-        vals = np.einsum("ij,jk,ik->i", z, lap, z)
-        d = z[:, part.train_idx] - y_s
-        vals = vals + (1.0 / part.m) * np.sum(d * d, axis=1)
-        if not (base <= float(vals.min()) + 1e-10):
-            ok = False
-            detail = f"random feasible point beat the solver by {base - float(vals.min()):.3e}"
-            break
-    checks.append(_check("constrained-optimality", ok, detail or "solver at least as good as 6000 feasible points"))
-
-    # constrained Laplacian equals kernel least squares with the pseudo-inverse kernel
-    worst = 0.0
-    for trial in range(3):
-        n = 9
-        w = rng.uniform(0.2, 1.0, size=(n, n))
-        w = np.triu(w, 1)
-        w = w + w.T
-        lap = laplacian(GraphSpec(weights=w))
-        part = sample_partition(
-            FullSample(points=np.arange(float(n))[:, None], targets=np.zeros(n), label_bound_M=1.0),
-            4,
-            seed + 10 + trial,
-        )
-        y_s = rng.uniform(-1, 1, part.m)
-        h_con = solve_constrained(
-            ConstrainedProblem(L=lap, C_tradeoff=2.0, part=part, y_S=y_s)
-        ).scores
-        kern = pseudo_inverse(lap)
-        h_ltr = solve_ltr(
-            LtrProblem(
-                K=kern, part=part, y=y_s, y_tilde=np.zeros(0),
-                C=2.0, C_prime=0.0,
-                kappa=float(np.sqrt(np.max(np.diagonal(kern)))),
-            )
-        ).scores
-        worst = max(worst, float(np.max(np.abs(h_con - h_ltr))))
-    checks.append(_check("rkhs-equivalence", worst <= 1e-6, f"max gap {worst:.3e}"))
-
-    # empirical swap stability never exceeds the closed forms
-    n = 12
-    pts = rng.normal(size=(n, 2))
-    targets = rng.uniform(-1, 1, n)
-    sample = FullSample(points=pts, targets=targets, label_bound_M=1.0)
-    part = sample_partition(sample, 6, seed + 99)
-    w = np.exp(-np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
-    np.fill_diagonal(w, 0.0)
-    w = np.minimum(w, w.T)
-    g = GraphSpec(weights=w)
-
-    def cm_solver(s: FullSample, p: Partition) -> HypothesisScores:
-        return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
-
-    rep = empirical_stability(cm_solver, sample, part, B=1.0 + math.sqrt(6.0))
-    cm_bound = cm_score_bound(1.0)
-    ok_cm = rep.max_score_delta <= cm_bound + 1e-9
-
-    def llreg_solver(s: FullSample, p: Partition) -> HypothesisScores:
-        return solve_unconstrained(build_llreg(w, 1.0, 2.0, s.targets[p.train_idx], p))
-
-    rep_ll = empirical_stability(llreg_solver, sample, part, B=1.0 + math.sqrt(2.0 * 6.0))
-    ll_bound = llreg_score_bound(1.0, part.m, 1.0, 2.0)
-    ok_ll = rep_ll.max_score_delta <= ll_bound + 1e-9
-    checks.append(
-        _check(
-            "swap-stability-closed-forms",
-            ok_cm and ok_ll,
-            f"cm {rep.max_score_delta:.4f}<={cm_bound:.4f}, "
-            f"llreg {rep_ll.max_score_delta:.4f}<={ll_bound:.4f}",
-        )
-    )
-
-    # worst-case instance reproduces its closed-form perturbation
-    ok = True
-    detail_parts = []
-    for m_inst, c_inst in ((2, 1.0), (5, 0.5), (8, 10.0)):
-        demo = cm_lower_bound_demo(m_inst, c_inst)
-        gap = abs(demo["measured_delta"] - demo["predicted_a"])
-        ok = ok and gap <= 1e-9 and demo["predicted_a"] >= demo["floor"] - 1e-9
-        detail_parts.append(f"m={m_inst}: gap {gap:.2e}")
-    checks.append(_check("lower-bound-instance", ok, ", ".join(detail_parts)))
-
-    # Monte-Carlo tails stay under the closed-form bound
-    trials = 100_000 if level == "full" else 20_000
-    pop_n = 1000 if level == "full" else 200
-    population = np.concatenate([np.zeros(pop_n // 2), np.ones(pop_n // 2)])
-    ok = True
-    detail_parts = []
-    for eps in (0.02, 0.05, 0.1):
-        tail, bound = concentration_harness(population, pop_n // 2, eps, trials, seed)
-        margin = 3.0 * math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
-        ok = ok and tail <= bound + margin
-        detail_parts.append(f"eps={eps}: {tail:.4f}<={bound + margin:.4f}")
-    checks.append(_check("concentration-harness", ok, ", ".join(detail_parts)))
-
-    # kernel least-squares scores respect the closed-form sup bound
-    worst_excess = -math.inf
-    for _ in range(20):
-        n = int(rng.integers(3, 12))
-        b = rng.normal(size=(n, n))
-        kern = b @ b.T
-        kern = 0.5 * (kern + kern.T)
-        kappa = float(np.sqrt(np.max(np.diagonal(kern))))
-        sampleX = FullSample(
-            points=rng.normal(size=(n, 2)), targets=rng.uniform(-1, 1, n), label_bound_M=1.0
-        )
-        partX = sample_partition(sampleX, max(1, n // 2), int(rng.integers(1 << 30)))
-        c_val = float(rng.uniform(0, 3))
-        cp_val = float(rng.uniform(0, 3))
-        y_t = rng.uniform(-1, 1, partX.u)
-        prob = LtrProblem(
-            K=kern, part=partX, y=sampleX.targets[partX.train_idx],
-            y_tilde=y_t, C=c_val, C_prime=cp_val, kappa=kappa,
-        )
-        h = solve_ltr(prob).scores
-        cap = kappa * 1.0 * math.sqrt(c_val + cp_val)
-        worst_excess = max(worst_excess, float(np.max(np.abs(h))) - cap)
-    checks.append(
-        _check("ltr-max-value", worst_excess <= 1e-8, f"worst excess {worst_excess:.3e}")
-    )
-
+    results = []
+    for name, check, args in table:
+        passed, detail = check(*args)
+        results.append({"name": name, "passed": bool(passed), "detail": detail})
     return {
         "level": level,
         "seed": seed,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "checks": results,
+        "passed": all(c["passed"] for c in results),
     }
 
 
@@ -1326,12 +1085,10 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
+    from .checks import lower_bound_holds
+
     demo = cm_lower_bound_demo(args.m, args.C)
-    ok = (
-        abs(demo["measured_delta"] - demo["predicted_a"]) <= 1e-9
-        and demo["predicted_a"] >= demo["floor"] - 1e-9
-    )
-    demo["ok"] = ok
+    demo["ok"] = ok = lower_bound_holds(demo)
     _emit(_dump_json(demo), args.out)
     return 0 if ok else 1
 

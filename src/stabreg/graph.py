@@ -42,6 +42,7 @@ __all__ = [
     "diameter",
     "row_normalize",
     "gaussian_affinity",
+    "sq_distances",
     "load_edge_list",
     "save_edge_list",
 ]
@@ -71,6 +72,9 @@ class GraphSpec:
             raise ValueError("weights must be a square matrix")
         if w.shape[0] == 0:
             raise ValueError("a graph needs at least one vertex")
+        # before the symmetry test, which a NaN fails with a misleading message
+        if not (np.isfinite(w.max()) and np.isfinite(w.min())):
+            raise NonFiniteMatrix("weights have non-finite (NaN or infinite) entries")
         if not np.array_equal(w, w.T):
             raise NotSymmetric("weights[i][j] must equal weights[j][i] exactly")
         if np.any(w < 0):
@@ -328,6 +332,21 @@ def row_normalize(mat: np.ndarray) -> np.ndarray:
     return mat / sums[:, None]
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances ``||a_i - b_j||^2``, clamped at 0.
+
+    Computed as ``||a_i||^2 + ||b_j||^2 - 2 a_i . b_j``.  Without ``b`` the
+    distances are among the rows of ``a``, with an exact zero diagonal.
+    """
+    other = a if b is None else b
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(other * other, axis=1)[None, :]
+    d2 -= 2.0 * (a @ other.T)
+    np.maximum(d2, 0.0, out=d2)
+    if b is None:
+        np.fill_diagonal(d2, 0.0)
+    return d2
+
+
 def gaussian_affinity(points: np.ndarray, sigma: float) -> GraphSpec:
     """Dense Gaussian affinity W_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), zero diagonal."""
     points = np.asarray(points, dtype=np.float64)
@@ -335,10 +354,7 @@ def gaussian_affinity(points: np.ndarray, sigma: float) -> GraphSpec:
         points = points[:, None]
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    sq = np.sum(points * points, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    w = np.exp(-d2 / (2.0 * sigma * sigma))
+    w = np.exp(-sq_distances(points) / (2.0 * sigma * sigma))
     np.fill_diagonal(w, 0.0)
     w = np.minimum(w, w.T)  # exact symmetry
     return GraphSpec(weights=w)

@@ -55,6 +55,7 @@ from .graph import (
     pseudo_inverse,
     row_normalize,
     spectrum,
+    sq_distances,
 )
 
 __all__ = [
@@ -353,6 +354,16 @@ class QuadraticSystem:
         if self.bottom is not None:
             object.__setattr__(self, "bottom", _readonly(np.asarray(self.bottom, np.float64)))
 
+    def matrix(self, c: np.ndarray) -> np.ndarray:
+        """``Q + diag(c)``, bordered by ``bottom`` when it is set: the matrix ``solve`` factors."""
+        n = self.Q.shape[0]
+        a_sys = np.zeros((n, n) if self.bottom is None else (n + 1, n + 1))
+        a_sys[:n, :n] = self.Q
+        if self.bottom is not None:
+            a_sys[:n, n] = a_sys[n, :n] = self.bottom
+        a_sys[np.arange(n), np.arange(n)] += c
+        return a_sys
+
     def solve(self, c: np.ndarray, y: np.ndarray) -> HypothesisScores:
         """Solve ``(Q + diag(c)) h = c y`` for weights c > 0.
 
@@ -360,17 +371,8 @@ class QuadraticSystem:
         Without, a residual above 1e-10 relative, or NaN, raises SingularSystem.
         """
         n = self.Q.shape[0]
-        rhs = c * y
-        if self.bottom is None:
-            a_sys = self.Q.copy()
-        else:
-            a_sys = np.zeros((n + 1, n + 1))
-            a_sys[:n, :n] = self.Q
-            a_sys[:n, n] = a_sys[n, :n] = self.bottom
-            rhs = np.append(rhs, 0.0)
-        diag = np.arange(n)
-        a_sys[diag, diag] += c
-        h = _solve(a_sys, rhs)[:n]
+        rhs = c * y if self.bottom is None else np.append(c * y, 0.0)
+        h = _solve(self.matrix(c), rhs)[:n]
         if self.bottom is None:
             resid = (self.Q @ h) / c + h - y
             if not np.linalg.norm(resid) <= _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(y))):
@@ -431,6 +433,15 @@ class LaplacianSystem:
         object.__setattr__(self, "L", _readonly(lap))
         object.__setattr__(self, "u_vec", _readonly(u))
 
+    def kkt(self, part: Partition, C: float) -> np.ndarray:
+        """The KKT matrix ``[[L + (C/m) I_S, u], [u^T, 0]]`` that ``solve`` factors."""
+        n = self.L.shape[0]
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = self.L
+        kkt[part.train_idx, part.train_idx] += C / part.m
+        kkt[:n, n] = kkt[n, :n] = self.u_vec
+        return kkt
+
     def solve(self, part: Partition, y_S: np.ndarray, C: float,
               center_labels: bool = False) -> HypothesisScores:
         """KKT solve for labels ``y_S`` (full length, zero off S) at trade-off C > 0.
@@ -454,12 +465,8 @@ class LaplacianSystem:
                 raise ZeroConstraintVector("constraint vanishes on the labeled set")
             offset = float(u_s @ y) / denom
             y = y - offset * u_s
-        weight = C / part.m
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = self.L
-        kkt[part.train_idx, part.train_idx] += weight
-        kkt[:n, n] = kkt[n, :n] = u
-        rhs = np.concatenate([weight * y, [0.0]])
+        kkt = self.kkt(part, C)
+        rhs = np.concatenate([(C / part.m) * y, [0.0]])
         sol = _solve(kkt, rhs)
         h = sol[:n]
         resid = np.linalg.norm(kkt[:n] @ sol - rhs[:n])
@@ -508,10 +515,7 @@ def gaussian_kernel(points: np.ndarray, sigma: float) -> np.ndarray:
         points = points[:, None]
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    sq = np.sum(points * points, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    np.maximum(d2, 0.0, out=d2)
-    k = np.exp(-d2 / (2.0 * sigma * sigma))
+    k = np.exp(-sq_distances(points) / (2.0 * sigma * sigma))
     k = 0.5 * (k + k.T)
     np.fill_diagonal(k, 1.0)
     return k
@@ -524,10 +528,7 @@ def _neighbour_weights(xt: np.ndarray, xs: np.ndarray, cfg: LocalEstimatorConfig
     A neighbour lies within Euclidean distance ``radius_r``; its weight is
     Gaussian or inverse-distance as ``cfg`` says, and any other point's is 0.
     """
-    sq_s = np.sum(xs * xs, axis=1)
-    sq_t = np.sum(xt * xt, axis=1)
-    d2 = sq_t[:, None] + sq_s[None, :] - 2.0 * (xt @ xs.T)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = sq_distances(xt, xs)
     member = d2 <= cfg.radius_r * cfg.radius_r
     if cfg.weighting == "gaussian":
         weights = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))

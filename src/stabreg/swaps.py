@@ -201,13 +201,8 @@ def quadratic(system: QuadraticSystem, sample: FullSample, part: Partition, c_S:
     c = np.full(n, float(c_T))
     c[part.train_idx] = c_S
     y = labels_to_full(targets[part.train_idx], part)
-    size = n if system.bottom is None else n + 1
-    a_sys = np.zeros((size, size))
-    a_sys[:n, :n] = system.Q
-    if system.bottom is not None:
-        a_sys[:n, n] = a_sys[n, :n] = system.bottom
-    a_sys[np.arange(n), np.arange(n)] += c
-    rhs = np.zeros(size)
+    a_sys = system.matrix(c)
+    rhs = np.zeros(a_sys.shape[0])
     rhs[:n] = c * y
     inv = _symmetric_inverse(a_sys)
     x_home = inv @ rhs
@@ -253,11 +248,7 @@ def laplacian(system: LaplacianSystem, sample: FullSample, part: Partition, C: f
     mask = np.zeros(n)
     mask[part.train_idx] = 1.0
     y = labels_to_full(targets[part.train_idx], part)
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = system.L
-    kkt[part.train_idx, part.train_idx] += weight
-    kkt[:n, n] = kkt[n, :n] = u
-    inv = _symmetric_inverse(kkt)
+    inv = _symmetric_inverse(system.kkt(part, C))
     l_inv = inv[:, :n] @ system.L  # row i is L times column i of the inverse
     labels_home = inv[:, :n] @ (weight * y)
     direction_home = inv[:, :n] @ (weight * u * mask)

@@ -6,7 +6,8 @@ human-readable acceptance report.  Oracles are independent of the library
 code they check: gradient descent for the closed-form solvers, random
 feasible points for the constrained solver, exhaustive swap enumeration for
 the stability coefficients, and Monte-Carlo tails for the concentration
-bound.
+bound.  Criteria 01-06 and 08 run the checks in ``stabreg.checks`` that
+``stabreg verify`` runs, at the seeds and counts below.
 """
 
 import csv
@@ -16,37 +17,19 @@ import time
 import numpy as np
 
 from stabreg import (
-    ConstrainedProblem,
     FullSample,
-    GraphSpec,
     LocalEstimatorConfig,
     LtrProblem,
-    Partition,
     StabilityInputs,
-    UnconstrainedProblem,
-    belkin_score_stability,
     beta_loc_invdist,
-    build_cm,
-    build_llreg,
-    cm_lower_bound_demo,
-    cm_score_bound,
-    concentration_harness,
+    checks,
     empirical_error,
-    empirical_stability,
-    gaussian_affinity,
     gaussian_kernel,
     generalization_bound,
-    is_connected,
-    laplacian,
-    llreg_score_bound,
     ltr_stability_bound,
-    pseudo_inverse,
     pseudo_targets,
     sample_partition,
-    solve_constrained,
     solve_ltr,
-    solve_unconstrained,
-    spectrum,
     test_error,
 )
 from stabreg.cli import (
@@ -66,262 +49,47 @@ def _report(capsys, num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
-def _random_connected_graph(rng: np.random.Generator, n: int) -> GraphSpec:
-    """Random weighted graph on n vertices, retried until connected."""
-    while True:
-        w = np.where(rng.random((n, n)) < 0.5, rng.uniform(0.2, 2.0, (n, n)), 0.0)
-        w = np.triu(w, 1)
-        w = w + w.T
-        g = GraphSpec(weights=w)
-        if is_connected(g):
-            return g
-
-
-def _random_partition(rng: np.random.Generator, n: int) -> Partition:
-    m = int(rng.integers(1, n))
-    idx = rng.permutation(n)
-    return Partition(train_idx=np.sort(idx[:m]), test_idx=np.sort(idx[m:]))
+def _criterion(capsys, num: int, name: str, limit_s: float, check, *args) -> None:
+    """Run a shared check and report it; it fails when slower than ``limit_s``."""
+    start = time.perf_counter()
+    ok, detail = check(*args)
+    elapsed = time.perf_counter() - start
+    _report(capsys, num, name, ok and elapsed < limit_s, f"{detail}, {elapsed:.1f}s")
 
 
 # --------------------------------------------------------------------------
-# 1. closed-form unconstrained solver vs gradient-descent oracle
+# 1-6. solvers against their oracles, swap stability, the worst-case
+# instance and the concentration tails (stabreg.checks)
 # --------------------------------------------------------------------------
-
-
-def _descent_minimize(Q, Cmat, y, tol=1e-10, max_iter=500_000):
-    """Steepest descent with exact line search on h^T Q h + (h-y)^T C (h-y)."""
-    A = 2.0 * (Q + Cmat)
-    b = 2.0 * (Cmat @ y)
-    h = np.zeros_like(y)
-    for _ in range(max_iter):
-        g = A @ h - b
-        if np.max(np.abs(g)) <= tol:
-            return h
-        Ag = A @ g
-        h = h - (float(g @ g) / float(g @ Ag)) * g
-    raise AssertionError("descent oracle failed to reach stationarity")
 
 
 def test_criterion_01_unconstrained_matches_descent_oracle(capsys):
-    rng = np.random.default_rng(101)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(1, 21))
-        b_mat = rng.normal(size=(n, n))
-        q = b_mat.T @ b_mat / n
-        q = 0.5 * (q + q.T)
-        cmat = np.diag(rng.uniform(0.5, 3.0, n))
-        y = rng.uniform(-1.0, 1.0, n)
-        h = solve_unconstrained(UnconstrainedProblem(Q=q, Cmat=cmat, y=y)).scores
-        h_ref = _descent_minimize(q, cmat, y)
-        worst = max(worst, float(np.max(np.abs(h - h_ref))))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-8 and elapsed < 10.0
-    _report(
-        capsys, 1, "closed form vs descent oracle",
-        ok, f"50 instances, max sup-norm gap {worst:.2e}, {elapsed:.1f}s",
-    )
-
-
-# --------------------------------------------------------------------------
-# 2. constrained solver: feasibility and optimality among feasible points
-# --------------------------------------------------------------------------
+    _criterion(capsys, 1, "closed form vs descent oracle", 10.0,
+               checks.unconstrained_oracle, 101, 50)
 
 
 def test_criterion_02_constrained_beats_random_feasible_points(capsys):
-    rng = np.random.default_rng(202)
-    start = time.perf_counter()
-    worst_feas = 0.0
-    worst_gap = -np.inf  # max over graphs of (our objective - best random)
-    for _ in range(20):
-        n = int(rng.integers(4, 16))
-        g = _random_connected_graph(rng, n)
-        lap = laplacian(g)
-        part = _random_partition(rng, n)
-        y = rng.uniform(-1.0, 1.0, part.m)
-        C = 1.0
-        h = solve_constrained(
-            ConstrainedProblem(L=lap, C_tradeoff=C, part=part, y_S=y)
-        ).scores
-        norm_h = float(np.linalg.norm(h))
-        worst_feas = max(worst_feas, abs(float(h.sum())) / max(norm_h, 1e-300))
-
-        weight = C / part.m
-        y_full = np.zeros(n)
-        y_full[part.train_idx] = y
-
-        def objective(mat):
-            resid = mat[:, part.train_idx] - y_full[part.train_idx]
-            return np.einsum("ij,jk,ik->i", mat, lap, mat) + weight * np.sum(
-                resid * resid, axis=1
-            )
-
-        cand = rng.normal(size=(10_000, n))
-        cand -= cand.mean(axis=1, keepdims=True)  # project onto sum-zero
-        best_random = float(objective(cand).min())
-        ours = float(objective(h[None, :])[0])
-        worst_gap = max(worst_gap, ours - best_random)
-    elapsed = time.perf_counter() - start
-    ok = worst_feas <= 1e-10 and worst_gap <= 1e-12 and elapsed < 30.0
-    _report(
-        capsys, 2, "constrained optimality",
-        ok,
-        f"20 graphs, |h^T u|/||h|| max {worst_feas:.2e}, "
-        f"objective gap vs 1e4 feasible points {worst_gap:.2e}, {elapsed:.1f}s",
-    )
-
-
-# --------------------------------------------------------------------------
-# 3. constrained Laplacian solution == kernel solver with K = L^+
-# --------------------------------------------------------------------------
+    _criterion(capsys, 2, "constrained optimality", 30.0,
+               checks.constrained_optimality, 202, 20)
 
 
 def test_criterion_03_pinv_kernel_equivalence(capsys):
-    rng = np.random.default_rng(303)
-    start = time.perf_counter()
-    worst = 0.0
-    for _ in range(10):
-        n = int(rng.integers(4, 16))
-        g = _random_connected_graph(rng, n)
-        lap = laplacian(g)
-        part = _random_partition(rng, n)
-        y = rng.uniform(-1.0, 1.0, part.m)
-        C = float(rng.uniform(0.5, 4.0))
-        h_con = solve_constrained(
-            ConstrainedProblem(L=lap, C_tradeoff=C, part=part, y_S=y)
-        ).scores
-        k = pseudo_inverse(lap)
-        kappa = math.sqrt(max(float(np.max(np.diagonal(k))), 1e-12))
-        h_ltr = solve_ltr(
-            LtrProblem(
-                K=k, part=part, y=y, y_tilde=np.zeros(0),
-                C=C, C_prime=0.0, kappa=kappa,
-            )
-        ).scores
-        worst = max(worst, float(np.max(np.abs(h_con - h_ltr))))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-6 and elapsed < 10.0
-    _report(
-        capsys, 3, "constrained == L-pseudo-inverse kernel solve",
-        ok, f"10 graphs, max sup-norm gap {worst:.2e}, {elapsed:.1f}s",
-    )
-
-
-# --------------------------------------------------------------------------
-# 4. exhaustive swap stability under the closed-form upper bounds
-# --------------------------------------------------------------------------
+    _criterion(capsys, 3, "constrained == L-pseudo-inverse kernel solve", 10.0,
+               checks.pinv_kernel_equivalence, 303, 10)
 
 
 def test_criterion_04_swap_stability_upper_bounds(capsys):
-    rng = np.random.default_rng(404)
-    start = time.perf_counter()
-    n, m = 28, 14
-    points = rng.normal(size=(n, 2))
-    targets = np.tanh(points[:, 0]) * 0.9
-    M = float(np.max(np.abs(targets)))
-    sample = FullSample(points=points, targets=targets, label_bound_M=M)
-    part = sample_partition(sample, m, seed=7)
-    assert part.m * part.u == 196
-    g = gaussian_affinity(points, sigma=1.0)
-
-    def cm_solver(s, p):
-        return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
-
-    C_l, C_u = 2.0, 1.0
-
-    def llreg_solver(s, p):
-        return solve_unconstrained(
-            build_llreg(g.weights, C_l, C_u, s.targets[p.train_idx], p)
-        )
-
-    C_bel = 1.0
-    lap = laplacian(g)
-
-    def belkin_solver(s, p):
-        return solve_constrained(
-            ConstrainedProblem(
-                L=lap, C_tradeoff=C_bel, part=p, y_S=s.targets[p.train_idx]
-            )
-        )
-
-    rep_cm = empirical_stability(cm_solver, sample, part, B=2.0 * M)
-    rep_ll = empirical_stability(llreg_solver, sample, part, B=2.0 * M)
-    rep_be = empirical_stability(belkin_solver, sample, part, B=2.0 * M)
-    assert rep_cm.mode == rep_ll.mode == rep_be.mode == "exhaustive"
-
-    lam2 = spectrum(lap).lambda2
-    assert m * lam2 / C_bel > 1.0  # the regime where the bound applies
-    b_cm = cm_score_bound(M)
-    b_ll = llreg_score_bound(M, m, min(C_l, C_u), max(C_l, C_u))
-    b_be = belkin_score_stability(M, m, C_bel, lam2)
-    oks = [
-        rep_cm.max_score_delta <= b_cm + 1e-9,
-        rep_ll.max_score_delta <= b_ll + 1e-9,
-        rep_be.max_score_delta <= b_be + 1e-9,
-    ]
-    elapsed = time.perf_counter() - start
-    ok = all(oks) and elapsed < 120.0
-    _report(
-        capsys, 4, "196 exhaustive swaps under the score-stability bounds",
-        ok,
-        f"cm {rep_cm.max_score_delta:.3e}<={b_cm:.3e}, "
-        f"llreg {rep_ll.max_score_delta:.3e}<={b_ll:.3e}, "
-        f"constrained {rep_be.max_score_delta:.3e}<={b_be:.3e}, {elapsed:.1f}s",
-    )
-
-
-# --------------------------------------------------------------------------
-# 5. worst-case instance realizes the predicted score movement
-# --------------------------------------------------------------------------
+    _criterion(capsys, 4, "196 exhaustive swaps under the score-stability bounds", 120.0,
+               checks.swap_stability, 404)
 
 
 def test_criterion_05_lower_bound_instance(capsys):
-    start = time.perf_counter()
-    worst_gap = 0.0
-    min_margin = np.inf
-    for m in (2, 5, 10):
-        for C in (0.5, 1.0, 10.0):
-            demo = cm_lower_bound_demo(m, C)
-            worst_gap = max(
-                worst_gap, abs(demo["measured_delta"] - demo["predicted_a"])
-            )
-            min_margin = min(min_margin, demo["measured_delta"] - demo["floor"])
-    elapsed = time.perf_counter() - start
-    ok = worst_gap <= 1e-9 and min_margin >= -1e-12 and elapsed < 5.0
-    _report(
-        capsys, 5, "lower-bound instance",
-        ok,
-        f"9 (m, C) pairs, |measured - predicted| max {worst_gap:.2e}, "
-        f"margin above C/(2(C+1)) min {min_margin:.2e}, {elapsed:.1f}s",
-    )
-
-
-# --------------------------------------------------------------------------
-# 6. Monte-Carlo tails stay under the concentration bound
-# --------------------------------------------------------------------------
+    _criterion(capsys, 5, "lower-bound instance", 5.0, checks.lower_bound_instance)
 
 
 def test_criterion_06_concentration_tails(capsys):
-    start = time.perf_counter()
-    population = np.repeat([0.0, 1.0], 500)
-    trials = 100_000
-    details = []
-    ok = True
-    for i, eps in enumerate((0.02, 0.05, 0.1)):
-        result = concentration_harness(population, 500, eps, trials, seed=600 + i)
-        sigma_hat = math.sqrt(result.bound * (1.0 - result.bound) / trials)
-        ok = ok and result.empirical_tail <= result.bound + 3.0 * sigma_hat
-        details.append(
-            f"eps={eps}: tail {result.empirical_tail:.4f} "
-            f"<= bound {result.bound:.2e} + {3.0 * sigma_hat:.1e}"
-        )
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 60.0
-    _report(
-        capsys, 6, "binary-population tail bound",
-        ok, "; ".join(details) + f", {elapsed:.1f}s",
-    )
+    _criterion(capsys, 6, "binary-population tail bound", 60.0,
+               checks.concentration_tails, 600, 100_000, 500)
 
 
 # --------------------------------------------------------------------------
@@ -375,39 +143,13 @@ def test_criterion_07_bound_coverage(capsys):
 
 
 # --------------------------------------------------------------------------
-# 8. kernel solver output bound fuzz
+# 8. kernel solver output bound fuzz (stabreg.checks)
 # --------------------------------------------------------------------------
 
 
 def test_criterion_08_output_bound_fuzz(capsys):
-    rng = np.random.default_rng(808)
-    start = time.perf_counter()
-    worst_excess = -np.inf
-    for _ in range(1000):
-        n = int(rng.integers(2, 41))
-        d = int(rng.integers(1, 4))
-        points = rng.normal(size=(n, d))
-        kernel = gaussian_kernel(points, sigma=float(rng.uniform(0.3, 3.0)))
-        part = _random_partition(rng, n)
-        M = float(rng.uniform(0.1, 5.0))
-        C = float(rng.uniform(0.0, 10.0))
-        C_prime = float(rng.uniform(0.0, 10.0)) if rng.random() < 0.7 else 0.0
-        y = rng.uniform(-M, M, part.m)
-        y_tilde = rng.uniform(-M, M, part.u) if C_prime > 0 else np.zeros(0)
-        h = solve_ltr(
-            LtrProblem(
-                K=kernel, part=part, y=y, y_tilde=y_tilde,
-                C=C, C_prime=C_prime, kappa=1.0,
-            )
-        ).scores
-        limit = 1.0 * M * math.sqrt(C + C_prime)
-        worst_excess = max(worst_excess, float(np.max(np.abs(h))) - limit)
-    elapsed = time.perf_counter() - start
-    ok = worst_excess <= 1e-8
-    _report(
-        capsys, 8, "|h| <= kappa M sqrt(C + C') under fuzz",
-        ok, f"1000 random problems, worst excess {worst_excess:.2e}, {elapsed:.1f}s",
-    )
+    _criterion(capsys, 8, "|h| <= kappa M sqrt(C + C') under fuzz", math.inf,
+               checks.ltr_output_bound, 808, 1000)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabreg import _kernels
+from stabreg import _kernels, checks
 from stabreg import (
     InvalidConfidence,
     InvalidPartitionSize,
@@ -174,10 +174,8 @@ def test_harness_is_unbiased_against_enumeration():
 
 
 def test_harness_tail_below_bound_binary_population():
-    population = np.concatenate([np.zeros(100), np.ones(100)])
-    tail, bound = concentration_harness(population, 100, 0.05, 30_000, seed=4)
-    margin = 3 * math.sqrt(bound * (1 - bound) / 30_000)
-    assert tail <= bound + margin
+    ok, detail = checks.concentration_tails(4, 30_000, 100)
+    assert ok, detail
 
 
 def test_harness_bound_formula():

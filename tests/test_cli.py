@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from stabreg import (
+    ConcentrationResult,
     ConstrainedProblem,
     FullSample,
+    HypothesisScores,
     KernelSystem,
     LaplacianSystem,
     LocalEstimatorConfig,
@@ -43,7 +45,7 @@ from stabreg import (
     stabilize,
     test_error,
 )
-from stabreg import cli, swaps
+from stabreg import checks, cli, swaps
 from stabreg import graph as graph_module
 from stabreg.regressors import graph_quadratic
 from stabreg.cli import (
@@ -479,6 +481,34 @@ def test_verify_suite_catches_broken_variance_factor(monkeypatch):
         check["name"] == "alpha-formula" and not check["passed"]
         for check in summary["checks"]
     )
+
+
+def _shifted(solve, by):
+    return lambda problem: HypothesisScores(scores=solve(problem).scores + by)
+
+
+def _loose_tail(harness):
+    def broken(*args, **kwargs):
+        tail, bound = harness(*args, **kwargs)
+        return ConcentrationResult(tail, bound / 10.0)
+    return broken
+
+
+@pytest.mark.parametrize("check, name, breaks", [
+    ("unconstrained-oracle", "solve_unconstrained", lambda f: _shifted(f, 1e-6)),
+    ("constrained-optimality", "solve_constrained", lambda f: _shifted(f, 1e-3)),
+    ("rkhs-equivalence", "pseudo_inverse", lambda f: lambda mat: 1.01 * f(mat)),
+    ("swap-stability-closed-forms", "cm_score_bound", lambda f: lambda M: f(M) / 10.0),
+    ("lower-bound-instance", "cm_lower_bound_demo",
+     lambda f: lambda m, C: {**f(m, C), "measured_delta": 1.01 * f(m, C)["measured_delta"]}),
+    ("concentration-harness", "concentration_harness", _loose_tail),
+    ("ltr-max-value", "solve_ltr", lambda f: _shifted(f, 100.0)),
+])
+def test_verify_suite_catches_a_broken_library_function(monkeypatch, check, name, breaks):
+    monkeypatch.setattr(checks, name, breaks(getattr(checks, name)))
+    summary = verify_suite("fast", seed=0)
+    assert not summary["passed"]
+    assert not {c["name"]: c["passed"] for c in summary["checks"]}[check]
 
 
 def test_verify_suite_rejects_unknown_level():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stabreg import (
     GraphDisconnected,
     GraphSpec,
+    NonFiniteMatrix,
     NotSymmetric,
     ParseError,
     ZeroDegreeVertex,
@@ -54,6 +55,13 @@ def test_graph_spec_rejects_asymmetry():
     w = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(NotSymmetric):
         GraphSpec(weights=w)
+
+
+@pytest.mark.parametrize("weight", [np.inf, np.nan])
+def test_graph_spec_rejects_non_finite_weights(weight):
+    # a NaN used to fail the symmetry test instead, and an infinity passed
+    with pytest.raises(NonFiniteMatrix):
+        GraphSpec(weights=np.array([[0.0, weight], [weight, 0.0]]))
 
 
 def test_graph_spec_rejects_negative_weights():
