@@ -87,7 +87,7 @@ def alpha_formula() -> tuple[bool, str]:
     return worst <= 1e-12, f"max deviation {worst:.3e}"
 
 
-def partition_uniformity(seed: int, draws: int, tol: float) -> tuple[bool, str]:
+def partition_uniformity(seed: int, draws: int) -> tuple[bool, str]:
     """The labeled point of a 1-of-4 partition is uniform: frequencies and chi-square."""
     sample = FullSample(points=np.arange(4.0)[:, None], targets=np.zeros(4), label_bound_M=1.0)
     counts = np.zeros(4)
@@ -95,8 +95,8 @@ def partition_uniformity(seed: int, draws: int, tol: float) -> tuple[bool, str]:
         counts[sample_partition(sample, 1, seed * 1_000_003 + t).train_idx[0]] += 1
     freq_dev = float(np.max(np.abs(counts / draws - 0.25)))
     chi2 = float(np.sum((counts - draws / 4) ** 2 / (draws / 4)))
-    return (freq_dev <= tol and chi2 < 16.27,  # chi-square(3) at p=0.001
-            f"max |freq-1/4| {freq_dev:.4f}, chi2 {chi2:.2f} over {draws} draws")
+    # chi-square(3) at p=0.001; passing it also bounds each |freq - 1/4| by sqrt(4.07 / draws)
+    return chi2 < 16.27, f"max |freq-1/4| {freq_dev:.4f}, chi2 {chi2:.2f} over {draws} draws"
 
 
 def error_identity(seed: int, count: int) -> tuple[bool, str]:
@@ -147,21 +147,21 @@ def unconstrained_oracle(seed: int, count: int) -> tuple[bool, str]:
     return worst <= 1e-8, f"{count} instances, max sup-norm gap {worst:.2e}"
 
 
-def constrained_optimality(seed: int, count: int) -> tuple[bool, str]:
-    """Criterion 02: the constrained solve is feasible and beats 10,000 random feasible points."""
+def constrained_optimality(seed: int, count: int, C: float = 1.0) -> tuple[bool, str]:
+    """Criterion 02: the constrained solve at C is feasible and beats 10,000 feasible points."""
     rng = np.random.default_rng(seed)
     worst_feas = 0.0
     worst_gap = -math.inf  # max over graphs of (our objective - best random)
     for _ in range(count):
         lap, part, y = _random_laplacian_problem(rng)
-        h = solve_constrained(ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part, y_S=y)).scores
+        h = solve_constrained(ConstrainedProblem(L=lap, C_tradeoff=C, part=part, y_S=y)).scores
         worst_feas = max(worst_feas, abs(float(h.sum())) / max(float(np.linalg.norm(h)), 1e-300))
         cand = rng.normal(size=(10_000, part.n))
         cand -= cand.mean(axis=1, keepdims=True)  # project onto sum-zero
         pts = np.vstack([h, cand])  # row 0 is the solver's
         resid = pts[:, part.train_idx] - y
         obj = (np.einsum("ij,jk,ik->i", pts, lap, pts)
-               + (1.0 / part.m) * np.sum(resid * resid, axis=1))
+               + (C / part.m) * np.sum(resid * resid, axis=1))
         worst_gap = max(worst_gap, float(obj[0]) - float(obj[1:].min()))
     return (worst_feas <= 1e-10 and worst_gap <= 1e-12,
             f"{count} graphs, |h^T u|/||h|| max {worst_feas:.2e}, "
@@ -188,22 +188,25 @@ def swap_stability(seed: int) -> tuple[bool, str]:
     """Criterion 04: all swaps of an n=28 partition keep cm, llreg, constrained in bound."""
     rng = np.random.default_rng(seed)
     n, m = 28, 14
-    points = rng.normal(size=(n, 2))
+    for _ in range(100):  # redrawn until m lambda2 / C > 1 (C = 1), the constrained bound's regime
+        points = rng.normal(size=(n, 2))
+        g = gaussian_affinity(points, sigma=1.0)
+        lap = laplacian(g)
+        lam2 = spectrum(lap).lambda2
+        if m * lam2 > 1.0:
+            break
+    else:
+        return False, f"100 draws of {n} points, none with m lambda2 / C > 1"
     targets = np.tanh(points[:, 0]) * 0.9
     M = float(np.max(np.abs(targets)))
     sample = FullSample(points=points, targets=targets, label_bound_M=M)
     part = sample_partition(sample, m, seed=7)
-    g = gaussian_affinity(points, sigma=1.0)
-    lap = laplacian(g)
-    lam2 = spectrum(lap).lambda2
-    # the constrained bound holds for m lambda2 / C > 1 (C = 1 here); outside, none does
-    bound_be = belkin_score_stability(M, m, 1.0, lam2) if m * lam2 > 1.0 else math.inf
     cases = (  # llreg at C_l = 2, C_u = 1
         ("cm", cm_score_bound(M),
          lambda s, p: solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))),
         ("llreg", llreg_score_bound(M, m, 1.0, 2.0), lambda s, p: solve_unconstrained(
             build_llreg(g.weights, 2.0, 1.0, s.targets[p.train_idx], p))),
-        ("constrained", bound_be, lambda s, p: solve_constrained(
+        ("constrained", belkin_score_stability(M, m, 1.0, lam2), lambda s, p: solve_constrained(
             ConstrainedProblem(L=lap, C_tradeoff=1.0, part=p, y_S=s.targets[p.train_idx]))),
     )
     ok = True
@@ -249,17 +252,20 @@ def ltr_output_bound(seed: int, count: int) -> tuple[bool, str]:
     """Criterion 08: kernel least-squares scores stay within ``kappa M sqrt(C + C')``."""
     rng = np.random.default_rng(seed)
     worst_excess = -math.inf
-    for _ in range(count):
+    for i in range(count + count // 10 + 1):  # the last count // 10 + 1 scale K by kappa^2 > 1
         n = int(rng.integers(2, 41))
         points = rng.normal(size=(n, int(rng.integers(1, 4))))
         kernel = gaussian_kernel(points, sigma=float(rng.uniform(0.3, 3.0)))
+        kappa = 1.0 if i < count else math.sqrt(float(rng.uniform(1.0, 10.0)))
         part = _random_partition(rng, n)
         M = float(rng.uniform(0.1, 5.0))
         C = float(rng.uniform(0.0, 10.0))
         C_prime = float(rng.uniform(0.0, 10.0)) if rng.random() < 0.7 else 0.0
         y = rng.uniform(-M, M, part.m)
         y_tilde = rng.uniform(-M, M, part.u) if C_prime > 0 else np.zeros(0)
-        h = solve_ltr(LtrProblem(K=kernel, part=part, y=y, y_tilde=y_tilde,
-                                 C=C, C_prime=C_prime, kappa=1.0)).scores
-        worst_excess = max(worst_excess, float(np.max(np.abs(h))) - M * math.sqrt(C + C_prime))
-    return worst_excess <= 1e-8, f"{count} random problems, worst excess {worst_excess:.2e}"
+        h = solve_ltr(LtrProblem(K=kappa * kappa * kernel, part=part, y=y, y_tilde=y_tilde,
+                                 C=C, C_prime=C_prime, kappa=kappa)).scores
+        bound = kappa * M * math.sqrt(C + C_prime)
+        worst_excess = max(worst_excess, float(np.max(np.abs(h))) - bound)
+    return (worst_excess <= 1e-8, f"{count} random problems and {count // 10 + 1} with "
+            f"kappa > 1, worst excess {worst_excess:.2e}")

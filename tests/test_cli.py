@@ -3,7 +3,7 @@
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +494,10 @@ def _loose_tail(harness):
     return broken
 
 
+def _scaled_lambda2(by):
+    return lambda spectrum: lambda mat: replace(spectrum(mat), lambda2=by * spectrum(mat).lambda2)
+
+
 @pytest.mark.parametrize("check, name, breaks", [
     ("unconstrained-oracle", "solve_unconstrained", lambda f: _shifted(f, 1e-6)),
     ("constrained-optimality", "solve_constrained", lambda f: _shifted(f, 1e-3)),
@@ -503,6 +507,12 @@ def _loose_tail(harness):
      lambda f: lambda m, C: {**f(m, C), "measured_delta": 1.01 * f(m, C)["measured_delta"]}),
     ("concentration-harness", "concentration_harness", _loose_tail),
     ("ltr-max-value", "solve_ltr", lambda f: _shifted(f, 100.0)),
+    # a lambda2 too large shrinks the constrained bound below the measured swaps; one too
+    # small leaves every draw outside the bound's regime m lambda2 / C > 1
+    pytest.param("swap-stability-closed-forms", "spectrum", _scaled_lambda2(100.0),
+                 id="swap-stability-closed-forms-lambda2-too-large"),
+    pytest.param("swap-stability-closed-forms", "spectrum", _scaled_lambda2(1e-3),
+                 id="swap-stability-closed-forms-lambda2-too-small"),
 ])
 def test_verify_suite_catches_a_broken_library_function(monkeypatch, check, name, breaks):
     monkeypatch.setattr(checks, name, breaks(getattr(checks, name)))

@@ -250,7 +250,7 @@ def test_constrained_satisfies_constraint_and_stationarity():
 
 
 def test_constrained_beats_random_feasible_points():
-    ok, detail = checks.constrained_optimality(7, 5)
+    ok, detail = checks.constrained_optimality(7, 5, C=2.0)
     assert ok, detail
 
 
