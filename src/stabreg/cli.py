@@ -69,7 +69,6 @@ from .graph import (
 )
 from .regressors import (
     KernelSystem,
-    LaplacianSystem,
     LocalEstimatorConfig,
     QuadraticSystem,
     gaussian_kernel,
@@ -404,6 +403,26 @@ def _ltr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     return replace(fit, h=h, run_fields={"r_star": r_star, "per_r": per_r})
 
 
+def _quadratic_fit(system: QuadraticSystem, sample: FullSample, part: Partition, c_S: float,
+                   c_T: float, center_labels: bool = False) -> tuple[Callable, Callable]:
+    """``solve`` and ``swap_engine`` of ``system`` weighting S by c_S and T by c_T.
+
+    Both label S with the sample's targets; the engine is built on ``part``.
+    """
+
+    def solve(s: FullSample, p: Partition) -> HypothesisScores:
+        c = np.full(p.n, c_T)
+        c[p.train_idx] = c_S
+        return system.solve(c, labels_to_full(s.targets[p.train_idx], p), center_labels)
+
+    def swap_engine():
+        from . import swaps
+
+        return swaps.quadratic(system, sample, part, c_S, c_T, center_labels)
+
+    return solve, swap_engine
+
+
 def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
                    sigma: float, graph: GraphSpec) -> Fit:
     """cm, llreg, gmf and their stabilized variants.
@@ -428,7 +447,7 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         raise NonFiniteMatrix(f"trade-off weights must be finite (got {c_S}, {c_T})")
     q, null = graph_quadratic(family, graph)
 
-    bottom = None
+    constraint = None
     c_min, c_max = sorted((c_S, c_T))
     if algo == "cm" or (algo == "gmf" and c_min == c_max):
         # gmf's Q is a Laplacian (lambda_min = 0) and with one weight C^{-1}
@@ -442,7 +461,7 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         if algo != family:
             # the solve lives on the complement of Q's bottom eigenvector,
             # where Q's smallest eigenvalue is lambda2
-            bottom = null
+            constraint = null
             q_spec = replace(q_spec, lambda_min=q_spec.lambda2)
         # diag(c): m entries c_S and u entries c_T
         lo_count = m if c_S <= c_T else part.u
@@ -454,18 +473,7 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
             math.sqrt(m) * M,
             math.sqrt(2.0) * (1.0 / c_min - 1.0 / c_max),
         )
-    system = QuadraticSystem(q, bottom)
-
-    def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        c = np.full(p.n, c_T)
-        c[p.train_idx] = c_S
-        return system.solve(c, labels_to_full(s.targets[p.train_idx], p))
-
-    def swap_engine():
-        from . import swaps
-
-        return swaps.quadratic(system, sample, part, c_S, c_T)
-
+    solve, swap_engine = _quadratic_fit(QuadraticSystem(q, constraint), sample, part, c_S, c_T)
     stability_fields = {"score_bound": score_beta}
     if family == "llreg":
         stability_fields["score_bound_spectral"] = llreg_score_bound_spectral(
@@ -509,18 +517,10 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     if not float(cfg.C) > 0:  # before a bound divides by C
         raise ValueError("C_tradeoff must be positive")
     rho = graph.hop_diameter  # a disconnected graph fails here, before the null-space check
-    system = LaplacianSystem(graph.L, np.ones(graph.n), graph.L_eigenvalues)
-
-    def solve(s: FullSample, p: Partition) -> HypothesisScores:
-        y = labels_to_full(s.targets[p.train_idx], p)
-        return system.solve(p, y, cfg.C, center_labels=True)
-
-    def swap_engine():
-        from . import swaps
-
-        return swaps.laplacian(system, sample, part, cfg.C, center_labels=True)
-
-    lam2 = system.eigenvalues.lambda2
+    system = QuadraticSystem(graph.L, np.ones(graph.n))
+    system.check_null_space(graph.L_eigenvalues)
+    solve, swap_engine = _quadratic_fit(system, sample, part, cfg.C / m, 0.0, center_labels=True)
+    lam2 = graph.L_eigenvalues.lambda2
     s_root = math.sqrt(min(1.0 / lam2, float(rho)) * cfg.C)
     b_resid = M * (2.0 + s_root)
     shift = 2.0 * M / m * (1.0 + s_root)

@@ -182,10 +182,8 @@ def sample_partition(sample: FullSample, m: int, seed: int) -> Partition:
     m = int(m)
     if not 1 <= m <= n - 1:
         raise InvalidPartitionSize(f"m={m} outside [1, {n - 1}]")
-    keys = _kernels.partition_keys(seed, n)
-    chosen = np.sort(np.argpartition(keys, m - 1)[:m])
-    rest = np.setdiff1d(np.arange(n, dtype=np.int64), chosen, assume_unique=True)
-    return Partition(train_idx=chosen, test_idx=rest, seed=seed)
+    order = np.argpartition(_kernels.partition_keys(seed, n), m - 1)
+    return Partition(train_idx=order[:m], test_idx=order[m:], seed=seed)  # Partition sorts
 
 
 def _check_length(h: np.ndarray, sample: FullSample) -> None:

@@ -1,21 +1,20 @@
 """Transductive regression solvers.
 
-Three families share one quadratic template.  Each family's system matrix
-comes from the kernel or graph alone, and a partition changes only the labels
-and diagonal weights, so each family has one prepared system, checked once
-and then solved for any partition:
+Two families of prepared systems.  Each system's matrix comes from the
+kernel or graph alone, and a partition changes only the labels and diagonal
+weights, so each system is checked once and then solved for any partition:
 
-* ``QuadraticSystem(Q)``: unconstrained graph regularizers minimizing
-  ``h^T Q h + (h - y)^T C (h - y)`` for a positive diagonal C, with closed
-  form ``h = (C^{-1} Q + I)^{-1} y`` — consistency-method (CM) smoothing with
+* ``QuadraticSystem(Q, constraint=None)``: graph regularizers minimizing
+  ``h^T Q h + (h - y)^T diag(c) (h - y)``, optionally subject to
+  ``u^T h = 0``, which borders the system into the KKT matrix
+  ``[[Q + diag c, u], [u^T, 0]]``.  Unconstrained, with c > 0 and closed
+  form ``h = (C^{-1} Q + I)^{-1} y``: consistency-method (CM) smoothing with
   the normalized Laplacian, local-linear regularization (LL-Reg) with
   ``Q = (I - A)^T (I - A)`` for a row-stochastic A, and Gaussian-field style
-  smoothing (GMF) with the combinatorial Laplacian.  Given Q's bottom
-  eigenvector it solves on that vector's complement (the stabilized variants).
-* ``LaplacianSystem(L, u)``: a norm-constrained Laplacian regularizer
-  minimizing ``h^T L h + (C/m) ||(h - y)_S||^2`` subject to ``u^T h = 0``,
-  solved through the augmented KKT system.  A constant u must pin L's null
-  space; that check keeps L's eigenvalues.
+  smoothing (GMF) with the combinatorial Laplacian.  Constrained: their
+  stabilized variants, with u Q's bottom eigenvector, and the
+  norm-constrained Laplacian regularizer ``h^T L h + (C/m) ||(h - y)_S||^2``,
+  with weight 0 on T; a constant u must pin L's null space.
 * ``KernelSystem(K)``: kernel least squares over a symmetric PSD Gram
   matrix: labeled squared loss weighted by C/m plus unlabeled squared loss
   against local pseudo-targets weighted by C'/u (LTR), for one pseudo-target
@@ -65,7 +64,6 @@ __all__ = [
     "LocalEstimatorConfig",
     "KernelSystem",
     "QuadraticSystem",
-    "LaplacianSystem",
     "build_cm",
     "build_llreg",
     "build_gmf",
@@ -84,6 +82,7 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-10
+_KKT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -340,43 +339,109 @@ def _solve(a_sys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticSystem:
-    """The unconstrained family's matrix Q, checked symmetric once.
+    """A symmetric matrix Q and an optional constraint direction u, checked once.
 
-    ``bottom`` is Q's bottom eigenvector for the stabilized variants, else None.
+    ``constraint`` is Q's bottom eigenvector for the stabilized variants and
+    the direction u of the constrained Laplacian, else None.
+
+    Raises:
+        ZeroConstraintVector: u has (near-)zero norm.
     """
 
     Q: np.ndarray
-    bottom: np.ndarray | None = None
+    constraint: np.ndarray | None = None
 
     def __post_init__(self):
         q = _check_symmetric(self.Q)
         object.__setattr__(self, "Q", _readonly(q))
-        if self.bottom is not None:
-            object.__setattr__(self, "bottom", _readonly(np.asarray(self.bottom, np.float64)))
+        if self.constraint is not None:
+            u = np.asarray(self.constraint, dtype=np.float64).ravel()
+            if u.size != q.shape[0]:
+                raise ValueError("the constraint must have one entry per row of Q")
+            if float(u @ u) <= 1e-24:
+                raise ZeroConstraintVector("constraint vector has (near-)zero norm")
+            object.__setattr__(self, "constraint", _readonly(u))
+
+    def check_null_space(self, eigenvalues: SpectrumSummary | None = None) -> None:
+        """Raise ConstraintSpansNullSpace when a constant constraint cannot pin Q's null space.
+
+        For a Laplacian Q, a constant u with zero weights on T fixes the
+        solution only on a connected graph, where Q's null space is
+        one-dimensional (lambda2 > 0).  ``eigenvalues`` are Q's, computed
+        here when not given.  Any other constraint passes.
+        """
+        u = self.constraint
+        if u is not None and np.allclose(u, np.full(u.size, u[0]), rtol=1e-12, atol=0.0):
+            eig = eigenvalues or spectrum(self.Q, eigenvector=False)
+            if eig.lambda2 <= 1e-9 * max(abs(eig.lambda_max), 1.0):
+                raise ConstraintSpansNullSpace(
+                    "all-ones constraint cannot pin the null space of a disconnected Laplacian"
+                )
 
     def matrix(self, c: np.ndarray) -> np.ndarray:
-        """``Q + diag(c)``, bordered by ``bottom`` when it is set: the matrix ``solve`` factors."""
+        """``Q + diag(c)``, bordered by the constraint when it has one: what ``solve`` factors."""
         n = self.Q.shape[0]
-        a_sys = np.zeros((n, n) if self.bottom is None else (n + 1, n + 1))
+        a_sys = np.zeros((n, n) if self.constraint is None else (n + 1, n + 1))
         a_sys[:n, :n] = self.Q
-        if self.bottom is not None:
-            a_sys[:n, n] = a_sys[n, :n] = self.bottom
+        if self.constraint is not None:
+            a_sys[:n, n] = a_sys[n, :n] = self.constraint
         a_sys[np.arange(n), np.arange(n)] += c
         return a_sys
 
-    def solve(self, c: np.ndarray, y: np.ndarray) -> HypothesisScores:
-        """Solve ``(Q + diag(c)) h = c y`` for weights c > 0.
+    def residual_test(self, c, y, h, qh, multiplier) -> tuple[np.ndarray, str]:
+        """Where ``solve``'s residual test fails, and the message it raises.
 
-        With ``bottom`` set, the KKT system bordered by it is solved instead.
-        Without, a residual above 1e-10 relative, or NaN, raises SingularSystem.
+        ``h`` is one solution or one per row, for weights ``c`` and labels
+        ``y`` (shaped alike), ``qh`` is ``Q h`` and ``multiplier`` the KKT
+        multiplier (unused without a constraint).  Without a constraint the
+        residual ``Q h / c + h - y`` must stay within 1e-10 of
+        ``max(1, ||y||)``; with constraint u, both the stationarity residual
+        ``Q h + c (h - y) + multiplier u`` and ``u . h`` within 1e-8 of
+        ``max(1, ||c y||)``.  NaN fails.
+        """
+        u = self.constraint
+        if u is None:
+            resid = np.linalg.norm(qh / c + h - y, axis=-1)
+            ok = resid <= _RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(y, axis=-1))
+            return ~ok, "solution residual exceeds tolerance"
+        rhs = c * y
+        resid = np.linalg.norm(qh + c * h + multiplier * u - rhs, axis=-1)
+        scale = np.maximum(1.0, np.linalg.norm(rhs, axis=-1))
+        ok = (resid <= _KKT_TOL * scale) & (np.abs(h @ u) <= _KKT_TOL * scale)
+        return ~ok, "KKT residual exceeds tolerance"
+
+    def solve(self, c: np.ndarray, y: np.ndarray, center_labels: bool = False
+              ) -> HypothesisScores:
+        """Minimize ``h^T Q h + (h - y)^T diag(c) (h - y)`` for weights c.
+
+        Without a constraint, c > 0 and ``(Q + diag(c)) h = c y`` is solved.
+        With constraint u, c >= 0 and h is also held to ``u^T h = 0``: the
+        KKT system bordered by u gives ``Q h + diag(c) (h - y) + beta u = 0``
+        for a multiplier beta.  ``center_labels`` removes the labels'
+        component along u on the labeled points (c > 0) before solving and
+        adds it back onto the scores.  A failed ``residual_test`` raises
+        SingularSystem.
         """
         n = self.Q.shape[0]
-        rhs = c * y if self.bottom is None else np.append(c * y, 0.0)
-        h = _solve(self.matrix(c), rhs)[:n]
-        if self.bottom is None:
-            resid = (self.Q @ h) / c + h - y
-            if not np.linalg.norm(resid) <= _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(y))):
-                raise SingularSystem("solution residual exceeds tolerance")
+        u = self.constraint
+        offset = 0.0
+        if center_labels:
+            if u is None:
+                raise ValueError("center_labels needs a constraint")
+            u_s = u * (c > 0)
+            denom = float(u_s @ u_s)
+            if denom <= 1e-24:
+                raise ZeroConstraintVector("constraint vanishes on the labeled set")
+            offset = float(u_s @ y) / denom
+            y = y - offset * u_s
+        rhs = c * y if u is None else np.append(c * y, 0.0)
+        sol = _solve(self.matrix(c), rhs)
+        h = sol[:n]
+        failed, message = self.residual_test(c, y, h, self.Q @ h, sol[n:])
+        if failed:
+            raise SingularSystem(message)
+        if center_labels:
+            h = h + offset * u
         return HypothesisScores(scores=h)
 
 
@@ -398,89 +463,17 @@ def stabilize(p: UnconstrainedProblem) -> HypothesisScores:
     return QuadraticSystem(p.Q, bottom).solve(np.diagonal(p.Cmat), p.y)
 
 
-@dataclass(frozen=True)
-class LaplacianSystem:
-    """A Laplacian L and constraint direction u, checked once.
-
-    For a constant u, ``eigenvalues`` keeps L's spectrum: the one given, when
-    the caller already holds it (``GraphSpec.L_eigenvalues``), else computed
-    here.  For any other u it stays as given, None by default.
-
-    Raises:
-        ZeroConstraintVector: u has (near-)zero norm.
-        ConstraintSpansNullSpace: constant u on a Laplacian with a
-            multi-dimensional null space (a disconnected graph).
-    """
-
-    L: np.ndarray
-    u_vec: np.ndarray
-    eigenvalues: SpectrumSummary | None = None
-
-    def __post_init__(self):
-        lap = _check_symmetric(self.L)
-        u = np.asarray(self.u_vec, dtype=np.float64).ravel()
-        if u.size != lap.shape[0]:
-            raise ValueError("u_vec must have one entry per row of L")
-        if float(u @ u) <= 1e-24:
-            raise ZeroConstraintVector("constraint vector has (near-)zero norm")
-        if np.allclose(u, np.full(u.size, u[0]), rtol=1e-12, atol=0.0):
-            eig = self.eigenvalues or spectrum(lap, eigenvector=False)
-            if eig.lambda2 <= 1e-9 * max(abs(eig.lambda_max), 1.0):
-                raise ConstraintSpansNullSpace(
-                    "all-ones constraint cannot pin the null space of a disconnected Laplacian"
-                )
-            object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "L", _readonly(lap))
-        object.__setattr__(self, "u_vec", _readonly(u))
-
-    def kkt(self, part: Partition, C: float) -> np.ndarray:
-        """The KKT matrix ``[[L + (C/m) I_S, u], [u^T, 0]]`` that ``solve`` factors."""
-        n = self.L.shape[0]
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = self.L
-        kkt[part.train_idx, part.train_idx] += C / part.m
-        kkt[:n, n] = kkt[n, :n] = self.u_vec
-        return kkt
-
-    def solve(self, part: Partition, y_S: np.ndarray, C: float,
-              center_labels: bool = False) -> HypothesisScores:
-        """KKT solve for labels ``y_S`` (full length, zero off S) at trade-off C > 0.
-
-        Stationarity: ``L h + (C/m) I_S (h - y_S) + beta * u = 0`` with
-        multiplier beta, plus feasibility ``u^T h = 0``.  ``center_labels``
-        removes the labels' component along u before solving and adds it back
-        onto the scores.  A KKT residual above 1e-8 relative, or NaN, raises
-        SingularSystem.
-        """
-        n = self.L.shape[0]
-        u = self.u_vec
-        y = y_S
-        offset = 0.0
-        if center_labels:
-            mask = np.zeros(n)
-            mask[part.train_idx] = 1.0
-            u_s = u * mask
-            denom = float(u_s @ u_s)
-            if denom <= 1e-24:
-                raise ZeroConstraintVector("constraint vanishes on the labeled set")
-            offset = float(u_s @ y) / denom
-            y = y - offset * u_s
-        kkt = self.kkt(part, C)
-        rhs = np.concatenate([(C / part.m) * y, [0.0]])
-        sol = _solve(kkt, rhs)
-        h = sol[:n]
-        resid = np.linalg.norm(kkt[:n] @ sol - rhs[:n])
-        scale = max(1.0, float(np.linalg.norm(rhs)))
-        if not (resid <= 1e-8 * scale and abs(float(u @ h)) <= 1e-8 * scale):
-            raise SingularSystem("KKT residual exceeds tolerance")
-        if center_labels:
-            h = h + offset * u
-        return HypothesisScores(scores=h)
-
-
 def solve_constrained(p: ConstrainedProblem) -> HypothesisScores:
-    """KKT solve of the constrained Laplacian problem; raises as ``LaplacianSystem``."""
-    return LaplacianSystem(p.L, p.u_vec).solve(p.part, p.y_S, p.C_tradeoff, p.center_labels)
+    """KKT solve of the constrained Laplacian problem: weight C/m on S, 0 on T.
+
+    Raises ConstraintSpansNullSpace for a constant u on a disconnected
+    graph, else as ``QuadraticSystem.solve``.
+    """
+    system = QuadraticSystem(p.L, p.u_vec)
+    system.check_null_space()
+    c = np.zeros(p.n)
+    c[p.part.train_idx] = p.C_tradeoff / p.part.m
+    return system.solve(c, p.y_S, p.center_labels)
 
 
 def laplacian_kernel_check(L: np.ndarray, h) -> bool:

@@ -7,11 +7,10 @@ is factored once and each swapped solution is a rank-2 (Woodbury) update of
 its inverse (Hager, "Updating the inverse of a matrix", SIAM Review 31,
 1989), with a closed-form 2x2 capacitance solve per swap:
 
-* ``quadratic``: ``(Q + diag c)^{-1}``, bordered by Q's bottom eigenvector
-  for the stabilized variants; a swap moves c at i and j;
-* ``laplacian``: the inverse of the KKT matrix; the weight C/m leaves i and
-  lands on j, and the centered labels' offset is a rank-1 change of the
-  right-hand side;
+* ``quadratic``: ``(Q + diag c)^{-1}``, bordered by the system's
+  constraint when it has one (the stabilized variants and the constrained
+  Laplacian); a swap moves c at i and j, and centered labels' offset is a
+  rank-1 change of the right-hand side;
 * ``kernel``: ``F = K - K_k (K_kk + Lambda_k^{-1})^{-1} K_k^T`` with the
   scores ``F Lambda z``; a swap moves Lambda at i and j, and the
   pseudo-targets come from per-point sums updated per swap.
@@ -34,14 +33,13 @@ from . import regressors
 from .errors import PseudoTargetUnavailable, SingularSystem, ZeroConstraintVector
 from .regressors import (
     KernelSystem,
-    LaplacianSystem,
     LocalEstimatorConfig,
     QuadraticSystem,
     _solve,
     labels_to_full,
 )
 
-__all__ = ["quadratic", "laplacian", "kernel"]
+__all__ = ["quadratic", "kernel"]
 
 # a swap's 2x2 capacitance counts as singular when its determinant keeps
 # fewer than ~4 of the 16 digits its two products carry
@@ -49,20 +47,6 @@ _CAPACITANCE_TOL = 1e-12
 # a pseudo-target sum updated by subtraction is recomputed directly when the
 # removed term carried more than 999/1000 of it (cancellation)
 _CANCELLATION = 1e-3
-
-
-def _symmetric_inverse(a_sys: np.ndarray) -> np.ndarray:
-    """The inverse of the symmetric ``a_sys`` by one LU solve, symmetrized.
-
-    Symmetric, its row i is its column i.  Singular or non-finite raises
-    SingularSystem.
-    """
-    inv = _solve(a_sys, np.eye(a_sys.shape[0]))
-    if not np.isfinite(inv).all():
-        raise SingularSystem("the home system has no finite inverse")
-    inv += inv.T
-    inv *= 0.5
-    return inv
 
 
 def _swapped_rows(home: np.ndarray, i: np.ndarray, j: np.ndarray, at_i, at_j) -> np.ndarray:
@@ -185,107 +169,76 @@ def _pseudo_target_swaps(sample: FullSample, part: Partition, cfg: LocalEstimato
 
 
 def quadratic(system: QuadraticSystem, sample: FullSample, part: Partition, c_S: float,
-              c_T: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+              c_T: float, center_labels: bool = False,
+              ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Swapped scores from one inverse of the home system.
 
     The home problem weights S by ``c_S`` and T by ``c_T`` and labels S
-    with the sample's targets, as ``system.solve`` would be called on
-    ``part``.  The returned ``evaluate(removed, added)`` gives the scores
-    ``system.solve`` returns on each swapped partition: a swap moves two
-    weights and two labels.  Each row gets ``solve``'s residual test (Q h
-    from the rows of the inverse times Q); a singular 2x2 capacitance or a
-    non-finite row raises SingularSystem.
+    with the sample's targets, as ``system.solve(c, y, center_labels)``
+    would be called on ``part``.  The returned ``evaluate(removed, added)``
+    gives the scores ``system.solve`` returns on each swapped partition: a
+    swap moves two weights and two labels, and with ``center_labels`` the
+    labels' offset along the constraint, a rank-1 change of the right-hand
+    side.  Each row gets ``solve``'s checks (Q h from the rows of the inverse
+    times Q): ZeroConstraintVector when the constraint vanishes on the
+    swapped S, ``residual_test``, and SingularSystem for a singular 2x2
+    capacitance or non-finite scores.  The home solution gets the residual
+    test first, so a home system without a finite inverse raises as
+    ``solve`` does.
     """
     n = system.Q.shape[0]
+    u = system.constraint
     targets = sample.targets
     c = np.full(n, float(c_T))
     c[part.train_idx] = c_S
-    y = labels_to_full(targets[part.train_idx], part)
-    a_sys = system.matrix(c)
-    rhs = np.zeros(a_sys.shape[0])
-    rhs[:n] = c * y
-    inv = _symmetric_inverse(a_sys)
-    x_home = inv @ rhs
-    if system.bottom is None:
-        q_inv = inv @ system.Q  # row i is Q times column i of the inverse
-        q_home = system.Q @ x_home
-
-    def evaluate(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        t_i, t_j = targets[i], targets[j]
-        a_i, a_j, singular = _rank2(inv, x_home[i], x_home[j], -c_S * t_i, c_S * t_j,
-                                    i, j, c_T - c_S, c_S - c_T)
-        h = _combine(x_home, a_i, inv[i], a_j, inv[j])[:, :n]
-        checks = [(singular, _singular)]
-        if system.bottom is None:
-            qh = _combine(q_home, a_i, q_inv[i], a_j, q_inv[j])
-            ys = _swapped_rows(y, i, j, 0.0, t_j)
-            resid = np.linalg.norm(qh / _swapped_rows(c, i, j, c_T, c_S) + h - ys, axis=1)
-            ok = resid <= regressors._RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(ys, axis=1))
-            checks.append((~ok, lambda k: SingularSystem("solution residual exceeds tolerance")))
-        _raise_first([*checks, _not_finite(h)])
-        return h
-
-    return evaluate
-
-
-def laplacian(system: LaplacianSystem, sample: FullSample, part: Partition, C: float,
-              center_labels: bool = False) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Swapped scores from one inverse of the home KKT matrix.
-
-    ``evaluate(removed, added)`` gives the scores ``system.solve`` returns on
-    each swapped partition with the sample's targets on S.  A swap moves two
-    diagonal entries (the weight C/m leaves i and lands on j) and two
-    labels; with ``center_labels`` the labels' offset along u changes too, a
-    rank-1 change of the right-hand side.  Each row gets ``solve``'s checks
-    (L h from the rows of the inverse times L): ZeroConstraintVector, the
-    1e-8 KKT residual and ``u.h`` tests, and SingularSystem for a singular
-    2x2 capacitance or non-finite scores.
-    """
-    n = system.L.shape[0]
-    u = system.u_vec
-    targets = sample.targets
-    weight = C / part.m
     mask = np.zeros(n)
     mask[part.train_idx] = 1.0
     y = labels_to_full(targets[part.train_idx], part)
-    inv = _symmetric_inverse(system.kkt(part, C))
-    l_inv = inv[:, :n] @ system.L  # row i is L times column i of the inverse
-    labels_home = inv[:, :n] @ (weight * y)
-    direction_home = inv[:, :n] @ (weight * u * mask)
-    l_labels, l_direction = system.L @ labels_home[:n], system.L @ direction_home[:n]
+    a_sys = system.matrix(c)
+    inv = _solve(a_sys, np.eye(a_sys.shape[0]))
+    inv += inv.T  # symmetric: row i is column i
+    inv *= 0.5
+    q_inv = inv[:, :n] @ system.Q  # row i is Q times column i of the inverse
+    x_home = inv[:, :n] @ (c * y)
+    q_home = system.Q @ x_home[:n]
+    failed, message = system.residual_test(c, y, x_home[:n], q_home, x_home[n:])
+    if failed:
+        raise SingularSystem(message)
+    if center_labels:
+        direction_home = inv[:, :n] @ (c * u * mask)
+        q_direction = system.Q @ direction_home[:n]
 
     def evaluate(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         t_i, t_j = targets[i], targets[j]
-        masks = _swapped_rows(mask, i, j, 0.0, 1.0)
         ys = _swapped_rows(y, i, j, 0.0, t_j)
-        offset = np.zeros(i.size)
-        vanished = np.zeros(i.size, dtype=bool)
+        base, q_base, c_i, c_j = x_home, q_home, -c_S * t_i, c_S * t_j
+        base_i, base_j = x_home[i], x_home[j]
+        checks = []
         if center_labels:
+            masks = _swapped_rows(mask, i, j, 0.0, 1.0)
             denom = masks @ (u * u)
             vanished = ~(denom > 1e-24)
+            checks.append((vanished, lambda k: ZeroConstraintVector(
+                "constraint vanishes on the labeled set")))
             offset = (ys @ u) / np.where(vanished, 1.0, denom)
-        # before the update: labels_home - offset direction_home, plus the
-        # two moved entries of the labels and of the constraint on S
-        base = labels_home - offset[:, None] * direction_home
-        c_i = weight * (offset * u[i] - t_i)
-        c_j = weight * (t_j - offset * u[j])
-        a_i, a_j, singular = _rank2(inv, labels_home[i] - offset * direction_home[i],
-                                    labels_home[j] - offset * direction_home[j],
-                                    c_i, c_j, i, j, -weight, weight)
+            # before the update: the home solution for the offset labels,
+            # plus the two moved entries of the labels and of u on S
+            base = x_home - offset[:, None] * direction_home
+            base_i = base_i - offset * direction_home[i]
+            base_j = base_j - offset * direction_home[j]
+            q_base = q_home - offset[:, None] * q_direction
+            c_i = c_S * (offset * u[i] - t_i)
+            c_j = c_S * (t_j - offset * u[j])
+            ys = ys - offset[:, None] * (masks * u)
+        a_i, a_j, singular = _rank2(inv, base_i, base_j, c_i, c_j, i, j, c_T - c_S, c_S - c_T)
         sol = _combine(base, a_i, inv[i], a_j, inv[j])
         h = sol[:, :n]
-        l_h = _combine(l_labels - offset[:, None] * l_direction, a_i, l_inv[i], a_j, l_inv[j])
-        rhs = weight * (ys - offset[:, None] * (masks * u))
-        resid = np.linalg.norm(l_h + weight * masks * h + sol[:, n:] * u - rhs, axis=1)
-        scale = np.maximum(1.0, np.linalg.norm(rhs, axis=1))
-        kkt_ok = (resid <= 1e-8 * scale) & (np.abs(h @ u) <= 1e-8 * scale)
-        _raise_first([
-            (vanished, lambda k: ZeroConstraintVector("constraint vanishes on the labeled set")),
-            (singular, _singular),
-            (~kkt_ok, lambda k: SingularSystem("KKT residual exceeds tolerance")),
-            _not_finite(h),
-        ])
-        return h + offset[:, None] * u
+        qh = _combine(q_base, a_i, q_inv[i], a_j, q_inv[j])
+        failed, message = system.residual_test(_swapped_rows(c, i, j, c_T, c_S), ys, h, qh,
+                                               sol[:, n:])
+        _raise_first([*checks, (singular, _singular),
+                      (failed, lambda k: SingularSystem(message)), _not_finite(h)])
+        return h + offset[:, None] * u if center_labels else h
 
     return evaluate
 

@@ -13,7 +13,6 @@ from stabreg import (
     FullSample,
     GraphSpec,
     KernelSystem,
-    LaplacianSystem,
     LocalEstimatorConfig,
     LtrProblem,
     NonFiniteMatrix,
@@ -586,10 +585,24 @@ def test_unconstrained_nan_residual_raises():
 
 def test_constrained_nan_residual_raises():
     # u's NaN passes the norm check (NaN <= 1e-24 is False) and reaches the KKT test
-    system = LaplacianSystem(laplacian(random_graph(3, 14)), np.array([1.0, 2.0, np.nan]))
-    part = Partition(train_idx=np.array([0]), test_idx=np.array([1, 2]))
+    system = QuadraticSystem(laplacian(random_graph(3, 14)), np.array([1.0, 2.0, np.nan]))
     with pytest.raises(SingularSystem, match="KKT residual"):
-        system.solve(part, np.array([1.0, 0.0, 0.0]), 1.0)
+        system.solve(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+
+
+def test_stabilized_nan_weight_raises_in_the_solve_and_the_engine():
+    # a bordered solve gets the KKT residual test too: a NaN weight fails it
+    # instead of returning NaN scores, and the engine's home solve fails it alike
+    q = laplacian(random_graph(5, 15))
+    system = QuadraticSystem(q, spectrum(q).eigenvector_min)
+    part = random_partition(5, 2, 15)
+    sample = FullSample(points=np.zeros((5, 1)), targets=np.linspace(-1.0, 1.0, 5),
+                        label_bound_M=1.0)
+    c = np.where(np.isin(np.arange(5), part.train_idx), np.nan, 1.0)
+    with pytest.raises(SingularSystem, match="KKT residual"):
+        system.solve(c, labels_to_full(sample.targets[part.train_idx], part))
+    with pytest.raises(SingularSystem, match="KKT residual"):
+        swaps.quadratic(system, sample, part, np.nan, 1.0)
 
 
 def test_unconstrained_nan_matrix_is_rejected():
@@ -645,11 +658,11 @@ def test_laplacian_system_matches_the_public_solver_on_every_swap(center):
     lap = laplacian(random_graph(7, 21))
     targets = np.random.default_rng(21).uniform(-1, 1, 7)
     home = random_partition(7, 3, 21)
-    system = LaplacianSystem(lap, np.ones(7))
-    assert system.eigenvalues.lambda2 == spectrum(lap, eigenvector=False).lambda2
+    system = QuadraticSystem(lap, np.ones(7))
     for p in _swapped_partitions(home):
         y = targets[p.train_idx]
-        got = system.solve(p, labels_to_full(y, p), 2.0, center_labels=center).scores
+        c = labels_to_full(np.full(p.m, 2.0 / p.m), p)
+        got = system.solve(c, labels_to_full(y, p), center_labels=center).scores
         want = solve_constrained(
             ConstrainedProblem(L=lap, C_tradeoff=2.0, part=p, y_S=y, center_labels=center)
         ).scores
@@ -678,18 +691,35 @@ def _engine_rows(engine, home):
     return engine(np.array([s.removed for s in swaps]), np.array([s.added for s in swaps]))
 
 
-@pytest.mark.parametrize("center", [False, True])
-@pytest.mark.parametrize("u", [np.ones(7), np.linspace(0.5, 2.0, 7)])
-def test_laplacian_swap_engine_matches_the_system_on_every_swap(center, u):
+def _assert_engine_matches_the_system(u, c_S, c_T, center=False):
     lap = laplacian(random_graph(7, 24))
     sample = FullSample(points=np.zeros((7, 1)),
                         targets=np.random.default_rng(24).uniform(-1, 1, 7), label_bound_M=1.0)
     home = random_partition(7, 3, 24)
-    system = LaplacianSystem(lap, u)
-    want = [system.solve(p, labels_to_full(sample.targets[p.train_idx], p), 2.0, center).scores
-            for p in _swapped_partitions(home)[1:]]
-    got = _engine_rows(swaps.laplacian(system, sample, home, 2.0, center_labels=center), home)
+    system = QuadraticSystem(lap, spectrum(lap).eigenvector_min if isinstance(u, str) else u)
+
+    def weights(p):
+        c = np.full(p.n, c_T)
+        c[p.train_idx] = c_S
+        return c
+
+    want = [system.solve(weights(p), labels_to_full(sample.targets[p.train_idx], p),
+                         center).scores for p in _swapped_partitions(home)[1:]]
+    got = _engine_rows(swaps.quadratic(system, sample, home, c_S, c_T, center), home)
     assert np.max(np.abs(got - np.vstack(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("u", [None, "bottom"], ids=["unbordered", "stabilized"])
+def test_quadratic_swap_engine_matches_the_system_on_every_swap(u):
+    # gmf's weights: c > 0 on every point
+    _assert_engine_matches_the_system(u, 2.0, 0.5)
+
+
+@pytest.mark.parametrize("center", [False, True])
+@pytest.mark.parametrize("u", [np.ones(7), np.linspace(0.5, 2.0, 7)])
+def test_laplacian_swap_engine_matches_the_system_on_every_swap(center, u):
+    # the constrained Laplacian: weight C/m on S (C = 2, m = 3) and 0 on T
+    _assert_engine_matches_the_system(u, 2.0 / 3, 0.0, center)
 
 
 @pytest.mark.parametrize("c_val, cp_val", [(0.0, 0.7), (0.0, 0.0)])
@@ -724,17 +754,15 @@ def test_kernel_swap_engine_when_every_neighbour_weight_underflows():
 
 def test_systems_check_their_matrix_at_construction():
     asym = np.array([[1.0, 0.5], [0.0, 1.0]])
-    for system in (KernelSystem, QuadraticSystem, lambda m: LaplacianSystem(m, np.ones(2))):
+    for system in (KernelSystem, QuadraticSystem, lambda m: QuadraticSystem(m, np.ones(2))):
         with pytest.raises(NotSymmetric):
             system(asym)
     with pytest.raises(NotPSDKernel):
         KernelSystem(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    w = np.zeros((4, 4))
-    w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0  # two components
-    with pytest.raises(ConstraintSpansNullSpace):
-        LaplacianSystem(laplacian(GraphSpec(weights=w)), np.ones(4))
     with pytest.raises(ZeroConstraintVector):
-        LaplacianSystem(np.eye(2), np.zeros(2))
+        QuadraticSystem(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="one entry per row"):
+        QuadraticSystem(np.eye(2), np.ones(3))
 
 
 def test_systems_do_not_change_when_the_caller_mutates_the_source():
@@ -742,11 +770,10 @@ def test_systems_do_not_change_when_the_caller_mutates_the_source():
     kern = gaussian_kernel(rng.normal(size=(6, 2)), 1.0)
     lap = laplacian(random_graph(6, 23))
     bottom = spectrum(lap).eigenvector_min.copy()
-    u = np.ones(6)
-    systems = [KernelSystem(kern), QuadraticSystem(lap, bottom), LaplacianSystem(lap, u)]
+    systems = [KernelSystem(kern), QuadraticSystem(lap, bottom)]
     before = [{k: np.array(v) for k, v in vars(s).items() if isinstance(v, np.ndarray)}
               for s in systems]
-    for arr in (kern, lap, bottom, u):
+    for arr in (kern, lap, bottom):
         arr += 1.0
     for system, arrays in zip(systems, before):
         for name, value in arrays.items():
@@ -812,7 +839,13 @@ def test_laplacian_system_takes_the_eigenvalues_it_is_given(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the spectrum was computed again")
 
+    w = np.zeros((4, 4))
+    w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = 1.0  # two components
+    disconnected = GraphSpec(weights=w)
+    disconnected_spectrum = disconnected.L_eigenvalues
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    system = LaplacianSystem(g.L, np.ones(g.n), given_spectrum)
-    assert system.eigenvalues is given_spectrum
-    assert system.L is g.L  # shared, not copied
+    system = QuadraticSystem(g.L, np.ones(g.n))
+    system.check_null_space(given_spectrum)
+    assert system.Q is g.L  # shared, not copied
+    with pytest.raises(ConstraintSpansNullSpace):
+        QuadraticSystem(disconnected.L, np.ones(4)).check_null_space(disconnected_spectrum)

@@ -17,7 +17,6 @@ from stabreg import (
     InvalidInstance,
     InvalidStabilityInput,
     KernelSystem,
-    LaplacianSystem,
     LocalEstimatorConfig,
     Partition,
     PseudoTargetUnavailable,
@@ -445,7 +444,7 @@ def test_swap_engine_singular_swapped_system():
     sample = FullSample(points=np.arange(4.0), targets=[0.5, -0.5, 0.25, 1.0],
                         label_bound_M=1.0)
     part = Partition(train_idx=[0, 2], test_idx=[1, 3])
-    system = QuadraticSystem(q, bottom=np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0))
+    system = QuadraticSystem(q, constraint=np.array([1.0, -1.0, 0.0, 0.0]) / math.sqrt(2.0))
     c_home = np.array([1.0, 0.0, 1.0, 0.0])
     batch = swaps.quadratic(system, sample, part, 1.0, 0.0)
     assert np.isfinite(batch(np.array([0]), np.array([1]))).all()
@@ -461,12 +460,13 @@ def test_swap_engine_constraint_vanishing_on_the_swapped_labeled_set():
     removed = int(part.train_idx[0])
     u = np.zeros(8)
     u[removed] = 1.0  # the constraint lives on one labeled point
-    system = LaplacianSystem(laplacian(g), u)
+    system = QuadraticSystem(laplacian(g), u)
 
     def solver(s, p):
-        return system.solve(p, labels_to_full(s.targets[p.train_idx], p), 1.0, center_labels=True)
+        c = labels_to_full(np.full(p.m, 1.0 / p.m), p)
+        return system.solve(c, labels_to_full(s.targets[p.train_idx], p), center_labels=True)
 
-    batch = swaps.laplacian(system, sample, part, 1.0, center_labels=True)
+    batch = swaps.quadratic(system, sample, part, 1.0 / part.m, 0.0, center_labels=True)
     kind, message = _both_paths(solver, sample, part, batch)
     assert kind.__name__ == "ZeroConstraintVector"
     assert message == "constraint vanishes on the labeled set"
