@@ -14,7 +14,7 @@ the seed alone on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -241,13 +241,14 @@ def score_to_cost_stability(beta_score: float, B: float) -> float:
     return 2.0 * B * beta_score
 
 
-def enumerate_swaps(part: Partition) -> list[SwapPair]:
-    """All m*u single-exchange perturbations of the split, in sorted order."""
-    return [
-        SwapPair(removed=int(i), added=int(j))
-        for i in part.train_idx
-        for j in part.test_idx
-    ]
+def enumerate_swaps(part: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """All m*u single-exchange perturbations of the split as ``(removed, added)``.
+
+    Two int64 index arrays of length m*u: swap k exchanges ``removed[k] =
+    train_idx[k // u]`` with ``added[k] = test_idx[k % u]``, so the swaps run
+    in sorted order.
+    """
+    return np.repeat(part.train_idx, part.u), np.tile(part.test_idx, part.m)
 
 
 def apply_swap(part: Partition, swap: SwapPair) -> Partition:

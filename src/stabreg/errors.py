@@ -16,7 +16,6 @@ __all__ = [
     "ConstraintSpansNullSpace",
     "NotPSDKernel",
     "PseudoTargetUnavailable",
-    "NotInRange",
     "BoundDiverges",
     "EmptyNeighborhood",
     "NoFeasibleRadius",
@@ -85,10 +84,6 @@ class NotPSDKernel(StabregError):
 
 class PseudoTargetUnavailable(StabregError):
     """A test point has no labeled neighbor and fallback is 'error'."""
-
-
-class NotInRange(StabregError):
-    """Vector is not in the range (column space) of the given matrix."""
 
 
 class BoundDiverges(StabregError):

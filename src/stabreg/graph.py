@@ -25,7 +25,6 @@ from .errors import (
     NonFiniteMatrix,
     NotSymmetric,
     ParseError,
-    ZeroConstraintVector,
     ZeroDegreeVertex,
     ZeroRowSum,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "normalized_laplacian",
     "spectrum",
     "pseudo_inverse",
-    "projector_orthogonal_to",
     "is_connected",
     "diameter",
     "row_normalize",
@@ -216,15 +214,6 @@ def pseudo_inverse(mat: np.ndarray) -> np.ndarray:
     inv = np.where(zero, 0.0, np.divide(1.0, np.where(zero, 1.0, vals)))
     out = (vecs * inv) @ vecs.T
     return 0.5 * (out + out.T)
-
-
-def projector_orthogonal_to(u: np.ndarray) -> np.ndarray:
-    """Orthogonal projector P = I - u u^T / ||u||^2 onto the hyperplane u^T h = 0."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    nrm2 = float(u @ u)
-    if nrm2 <= 1e-24:
-        raise ZeroConstraintVector("constraint vector has (near-)zero norm")
-    return np.eye(u.size) - np.outer(u, u) / nrm2
 
 
 def _bfs_levels(adj: np.ndarray, source: int) -> np.ndarray:

@@ -39,7 +39,6 @@ import numpy as np
 from .core import FullSample, HypothesisScores, Partition, _readonly
 from .errors import (
     ConstraintSpansNullSpace,
-    NotInRange,
     NotPSDKernel,
     PseudoTargetUnavailable,
     SingularSystem,
@@ -51,7 +50,6 @@ from .graph import (
     _check_symmetric,
     laplacian,
     normalized_laplacian,
-    pseudo_inverse,
     row_normalize,
     spectrum,
     sq_distances,
@@ -72,12 +70,10 @@ __all__ = [
     "solve_unconstrained",
     "stabilize",
     "solve_constrained",
-    "laplacian_kernel_check",
     "gaussian_kernel",
     "pseudo_targets",
     "solve_ltr",
     "ltr_dual_coefficients",
-    "ltr_objective",
     "solve_krr_induction",
 ]
 
@@ -476,31 +472,6 @@ def solve_constrained(p: ConstrainedProblem) -> HypothesisScores:
     return system.solve(c, p.y_S, p.center_labels)
 
 
-def laplacian_kernel_check(L: np.ndarray, h) -> bool:
-    """Check that L's pseudo-inverse behaves as a reproducing kernel for h.
-
-    Requires h in range(L) (projection residual <= 1e-8 relative); verifies
-    ``L^+ L h = h`` and ``h^T L h = h^T L L^+ L h`` to 1e-8.
-
-    Raises:
-        NotInRange: h has a component outside range(L).
-    """
-    lap = _check_symmetric(L)
-    hv = np.asarray(getattr(h, "scores", h), dtype=np.float64).ravel()
-    if hv.size != lap.shape[0]:
-        raise ValueError("h and L disagree on dimension")
-    k = pseudo_inverse(lap)
-    proj = k @ (lap @ hv)
-    scale = max(1.0, float(np.linalg.norm(hv)))
-    resid = float(np.linalg.norm(proj - hv))
-    if resid > 1e-8 * scale:
-        raise NotInRange("h has a component outside range(L)")
-    quad = float(hv @ lap @ hv)
-    quad_k = float(hv @ lap @ k @ lap @ hv)
-    ok_quad = abs(quad - quad_k) <= 1e-8 * max(1.0, abs(quad))
-    return resid <= 1e-8 * scale and ok_quad
-
-
 def gaussian_kernel(points: np.ndarray, sigma: float) -> np.ndarray:
     """Gram matrix K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), unit diagonal."""
     points = np.asarray(points, dtype=np.float64)
@@ -595,7 +566,10 @@ class KernelSystem:
         with Lambda the diagonal of those weights, ``(K_kk + Lambda^{-1})
         alpha = [y_S; y_tilde]`` on the kept indices.  A (u, k) ``y_tilde``
         block shares one factorization and gives a (|kept|, k) ``alpha``;
-        ``y_tilde`` may be empty when C' = 0.
+        ``y_tilde`` may be empty when C' = 0.  The residual ``K_kk alpha +
+        Lambda^{-1} alpha - [y_S; y_tilde]`` of each column must stay within
+        1e-10 of ``max(1, ||[y_S; y_tilde]||)``, as in ``QuadraticSystem``'s
+        unbordered solves, else SingularSystem; NaN fails.
         """
         if C < 0 or C_prime < 0:
             raise ValueError("C and C_prime must be non-negative")
@@ -619,7 +593,11 @@ class KernelSystem:
         inv_w = np.concatenate(inv_weights)[order]
         y_all = np.concatenate(targets)[order]
         sub = self.K[np.ix_(kept, kept)] + np.diag(inv_w)
-        return _solve(sub, y_all), kept
+        alpha = _solve(sub, y_all)
+        resid = np.linalg.norm(sub @ alpha - y_all, axis=0)
+        if not np.all(resid <= _RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(y_all, axis=0))):
+            raise SingularSystem("solution residual exceeds tolerance")
+        return alpha, kept
 
     def scores(self, alpha: np.ndarray, kept: np.ndarray) -> np.ndarray:
         """``f = sum_kept alpha_i K(., x_i)`` on every point (zero when nothing is kept)."""
@@ -641,23 +619,6 @@ def solve_ltr(p: LtrProblem) -> HypothesisScores:
     if p.y_tilde.ndim == 2:
         raise ValueError("a y_tilde block is solved by ltr_dual_coefficients")
     return KernelSystem(p.K).solve(p.part, p.y, p.y_tilde, p.C, p.C_prime)
-
-
-def ltr_objective(p: LtrProblem, alpha: np.ndarray, kept: np.ndarray) -> float:
-    """Objective value of the expansion ``f = sum_kept alpha_i K(., x_i)``."""
-    if p.y_tilde.ndim == 2:
-        raise ValueError("ltr_objective takes one pseudo-target vector, not a block")
-    alpha = np.asarray(alpha, dtype=np.float64).ravel()
-    kept = np.asarray(kept, dtype=np.int64).ravel()
-    scores = p.K[:, kept] @ alpha  # zeros when nothing is kept
-    total = float(alpha @ p.K[np.ix_(kept, kept)] @ alpha)
-    if p.C > 0:
-        d = scores[p.part.train_idx] - p.y
-        total += (p.C / p.part.m) * float(d @ d)
-    if p.C_prime > 0:
-        d = scores[p.part.test_idx] - p.y_tilde
-        total += (p.C_prime / p.part.u) * float(d @ d)
-    return total
 
 
 def solve_krr_induction(p: LtrProblem) -> HypothesisScores:

@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 SWAP_BUDGET = 400
-# a batched evaluation takes this many swaps at a time, so it holds a few
+# empirical_stability evaluates this many swaps at a time, so it holds a few
 # (128, n) arrays: 0.5 MB each at n=506
 _BLOCK_SWAPS = 128
 
@@ -281,7 +281,7 @@ class EmpiricalStabilityReport:
     """Worst observed swap perturbation over the evaluated swaps.
 
     ``mode`` records coverage: "exhaustive" (every m*u swap), "sampled"
-    (seeded subset of the full swap set) or "custom" (caller-provided list).
+    (seeded subset of the full swap set) or "custom" (caller-provided swaps).
     ``swaps_total`` is m*u, the number of swaps of the partition.
     """
 
@@ -293,11 +293,11 @@ class EmpiricalStabilityReport:
     mode: str
 
 
-def _default_swaps(part: Partition, seed: int) -> tuple[list[SwapPair], str]:
+def _default_swaps(part: Partition, seed: int) -> tuple[tuple[np.ndarray, np.ndarray], str]:
     """All swaps, or a seeded subset of ``SWAP_BUDGET`` in ``enumerate_swaps`` order.
 
     Swap k of that order exchanges ``train_idx[k // u]`` with ``test_idx[k % u]``,
-    so only the sampled pairs are built.
+    so only the sampled k are mapped to index pairs.
     """
     total = part.m * part.u
     if total <= SWAP_BUDGET:
@@ -305,18 +305,14 @@ def _default_swaps(part: Partition, seed: int) -> tuple[list[SwapPair], str]:
     keys = _kernels.partition_keys(seed, total)
     chosen = np.sort(np.argpartition(keys, SWAP_BUDGET - 1)[:SWAP_BUDGET])
     removed, added = np.divmod(chosen, part.u)
-    swaps = [
-        SwapPair(removed=i, added=j)
-        for i, j in zip(part.train_idx[removed], part.test_idx[added])
-    ]
-    return swaps, "sampled"
+    return (part.train_idx[removed], part.test_idx[added]), "sampled"
 
 
 def empirical_stability(
     solver: Callable[[FullSample, Partition], HypothesisScores],
     sample: FullSample,
     part: Partition,
-    swaps: list[SwapPair] | None = None,
+    swaps: tuple[np.ndarray, np.ndarray] | None = None,
     B: float = 1.0,
     seed: int = 0,
     *,
@@ -328,72 +324,69 @@ def empirical_stability(
         solver: closure mapping (sample, partition) to HypothesisScores.
         sample: the fixed full sample.
         part: base partition; each swap is evaluated on the swapped partition.
-        swaps: explicit swap list; None evaluates all m*u swaps when there
-            are at most ``SWAP_BUDGET``, else a seeded subset of that size.
+        swaps: ``(removed, added)``, two index arrays of equal length, swap k
+            exchanging removed[k] (labeled) with added[k] (unlabeled), as
+            ``enumerate_swaps`` gives them; None evaluates all m*u swaps
+            when there are at most ``SWAP_BUDGET``, else a seeded subset of
+            that size.  A swap whose indices are not on the sides it names
+            raises ``apply_swap``'s ValueError, after the swaps before it.
         B: residual bound used by the cost/score consistency contract
             (cost delta <= 2 B score delta when residuals stay within B).
         seed: seed for the sampled-subset mode.
         batch: ``batch(removed, added)`` giving the (k, n) scores of k swaps
-            of ``part`` at once, one row per swap (index arrays, swap k
-            exchanging removed[k] and added[k]), e.g. an engine from
-            ``stabreg.swaps``.  It gets blocks of 128 swaps, so memory does
-            not grow with the swap count.  Without it the solver
-            runs from scratch on every swapped partition; either way the
-            solver gives the base scores.
+            of ``part`` at once, one row per swap, e.g. an engine from
+            ``stabreg.swaps``.  Without it the solver runs from scratch on
+            every swapped partition; either way the solver gives the base
+            scores.  Swaps go in blocks of 128, so memory does not grow
+            with the swap count.
     """
     if not B > 0:
         raise InvalidStabilityInput("B must be positive")
     if swaps is None:
-        swaps, mode = _default_swaps(part, seed)
+        (removed, added), mode = _default_swaps(part, seed)
+        stop = removed.size
     else:
-        mode = "exhaustive" if len(swaps) == part.m * part.u else "custom"
-    if not swaps:
+        removed, added = (np.asarray(a, dtype=np.int64).ravel() for a in swaps)
+        if removed.size != added.size:
+            raise InvalidStabilityInput("removed and added must have the same length")
+        mode = "exhaustive" if removed.size == part.m * part.u else "custom"
+        valid = np.isin(removed, part.train_idx) & np.isin(added, part.test_idx)
+        stop = removed.size if valid.all() else int(np.argmin(valid))
+    if not removed.size:
         raise InvalidStabilityInput("no swaps to evaluate")
     base = solver(sample, part).scores
     base_cost = (base - sample.targets) ** 2
+    if batch is None:  # the reference: every swapped partition solved from scratch
+        def batch(i, j):
+            return np.vstack([solver(sample, apply_swap(part, SwapPair(a, b))).scores
+                              for a, b in zip(i, j)])
     max_score = -1.0
     max_cost = 0.0
-    worst = swaps[0]
-    if batch is None:
-        blocks = (([swap], solver(sample, apply_swap(part, swap)).scores[None, :])
-                  for swap in swaps)
-    else:
-        blocks = _batched(batch, part, swaps, _BLOCK_SWAPS)
-    for block, scores in blocks:
+    worst = 0
+    for start in range(0, stop, _BLOCK_SWAPS):
+        end = min(start + _BLOCK_SWAPS, stop)
+        scores = batch(removed[start:end], added[start:end])
         score_delta = np.max(np.abs(scores - base), axis=1)
         cost = (scores - sample.targets) ** 2
         cost_delta = np.max(np.abs(cost - base_cost), axis=1)
-        k = int(np.argmax(score_delta))  # the first of equal maxima, as a scan would keep
+        # as a swap-by-swap scan: the first of equal maxima wins, a NaN never does
+        score_delta[np.isnan(score_delta)] = -1.0
+        k = int(np.argmax(score_delta))
         if score_delta[k] > max_score:
             max_score = float(score_delta[k])
-            worst = block[k]
-        max_cost = max(max_cost, float(np.max(cost_delta)))
+            worst = start + k
+        max_cost = max(max_cost, float(np.max(cost_delta, initial=0.0,
+                                              where=~np.isnan(cost_delta))))
+    if stop < removed.size:
+        apply_swap(part, SwapPair(removed[stop], added[stop]))  # raises for the invalid swap
     return EmpiricalStabilityReport(
         max_score_delta=max_score,
         max_cost_delta=max_cost,
-        worst_swap=worst,
-        swaps_evaluated=len(swaps),
+        worst_swap=SwapPair(removed[worst], added[worst]),
+        swaps_evaluated=removed.size,
         swaps_total=part.m * part.u,
         mode=mode,
     )
-
-
-def _batched(batch, part: Partition, swaps: list[SwapPair], size: int):
-    """``(block, scores)`` for consecutive blocks of at most ``size`` swaps.
-
-    A swap whose indices are not on the sides it names ends the sequence
-    with ``apply_swap``'s ValueError, after the swaps before it.
-    """
-    for start in range(0, len(swaps), size):
-        block = swaps[start : start + size]
-        removed = np.fromiter((s.removed for s in block), np.int64, len(block))
-        added = np.fromiter((s.added for s in block), np.int64, len(block))
-        valid = np.isin(removed, part.train_idx) & np.isin(added, part.test_idx)
-        stop = len(block) if valid.all() else int(np.argmin(valid))
-        if stop:
-            yield block[:stop], batch(removed[:stop], added[:stop])
-        if stop < len(block):
-            apply_swap(part, block[stop])  # raises for the invalid swap
 
 
 def cm_lower_bound_instance(

@@ -15,6 +15,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from stabreg import (
     FullSample,
@@ -23,7 +24,10 @@ from stabreg import (
     StabilityInputs,
     beta_loc_invdist,
     checks,
+    cli,
     empirical_error,
+    empirical_stability,
+    enumerate_swaps,
     gaussian_kernel,
     generalization_bound,
     ltr_stability_bound,
@@ -33,6 +37,7 @@ from stabreg import (
     test_error,
 )
 from stabreg.cli import (
+    ALGORITHMS,
     ExperimentConfig,
     derive_seed,
     load_and_normalize,
@@ -165,10 +170,10 @@ def _write_csv(path, points, targets):
             writer.writerow([f"{v:.10f}" for v in row] + [f"{t:.10f}"])
 
 
-def _housing_like_csv(path):
-    """506 x 13 stand-in with the benchmark's shape (real file is user-supplied)."""
+def _housing_like_csv(path, n=506):
+    """n x 13 stand-in with the benchmark's shape (real file is user-supplied)."""
     rng = np.random.default_rng(20)
-    x = rng.normal(size=(506, 13))
+    x = rng.normal(size=(n, 13))
     x[:, 3] = (x[:, 3] > 0.8).astype(float)
     x[:, 7] = np.abs(x[:, 7]) * 3.0 + 1.0
     y = (
@@ -177,9 +182,34 @@ def _housing_like_csv(path):
         - 4.0 * x[:, 1] / (1.0 + x[:, 7] / 4.0)
         + 3.0 * np.sin(1.5 * x[:, 2])
         + 2.0 * x[:, 3]
-        + rng.normal(scale=1.5, size=506)
+        + rng.normal(scale=1.5, size=n)
     )
     _write_csv(path, x, y)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_swap_at_n80_moves_the_cost_by_at_most_the_printed_beta(tmp_path, algorithm):
+    """All 1,600 swaps of partition 0 at n = 80, where ``stability --empirical`` samples 400.
+
+    The fit is the one ``stability`` builds, and its swap engine evaluates
+    every swap.  This checks the cost coefficient beta only.  The
+    pseudo-target stability beta_loc inside ltr's beta is not checked: it
+    counts the labeled points around the sample's centroid, where the bound
+    needs the count around each unlabeled point.
+    """
+    data = tmp_path / "housing_like_80.csv"
+    _housing_like_csv(data, 80)
+    options = (dict(radius_grid=(4.0,), C_prime=1.0, weighting="inverse-distance")
+               if algorithm == "ltr" else {})
+    cfg = ExperimentConfig(data_path=str(data), algorithm=algorithm, target_scale=1.0 / 50.0,
+                           **options)
+    sample, part = cli._first_partition(cfg)
+    fit = cli._setup(sample, part, cfg, cli._resolve_sigma(sample, part, cfg))
+    report = empirical_stability(fit.solve, sample, part, swaps=enumerate_swaps(part), B=fit.B,
+                                 batch=fit.swap_engine())
+    assert report.mode == "exhaustive"
+    assert report.swaps_evaluated == report.swaps_total == 1600
+    assert report.max_cost_delta <= fit.beta
 
 
 def test_criterion_09_protocol_beats_induction(capsys, tmp_path):

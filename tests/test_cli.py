@@ -22,6 +22,7 @@ from stabreg import (
     Partition,
     PseudoTargetUnavailable,
     QuadraticSystem,
+    SwapPair,
     UnconstrainedProblem,
     ZeroVarianceFeature,
     apply_swap,
@@ -758,11 +759,10 @@ def _home_fit(data, algorithm, target_scale=1.0, **options):
     return sample, part, cli._setup(sample, part, cfg, sigma)
 
 
-def _assert_engine_matches_per_swap_solves(sample, part, fit, swaps):
-    removed = np.array([s.removed for s in swaps])
-    added = np.array([s.added for s in swaps])
+def _assert_engine_matches_per_swap_solves(sample, part, fit, removed, added):
     got = fit.swap_engine()(removed, added)
-    want = np.vstack([fit.solve(sample, apply_swap(part, s)).scores for s in swaps])
+    want = np.vstack([fit.solve(sample, apply_swap(part, SwapPair(removed=i, added=j))).scores
+                      for i, j in zip(removed, added)])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, float(np.max(np.abs(want))))
 
@@ -780,9 +780,9 @@ _TOY_OPTIONS = dict(C=2.0, mu=0.7, C_l=2.0, C_u=0.5)
 ])
 def test_swap_engine_matches_the_per_swap_solver_on_every_swap(toy_csv, algorithm, options):
     sample, part, fit = _home_fit(toy_csv, algorithm, **_TOY_OPTIONS, **options)
-    swaps = enumerate_swaps(part)
-    assert len(swaps) == 144
-    _assert_engine_matches_per_swap_solves(sample, part, fit, swaps)
+    removed, added = enumerate_swaps(part)
+    assert removed.size == 144
+    _assert_engine_matches_per_swap_solves(sample, part, fit, removed, added)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -802,9 +802,9 @@ def test_swap_engine_matches_the_per_swap_solver_at_n80(tmp_path, algorithm):
     options = (dict(radius_grid=(4.0,), C_prime=1.0, weighting="inverse-distance")
                if algorithm == "ltr" else {})
     sample, part, fit = _home_fit(str(path), algorithm, target_scale=0.02, **options)
-    swaps = enumerate_swaps(part)
-    chosen = np.sort(np.random.default_rng(50).choice(len(swaps), size=50, replace=False))
-    _assert_engine_matches_per_swap_solves(sample, part, fit, [swaps[k] for k in chosen])
+    removed, added = enumerate_swaps(part)
+    chosen = np.sort(np.random.default_rng(50).choice(removed.size, size=50, replace=False))
+    _assert_engine_matches_per_swap_solves(sample, part, fit, removed[chosen], added[chosen])
 
 
 def test_run_and_select_radius_never_build_a_swap_engine(toy_csv, capsys, monkeypatch):

@@ -210,9 +210,9 @@ def test_error_decomposition_identity(n, seed, data):
 def test_enumerate_swaps_full_product():
     s = make_sample(5)
     p = Partition(train_idx=np.array([0, 2]), test_idx=np.array([1, 3, 4]))
-    swaps = enumerate_swaps(p)
-    assert len(swaps) == 6
-    assert {(sw.removed, sw.added) for sw in swaps} == set(
+    removed, added = enumerate_swaps(p)
+    assert removed.dtype == added.dtype == np.int64
+    assert list(zip(removed.tolist(), added.tolist())) == list(
         itertools.product([0, 2], [1, 3, 4])
     )
 
@@ -229,7 +229,8 @@ def test_apply_swap_moves_one_point_each_way():
 def test_apply_swap_matches_sorting_the_exchanged_sets():
     p = Partition(train_idx=np.array([1, 4, 5, 9]), test_idx=np.array([0, 2, 3, 6, 7, 8, 10]),
                   seed=7)
-    for sw in enumerate_swaps(p):
+    for i, j in zip(*enumerate_swaps(p)):
+        sw = SwapPair(removed=i, added=j)
         q = apply_swap(p, sw)
         s = np.sort(np.append(p.train_idx[p.train_idx != sw.removed], sw.added))
         t = np.sort(np.append(p.test_idx[p.test_idx != sw.added], sw.removed))

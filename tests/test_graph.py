@@ -19,13 +19,11 @@ from stabreg import (
     laplacian,
     load_edge_list,
     normalized_laplacian,
-    projector_orthogonal_to,
     pseudo_inverse,
     row_normalize,
     save_edge_list,
     spectrum,
 )
-from stabreg.errors import ZeroConstraintVector
 from stabreg.graph import _bfs_levels, _check_symmetric
 
 
@@ -206,24 +204,6 @@ def test_pseudo_inverse_of_zero_matrix_is_zero():
 def test_pseudo_inverse_rejects_asymmetry():
     with pytest.raises(NotSymmetric):
         pseudo_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-# ---------------------------------------------------------------------------
-# projector
-
-
-def test_projector_removes_component():
-    v = np.array([1.0, 1.0, 0.0])
-    proj = projector_orthogonal_to(v)
-    x = np.array([2.0, 0.0, 5.0])
-    y = proj @ x
-    assert y @ v == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(proj @ proj, proj, atol=1e-12)  # idempotent
-
-
-def test_projector_rejects_zero_vector():
-    with pytest.raises(ZeroConstraintVector):
-        projector_orthogonal_to(np.zeros(4))
 
 
 # ---------------------------------------------------------------------------

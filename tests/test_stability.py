@@ -14,6 +14,7 @@ from stabreg import (
     FullSample,
     GraphDisconnected,
     GraphSpec,
+    HypothesisScores,
     InvalidInstance,
     InvalidStabilityInput,
     KernelSystem,
@@ -334,15 +335,16 @@ def test_sampled_swaps_are_the_chosen_entries_of_the_full_enumeration(n, m):
     total = part.m * part.u
     keys = _kernels.partition_keys(5, total)
     chosen = np.sort(np.argpartition(keys, SWAP_BUDGET - 1)[:SWAP_BUDGET])
-    all_swaps = enumerate_swaps(part)
-    swaps, mode = _default_swaps(part, 5)
+    all_removed, all_added = enumerate_swaps(part)
+    (removed, added), mode = _default_swaps(part, 5)
     assert mode == "sampled"
-    assert swaps == [all_swaps[k] for k in chosen]
+    assert np.array_equal(removed, all_removed[chosen])
+    assert np.array_equal(added, all_added[chosen])
 
 
 def test_empirical_stability_custom_swaps():
     sample, part, g = make_instance(10, 5, 4)
-    swaps = [SwapPair(removed=int(part.train_idx[0]), added=int(part.test_idx[0]))]
+    swaps = (part.train_idx[:1], part.test_idx[:1])
 
     def solver(s, p):
         return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
@@ -350,7 +352,11 @@ def test_empirical_stability_custom_swaps():
     report = empirical_stability(solver, sample, part, swaps=swaps, B=2.0)
     assert report.mode == "custom"
     assert report.swaps_evaluated == 1
-    assert report.worst_swap == swaps[0]
+    assert report.worst_swap == SwapPair(removed=part.train_idx[0], added=part.test_idx[0])
+    with pytest.raises(InvalidStabilityInput, match="same length"):
+        empirical_stability(solver, sample, part, swaps=(part.train_idx[:2], swaps[1]), B=2.0)
+    with pytest.raises(InvalidStabilityInput, match="no swaps"):
+        empirical_stability(solver, sample, part, swaps=([], []), B=2.0)
 
 
 def test_empirical_stability_cost_delta_matches_direct_recomputation():
@@ -360,12 +366,59 @@ def test_empirical_stability_cost_delta_matches_direct_recomputation():
         return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
 
     swap = SwapPair(removed=int(part.train_idx[1]), added=int(part.test_idx[2]))
-    report = empirical_stability(solver, sample, part, swaps=[swap], B=2.0)
+    report = empirical_stability(solver, sample, part, swaps=([swap.removed], [swap.added]),
+                                 B=2.0)
     h_base = solver(sample, part).scores
     h_swap = solver(sample, apply_swap(part, swap)).scores
     assert report.max_score_delta == pytest.approx(
         float(np.max(np.abs(h_base - h_swap))), abs=1e-12
     )
+
+
+def test_empirical_stability_matches_a_swap_by_swap_scan():
+    sample, part, g = make_instance(30, 13, 8)  # 221 swaps: a full block of 128 and a partial one
+
+    def solver(s, p):
+        return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
+
+    def scan(removed, added):
+        base = solver(sample, part).scores
+        max_score, max_cost, worst = -1.0, 0.0, None
+        for i, j in zip(removed, added):
+            h = solver(sample, apply_swap(part, SwapPair(removed=i, added=j))).scores
+            cost = np.abs((h - sample.targets) ** 2 - (base - sample.targets) ** 2)
+            if np.max(np.abs(h - base)) > max_score:
+                max_score, worst = float(np.max(np.abs(h - base))), SwapPair(removed=i, added=j)
+            max_cost = max(max_cost, float(np.max(cost)))
+        return max_score, max_cost, worst
+
+    removed, added = enumerate_swaps(part)
+    want = scan(removed, added)
+    k = int(np.flatnonzero((removed == want[2].removed) & (added == want[2].added))[0])
+    # again with the worst swap last, in the partial block
+    order = np.roll(np.arange(removed.size), -(k + 1))
+    for r, a in ((removed, added), (removed[order], added[order])):
+        report = empirical_stability(solver, sample, part, swaps=(r, a), B=2.0)
+        assert (report.max_score_delta, report.max_cost_delta, report.worst_swap) == want
+
+
+def test_empirical_stability_passes_over_a_swap_with_nan_scores():
+    # as a swap-by-swap scan would: the NaN swap never wins, and the other
+    # swaps of its block still count
+    sample, part, g = make_instance(10, 5, 4)
+    removed, added = enumerate_swaps(part)
+    nan_part = apply_swap(part, SwapPair(removed=removed[3], added=added[3]))
+
+    def solver(s, p):
+        h = solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
+        return HypothesisScores(np.full(p.n, np.nan)) if np.array_equal(p.train_idx, nan_part.train_idx) else h
+
+    report = empirical_stability(solver, sample, part, swaps=(removed, added), B=2.0)
+    keep = np.arange(removed.size) != 3
+    want = empirical_stability(solver, sample, part, swaps=(removed[keep], added[keep]), B=2.0)
+    assert (report.max_score_delta, report.max_cost_delta, report.worst_swap) == (
+        want.max_score_delta, want.max_cost_delta, want.worst_swap)
+    assert want.max_score_delta > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +467,8 @@ def test_swap_engine_empty_neighbourhood_under_fallback_error():
 
 def test_swap_engine_invalid_custom_swap():
     sample, part, system, solver = _cm_system(10, 5, 4)
-    custom = [SwapPair(removed=int(part.train_idx[0]), added=int(part.test_idx[0])),
-              SwapPair(removed=int(part.test_idx[1]), added=int(part.test_idx[0]))]
+    custom = (np.array([part.train_idx[0], part.test_idx[1]]),
+              np.array([part.test_idx[0], part.test_idx[0]]))
     batch = swaps.quadratic(system, sample, part, 1.0, 1.0)
     kind, message = _both_paths(solver, sample, part, batch, swaps=custom)
     assert kind is ValueError
@@ -451,7 +504,7 @@ def test_swap_engine_singular_swapped_system():
     with pytest.raises(SingularSystem, match="swapped system is singular"):
         empirical_stability(
             lambda s, p: system.solve(c_home, labels_to_full(s.targets[p.train_idx], p)),
-            sample, part, swaps=[SwapPair(removed=0, added=3)], batch=batch,
+            sample, part, swaps=([0], [3]), batch=batch,
         )
 
 
