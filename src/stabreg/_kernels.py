@@ -13,10 +13,16 @@ subset is well defined.
 
 Many trials are drawn at once in blocks of ``rows`` trials, one row of n
 keys per trial, with ``rows = 131072 // n`` (at least 1): a block holds
-about 1 MB of keys.  One (rows, n) key buffer and its scratch buffers are
-allocated per call and refilled in place for every block, so the memory a
-call needs does not grow with the trial count (beyond the output and one
-uint64 base per trial).
+about 1 MB of keys.  Buffers are allocated once per call and refilled in
+place for every block, so the memory a call needs does not grow with the
+trial count (beyond the output and one uint64 base per trial).
+``subset_blocks`` runs in the calling thread with one key and one scratch
+block.  ``sample_means_without_replacement`` shares its blocks out among
+worker threads, one per CPU the process may run on, with two blocks (keys
+and scratch) per worker; numpy releases the GIL in the ufuncs, the
+partition and the matrix-vector product, so the workers run in parallel.
+Each block is computed the same way whichever worker runs it, so the means
+are bit-identical for any number of workers.
 
 Per-trial *means* may differ from a per-trial sum by a few float ulps
 because the summation order differs (the tests allow 4 * eps times the
@@ -24,6 +30,9 @@ largest |value|); for integer-valued populations the sums are exact.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -89,14 +98,25 @@ def _block_rows(n: int, trials: int) -> int:
     return min(max(1, _BLOCK_KEYS // n), trials)
 
 
-def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> None:
-    """``mix64_array`` computed into ``z`` itself; ``scratch`` has z's shape."""
+def _item_offsets(n: int) -> np.ndarray:
+    """``(i+1) * GOLDEN`` for i < n: the per-index counter offsets of a key row."""
+    with np.errstate(over="ignore"):
+        return np.arange(1, n + 1, dtype=np.uint64) * GOLDEN
+
+
+def _fill_keys(block: np.ndarray, item_off: np.ndarray, keys: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """``keys[r, i] = mix64(block[r] + item_off[i])``, mixed in place.
+
+    ``scratch`` has keys' shape and is overwritten.
+    """
+    np.add(block[:, None], item_off, out=keys)
     for shift, mult in ((30, _M1), (27, _M2)):
-        np.right_shift(z, np.uint64(shift), out=scratch)
-        np.bitwise_xor(z, scratch, out=z)
-        np.multiply(z, mult, out=z)
-    np.right_shift(z, np.uint64(31), out=scratch)
-    np.bitwise_xor(z, scratch, out=z)
+        np.right_shift(keys, np.uint64(shift), out=scratch)
+        np.bitwise_xor(keys, scratch, out=keys)
+        np.multiply(keys, mult, out=keys)
+    np.right_shift(keys, np.uint64(31), out=scratch)
+    np.bitwise_xor(keys, scratch, out=keys)
 
 
 def _key_blocks(bases: np.ndarray, n: int):
@@ -107,16 +127,22 @@ def _key_blocks(bases: np.ndarray, n: int):
     block before it asks for the next one.
     """
     rows = _block_rows(n, bases.size)
-    with np.errstate(over="ignore"):
-        item_off = np.arange(1, n + 1, dtype=np.uint64) * GOLDEN
+    item_off = _item_offsets(n)
     buf = np.empty((rows, n), dtype=np.uint64)
     tmp = np.empty_like(buf)
     for start in range(0, bases.size, max(rows, 1)):
         block = bases[start:start + rows]
-        keys, scratch = buf[:block.size], tmp[:block.size]
-        np.add(block[:, None], item_off, out=keys)
-        _mix64_inplace(keys, scratch)
+        keys = buf[:block.size]
+        _fill_keys(block, item_off, keys, tmp[:block.size])
         yield start, keys
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def subset_blocks(root: int, n: int, m: int, count: int):
@@ -157,7 +183,8 @@ def sample_means_without_replacement(
     Per block of trials, one partition finds every row's m-th smallest key;
     the row's subset is the keys at or below it (exactly m, the keys being
     distinct), and the subset sums are one matrix-vector product with that
-    0/1 mask.
+    0/1 mask.  Worker w of the module docstring's workers computes blocks
+    w, w + workers, ...; a worker's exception reaches the caller.
     """
     values = np.ascontiguousarray(np.asarray(values, dtype=np.float64).ravel())
     n = values.shape[0]
@@ -172,14 +199,32 @@ def sample_means_without_replacement(
         bases = mix64_array(
             np.uint64(root) + np.arange(1, trials + 1, dtype=np.uint64) * GOLDEN
         )
+    item_off = _item_offsets(n)
     rows = _block_rows(n, trials)
-    select = np.empty((rows, n), dtype=np.uint64)
-    mask = np.empty((rows, n), dtype=np.float64)
-    for start, keys in _key_blocks(bases, n):
-        count = keys.shape[0]
-        np.copyto(select[:count], keys)
-        select[:count].partition(m - 1, axis=1)
-        np.less_equal(keys, select[:count, m - 1:m], out=mask[:count])
-        np.matmul(mask[:count], values, out=out[start:start + count])
+    starts = range(0, trials, max(rows, 1))
+    workers = min(_worker_count(), len(starts))
+    # allocated here, not in the workers, so they come from the main heap
+    buffers = [(np.empty((rows, n), dtype=np.uint64), np.empty((rows, n), dtype=np.uint64),
+                np.empty((rows, 1), dtype=np.uint64)) for _ in range(workers)]
+
+    def work(w: int) -> None:
+        keys_buf, scratch_buf, kth_buf = buffers[w]
+        with np.errstate(over="ignore"):  # errstate is per thread
+            for start in starts[w::workers]:
+                count = min(rows, trials - start)
+                keys, scratch, kth = keys_buf[:count], scratch_buf[:count], kth_buf[:count]
+                _fill_keys(bases[start:start + count], item_off, keys, scratch)
+                np.copyto(scratch, keys)
+                scratch.partition(m - 1, axis=1)
+                np.copyto(kth, scratch[:, m - 1:m])
+                mask = scratch.view(np.float64)  # the partitioned copy is spent
+                np.less_equal(keys, kth, out=mask)
+                np.matmul(mask, values, out=out[start:start + count])
+
+    if workers == 1:
+        work(0)
+    elif workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(work, range(workers)))
     out /= m
     return out

@@ -143,10 +143,13 @@ def concentration_harness(
 
     The default statistic is the sample mean over the drawn subset, for which
     E[phi] is the population mean exactly (symmetry of the draw) and the
-    per-swap variation is c = (max - min)/m.  A custom ``phi`` may be passed
-    together with its swap bound ``c``; its expectation is then estimated by a
-    separate, independently seeded pass of ``expectation_trials`` draws
-    (default: same as ``trials``).
+    per-swap variation is c = (max - min)/m; its draws are split across
+    worker threads by ``_kernels.sample_means_without_replacement``, with
+    results that do not depend on the thread count.  A custom ``phi`` may be
+    passed together with its swap bound ``c``; its expectation is then
+    estimated by a separate, independently seeded pass of
+    ``expectation_trials`` draws (default: same as ``trials``).  Its draws
+    run in the calling thread, since a Python ``phi`` holds the GIL.
 
     Returns:
         ConcentrationResult(empirical_tail, bound) where

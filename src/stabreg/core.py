@@ -78,6 +78,9 @@ class FullSample:
             raise ValueError("points and targets disagree on sample size")
         if pts.shape[0] < 2:
             raise ValueError("a full sample needs at least 2 points")
+        for name, finite in (("points", np.isfinite(pts).all(axis=1)), ("targets", np.isfinite(y))):
+            if not finite.all():
+                raise ValueError(f"{name}[{int(np.argmin(finite))}] is not finite")
         m_bound = float(self.label_bound_M)
         if not m_bound > 0:
             raise ValueError("label_bound_M must be positive")

@@ -349,7 +349,10 @@ def empirical_stability(
         removed, added = (np.asarray(a, dtype=np.int64).ravel() for a in swaps)
         if removed.size != added.size:
             raise InvalidStabilityInput("removed and added must have the same length")
-        mode = "exhaustive" if removed.size == part.m * part.u else "custom"
+        # m*u valid swaps are all of them only when no swap repeats
+        every = (removed.size == part.m * part.u
+                 and np.unique(removed * sample.n + added).size == removed.size)
+        mode = "exhaustive" if every else "custom"
         valid = np.isin(removed, part.train_idx) & np.isin(added, part.test_idx)
         stop = removed.size if valid.all() else int(np.argmin(valid))
     if not removed.size:

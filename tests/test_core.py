@@ -64,6 +64,18 @@ def test_full_sample_rejects_label_outside_bound():
         FullSample(points=np.zeros((3, 1)), targets=np.array([0.0, 0.5, 1.5]), label_bound_M=1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_full_sample_rejects_non_finite_values_naming_the_first(bad):
+    targets = np.zeros(6)
+    targets[[2, 4]] = bad
+    with pytest.raises(ValueError, match=r"targets\[2\] is not finite"):
+        FullSample(points=np.arange(6.0), targets=targets, label_bound_M=1.0)
+    points = np.zeros((6, 2))
+    points[3, 1] = bad
+    with pytest.raises(ValueError, match=r"points\[3\] is not finite"):
+        FullSample(points=points, targets=np.zeros(6), label_bound_M=1.0)
+
+
 def test_full_sample_rejects_tiny_or_bad_inputs():
     with pytest.raises(ValueError):
         FullSample(points=np.zeros((1, 2)), targets=np.zeros(1), label_bound_M=1.0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -149,3 +150,45 @@ def test_subset_blocks_match_partition_keys_per_draw(count, m):
     for t, row in enumerate(rows):
         keys = _kernels.partition_keys(root + t + 1, N_POP)
         assert np.array_equal(row, np.sort(np.argpartition(keys, m - 1)[:m]))
+
+
+# ---------------------------------------------------------------------------
+# worker threads: the output does not depend on how many there are
+
+WORKER_TRIALS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+POPULATIONS = {
+    "integer": np.random.default_rng(3).integers(-50, 50, N_POP).astype(np.float64),
+    "float": np.random.default_rng(4).uniform(-1, 1, N_POP),
+}
+
+
+def means_with_workers(monkeypatch, workers, values, m, trials, seed):
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
+    return _kernels.sample_means_without_replacement(values, m, trials, seed)
+
+
+@pytest.mark.parametrize("population", sorted(POPULATIONS))
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_means_bit_identical_for_any_worker_count(monkeypatch, workers, population):
+    values = POPULATIONS[population]
+    for trials in WORKER_TRIALS:
+        for m in (1, 200, N_POP):
+            want = means_with_workers(monkeypatch, 1, values, m, trials, 29)
+            got = means_with_workers(monkeypatch, workers, values, m, trials, 29)
+            assert got.shape == (trials,)
+            assert np.array_equal(got, want), (trials, m)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask here")
+def test_worker_count_is_the_affinity_mask():
+    assert _kernels._worker_count() == len(os.sched_getaffinity(0))
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    def fail(*args):
+        raise MemoryError("block")
+
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "_fill_keys", fail)
+    with pytest.raises(MemoryError, match="block"):
+        _kernels.sample_means_without_replacement(np.arange(float(N_POP)), 3, 2 * BLOCK, 0)

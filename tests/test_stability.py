@@ -359,6 +359,19 @@ def test_empirical_stability_custom_swaps():
         empirical_stability(solver, sample, part, swaps=([], []), B=2.0)
 
 
+def test_empirical_stability_repeated_swaps_are_not_exhaustive():
+    sample, part, g = make_instance(6, 3, 4)
+
+    def solver(s, p):
+        return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
+
+    copies = (np.repeat(part.train_idx[:1], 9), np.repeat(part.test_idx[:1], 9))
+    report = empirical_stability(solver, sample, part, swaps=copies, B=2.0)
+    assert (report.mode, report.swaps_evaluated, report.swaps_total) == ("custom", 9, 9)
+    every = empirical_stability(solver, sample, part, swaps=enumerate_swaps(part), B=2.0)
+    assert (every.mode, every.swaps_evaluated) == ("exhaustive", 9)
+
+
 def test_empirical_stability_cost_delta_matches_direct_recomputation():
     sample, part, g = make_instance(8, 4, 5)
 
