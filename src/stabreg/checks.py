@@ -26,12 +26,9 @@ from .core import (
 )
 from .graph import GraphSpec, gaussian_affinity, is_connected, laplacian, pseudo_inverse, spectrum
 from .regressors import (
-    ConstrainedProblem,
-    LtrProblem,
-    UnconstrainedProblem,
-    build_cm,
-    build_llreg,
     gaussian_kernel,
+    graph_quadratic,
+    labels_to_full,
     solve_constrained,
     solve_ltr,
     solve_unconstrained,
@@ -139,10 +136,10 @@ def unconstrained_oracle(seed: int, count: int) -> tuple[bool, str]:
         b = rng.normal(size=(n, n))
         q = b.T @ b / n
         q = 0.5 * (q + q.T)
-        cmat = np.diag(rng.uniform(0.5, 3.0, n))
+        c = rng.uniform(0.5, 3.0, n)
         y = rng.uniform(-1.0, 1.0, n)
-        h = solve_unconstrained(UnconstrainedProblem(Q=q, Cmat=cmat, y=y)).scores
-        h_ref = _descent_minimize(q, cmat, y)
+        h = solve_unconstrained(q, c, y).scores
+        h_ref = _descent_minimize(q, np.diag(c), y)
         worst = max(worst, math.inf if h_ref is None else float(np.max(np.abs(h - h_ref))))
     return worst <= 1e-8, f"{count} instances, max sup-norm gap {worst:.2e}"
 
@@ -154,7 +151,7 @@ def constrained_optimality(seed: int, count: int, C: float = 1.0) -> tuple[bool,
     worst_gap = -math.inf  # max over graphs of (our objective - best random)
     for _ in range(count):
         lap, part, y = _random_laplacian_problem(rng)
-        h = solve_constrained(ConstrainedProblem(L=lap, C_tradeoff=C, part=part, y_S=y)).scores
+        h = solve_constrained(lap, part, y, C).scores
         worst_feas = max(worst_feas, abs(float(h.sum())) / max(float(np.linalg.norm(h)), 1e-300))
         cand = rng.normal(size=(10_000, part.n))
         cand -= cand.mean(axis=1, keepdims=True)  # project onto sum-zero
@@ -175,11 +172,8 @@ def pinv_kernel_equivalence(seed: int, count: int) -> tuple[bool, str]:
     for _ in range(count):
         lap, part, y = _random_laplacian_problem(rng)
         C = float(rng.uniform(0.5, 4.0))
-        h_con = solve_constrained(ConstrainedProblem(L=lap, C_tradeoff=C, part=part, y_S=y)).scores
-        k = pseudo_inverse(lap)
-        kappa = math.sqrt(max(float(np.max(np.diagonal(k))), 1e-12))
-        h_ltr = solve_ltr(LtrProblem(K=k, part=part, y=y, y_tilde=np.zeros(0),
-                                     C=C, C_prime=0.0, kappa=kappa)).scores
+        h_con = solve_constrained(lap, part, y, C).scores
+        h_ltr = solve_ltr(pseudo_inverse(lap), part, y, np.zeros(0), C, 0.0).scores
         worst = max(worst, float(np.max(np.abs(h_con - h_ltr))))
     return worst <= 1e-6, f"{count} graphs, max sup-norm gap {worst:.2e}"
 
@@ -201,18 +195,26 @@ def swap_stability(seed: int) -> tuple[bool, str]:
     M = float(np.max(np.abs(targets)))
     sample = FullSample(points=points, targets=targets, label_bound_M=M)
     part = sample_partition(sample, m, seed=7)
-    cases = (  # llreg at C_l = 2, C_u = 1
+    q_cm, q_llreg = graph_quadratic("cm", g)[0], graph_quadratic("llreg", g)[0]
+
+    def labels(s, p):
+        return labels_to_full(s.targets[p.train_idx], p)
+
+    def llreg_weights(p):  # C_l = 2 on S, C_u = 1 on T
+        return np.where(np.isin(np.arange(n), p.train_idx), 2.0, 1.0)
+
+    cases = (
         ("cm", cm_score_bound(M),
-         lambda s, p: solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))),
-        ("llreg", llreg_score_bound(M, m, 1.0, 2.0), lambda s, p: solve_unconstrained(
-            build_llreg(g.weights, 2.0, 1.0, s.targets[p.train_idx], p))),
-        ("constrained", belkin_score_stability(M, m, 1.0, lam2), lambda s, p: solve_constrained(
-            ConstrainedProblem(L=lap, C_tradeoff=1.0, part=p, y_S=s.targets[p.train_idx]))),
+         lambda s, p: solve_unconstrained(q_cm, np.ones(n), labels(s, p))),
+        ("llreg", llreg_score_bound(M, m, 1.0, 2.0),
+         lambda s, p: solve_unconstrained(q_llreg, llreg_weights(p), labels(s, p))),
+        ("constrained", belkin_score_stability(M, m, 1.0, lam2),
+         lambda s, p: solve_constrained(lap, p, s.targets[p.train_idx], 1.0)),
     )
     ok = True
     details = []
     for name, limit, solver in cases:
-        rep = empirical_stability(solver, sample, part, B=2.0 * M)
+        rep = empirical_stability(solver, sample, part)
         ok = ok and rep.mode == "exhaustive" and rep.max_score_delta <= limit + 1e-9
         details.append(f"{name} {rep.max_score_delta:.3e}<={limit:.3e}")
     return ok, ", ".join(details)
@@ -263,8 +265,7 @@ def ltr_output_bound(seed: int, count: int) -> tuple[bool, str]:
         C_prime = float(rng.uniform(0.0, 10.0)) if rng.random() < 0.7 else 0.0
         y = rng.uniform(-M, M, part.m)
         y_tilde = rng.uniform(-M, M, part.u) if C_prime > 0 else np.zeros(0)
-        h = solve_ltr(LtrProblem(K=kappa * kappa * kernel, part=part, y=y, y_tilde=y_tilde,
-                                 C=C, C_prime=C_prime, kappa=kappa)).scores
+        h = solve_ltr(kappa * kappa * kernel, part, y, y_tilde, C, C_prime).scores
         bound = kappa * M * math.sqrt(C + C_prime)
         worst_excess = max(worst_excess, float(np.max(np.abs(h))) - bound)
     return (worst_excess <= 1e-8, f"{count} random problems and {count // 10 + 1} with "

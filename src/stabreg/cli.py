@@ -52,7 +52,6 @@ from .core import (
 )
 from .errors import (
     NoFeasibleRadius,
-    NonFiniteMatrix,
     NoSweepData,
     ParseError,
     PseudoTargetUnavailable,
@@ -220,6 +219,9 @@ class ExperimentConfig:
             raise ValueError("partitions must be at least 1")
         if int(self.jobs) < 1:
             raise ValueError("jobs must be at least 1")
+        for name in ("C", "C_prime", "mu", "C_l", "C_u"):
+            if not math.isfinite(float(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         grid = tuple(float(r) for r in self.radius_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("radius_grid must be strictly increasing")
@@ -443,8 +445,6 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
         if not (float(cfg.C_l) > 0 and float(cfg.C_u) > 0):
             raise ValueError("C_l and C_u must be positive")
         c_S, c_T = float(cfg.C_l), float(cfg.C_u)
-    if not (math.isfinite(c_S) and math.isfinite(c_T)):
-        raise NonFiniteMatrix(f"trade-off weights must be finite (got {c_S}, {c_T})")
     q, null = graph_quadratic(family, graph)
 
     constraint = None
@@ -1072,7 +1072,7 @@ def _cmd_stability(args) -> int:
     }
     if args.empirical:
         out["empirical"] = asdict(empirical_stability(
-            fit.solve, sample, part, B=fit.B, seed=cfg.seed, batch=fit.swap_engine()
+            fit.solve, sample, part, seed=cfg.seed, batch=fit.swap_engine()
         ))
     _emit(_dump_json(out), args.out)
     return 0

@@ -11,19 +11,21 @@ weights, so each system is checked once and then solved for any partition:
   form ``h = (C^{-1} Q + I)^{-1} y``: consistency-method (CM) smoothing with
   the normalized Laplacian, local-linear regularization (LL-Reg) with
   ``Q = (I - A)^T (I - A)`` for a row-stochastic A, and Gaussian-field style
-  smoothing (GMF) with the combinatorial Laplacian.  Constrained: their
-  stabilized variants, with u Q's bottom eigenvector, and the
-  norm-constrained Laplacian regularizer ``h^T L h + (C/m) ||(h - y)_S||^2``,
-  with weight 0 on T; a constant u must pin L's null space.
+  smoothing (GMF) with the combinatorial Laplacian; ``graph_quadratic``
+  gives each family's Q.  Constrained: their stabilized variants, with u
+  Q's bottom eigenvector, and the norm-constrained Laplacian regularizer
+  ``h^T L h + (C/m) ||(h - y)_S||^2``, with weight 0 on T; a constant u
+  must pin L's null space.
 * ``KernelSystem(K)``: kernel least squares over a symmetric PSD Gram
   matrix: labeled squared loss weighted by C/m plus unlabeled squared loss
   against local pseudo-targets weighted by C'/u (LTR), for one pseudo-target
   vector or a block of them.  With C' = 0 this is kernel ridge regression
   evaluated on the full sample.
 
-A system shares a matrix the caller already holds read-only (a problem
-dataclass does) and copies any other.  The public ``solve_*`` functions and
-``stabilize`` prepare a system from their problem and solve it once.
+A system shares a matrix the caller already holds read-only and copies any
+other.  Each ``solve`` checks its weights and labels against the system.
+``solve_unconstrained``, ``stabilize``, ``solve_constrained``, ``solve_ltr``
+and ``solve_krr_induction`` prepare a system from arrays and solve it once.
 
 Pseudo-targets for unlabeled points are radius-limited weighted averages of
 labeled neighbors; weights are either a Gaussian kernel value or an inverse
@@ -32,6 +34,7 @@ feature-space distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +51,6 @@ from .graph import (
     GraphSpec,
     SpectrumSummary,
     _check_symmetric,
-    laplacian,
     normalized_laplacian,
     row_normalize,
     spectrum,
@@ -56,15 +58,9 @@ from .graph import (
 )
 
 __all__ = [
-    "UnconstrainedProblem",
-    "ConstrainedProblem",
-    "LtrProblem",
     "LocalEstimatorConfig",
     "KernelSystem",
     "QuadraticSystem",
-    "build_cm",
-    "build_llreg",
-    "build_gmf",
     "graph_quadratic",
     "labels_to_full",
     "solve_unconstrained",
@@ -73,149 +69,11 @@ __all__ = [
     "gaussian_kernel",
     "pseudo_targets",
     "solve_ltr",
-    "ltr_dual_coefficients",
     "solve_krr_induction",
 ]
 
 _RESIDUAL_TOL = 1e-10
 _KKT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class UnconstrainedProblem:
-    """min_h  h^T Q h + (h - y)^T Cmat (h - y)  with Q PSD, Cmat PD and diagonal."""
-
-    Q: np.ndarray
-    Cmat: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        q = _check_symmetric(self.Q)
-        c = _check_symmetric(self.Cmat)
-        y = np.asarray(self.y, dtype=np.float64).ravel()
-        n = y.size
-        if q.shape != (n, n) or c.shape != (n, n):
-            raise ValueError("Q, Cmat and y disagree on dimension")
-        if np.count_nonzero(c) != np.count_nonzero(np.diagonal(c)):  # NaN counts as nonzero
-            raise ValueError("Cmat must be diagonal")
-        d = np.diagonal(c)
-        if not np.all(np.isfinite(d) & (d > 0)):
-            raise ValueError("Cmat must be positive definite")
-        object.__setattr__(self, "Q", _readonly(q))
-        object.__setattr__(self, "Cmat", _readonly(c))
-        object.__setattr__(self, "y", _readonly(y))
-
-    @property
-    def n(self) -> int:
-        return self.y.size
-
-
-@dataclass(frozen=True)
-class ConstrainedProblem:
-    """min_h  h^T L h + (C/m) ||(h - y)_S||^2  subject to  u^T h = 0.
-
-    ``y_S`` may be given full-length (zeros off S, enforced) or length m
-    aligned with the sorted labeled indices.  When ``center_labels`` is set,
-    the component of the labels along the constraint direction is removed
-    before solving and added back onto the returned scores.
-    """
-
-    L: np.ndarray
-    C_tradeoff: float
-    part: Partition
-    y_S: np.ndarray
-    u_vec: np.ndarray | None = None
-    center_labels: bool = False
-
-    def __post_init__(self):
-        lap = _check_symmetric(self.L)
-        n = self.part.n
-        if lap.shape != (n, n):
-            raise ValueError("L must be (m+u) x (m+u)")
-        if not float(self.C_tradeoff) > 0:
-            raise ValueError("C_tradeoff must be positive")
-        y = np.asarray(self.y_S, dtype=np.float64).ravel()
-        if y.size == self.part.m:
-            full = np.zeros(n)
-            full[self.part.train_idx] = y
-            y = full
-        elif y.size == n:
-            if np.any(y[self.part.test_idx] != 0):
-                raise ValueError("y_S must be zero off the labeled set")
-        else:
-            raise ValueError("y_S must have length m or m+u")
-        u = self.u_vec
-        u = np.ones(n) if u is None else np.asarray(u, dtype=np.float64).ravel()
-        if u.size != n:
-            raise ValueError("u_vec must have length m+u")
-        if float(u @ u) <= 1e-24:
-            raise ZeroConstraintVector("constraint vector has (near-)zero norm")
-        object.__setattr__(self, "L", _readonly(lap))
-        object.__setattr__(self, "C_tradeoff", float(self.C_tradeoff))
-        object.__setattr__(self, "y_S", _readonly(y))
-        object.__setattr__(self, "u_vec", _readonly(u))
-        object.__setattr__(self, "center_labels", bool(self.center_labels))
-
-    @property
-    def n(self) -> int:
-        return self.part.n
-
-
-@dataclass(frozen=True)
-class LtrProblem:
-    """Kernel least squares with labeled and pseudo-labeled squared losses.
-
-    Attributes:
-        K: (n, n) Gram matrix over the full sample, diag(K) <= kappa^2.
-        part: the S/T split; ``y`` has length m (labels, sorted-S order) and
-            ``y_tilde`` length u (pseudo-targets, sorted-T order; may be
-            empty when C_prime = 0).  A (u, k) ``y_tilde`` holds k
-            pseudo-target vectors, one problem per column; only
-            ``ltr_dual_coefficients`` accepts such a block.
-        C: labeled trade-off (weight C/m per labeled point).
-        C_prime: unlabeled trade-off (weight C'/u per unlabeled point).
-        kappa: bound with K(x, x) <= kappa^2.
-    """
-
-    K: np.ndarray
-    part: Partition
-    y: np.ndarray
-    y_tilde: np.ndarray
-    C: float
-    C_prime: float
-    kappa: float
-
-    def __post_init__(self):
-        k = _check_symmetric(self.K)
-        n = self.part.n
-        if k.shape != (n, n):
-            raise ValueError("K must be (m+u) x (m+u)")
-        y = np.asarray(self.y, dtype=np.float64).ravel()
-        if y.size != self.part.m:
-            raise ValueError("y must have length m")
-        yt = np.asarray(self.y_tilde, dtype=np.float64)
-        if yt.ndim != 2:
-            yt = yt.ravel()
-        if yt.shape[0] not in (0, self.part.u):
-            raise ValueError("y_tilde must have length u (or 0 when C_prime = 0)")
-        if float(self.C) < 0 or float(self.C_prime) < 0:
-            raise ValueError("C and C_prime must be non-negative")
-        if float(self.C_prime) > 0 and yt.size == 0:
-            raise ValueError("C_prime > 0 requires pseudo-targets")
-        if not float(self.kappa) > 0:
-            raise ValueError("kappa must be positive")
-        if np.max(np.diagonal(k), initial=0.0) > float(self.kappa) ** 2 + 1e-12:
-            raise ValueError("diag(K) exceeds kappa^2")
-        object.__setattr__(self, "K", _readonly(k))
-        object.__setattr__(self, "y", _readonly(y))
-        object.__setattr__(self, "y_tilde", _readonly(yt))
-        object.__setattr__(self, "C", float(self.C))
-        object.__setattr__(self, "C_prime", float(self.C_prime))
-        object.__setattr__(self, "kappa", float(self.kappa))
-
-    @property
-    def n(self) -> int:
-        return self.part.n
 
 
 @dataclass(frozen=True)
@@ -256,46 +114,12 @@ def labels_to_full(labels_on_S, part: Partition) -> np.ndarray:
     return full
 
 
-def build_cm(g: GraphSpec, mu: float, labels_on_S, part: Partition) -> UnconstrainedProblem:
-    """Consistency-method smoothing: normalized Laplacian, Cmat = mu * I."""
-    if not float(mu) > 0:
-        raise ValueError("mu must be positive")
-    q = normalized_laplacian(g)
-    y = labels_to_full(labels_on_S, part)
-    return UnconstrainedProblem(Q=q, Cmat=float(mu) * np.eye(g.n), y=y)
-
-
-def _split_diag(part: Partition, C_l: float, C_u: float) -> np.ndarray:
-    if not (float(C_l) > 0 and float(C_u) > 0):
-        raise ValueError("C_l and C_u must be positive")
-    d = np.empty(part.n)
-    d[part.train_idx] = float(C_l)
-    d[part.test_idx] = float(C_u)
-    return np.diag(d)
-
-
 def _llreg_quadratic(A_raw: np.ndarray) -> np.ndarray:
     """Q = (I - A)^T (I - A) for the row-normalized A."""
     a = row_normalize(A_raw)
     m_mat = np.eye(a.shape[0]) - a
     q = m_mat.T @ m_mat
     return 0.5 * (q + q.T)
-
-
-def build_llreg(
-    A_raw: np.ndarray, C_l: float, C_u: float, labels_on_S, part: Partition
-) -> UnconstrainedProblem:
-    """Local-linear regularization: Q = (I - A)^T (I - A), A row-normalized."""
-    y = labels_to_full(labels_on_S, part)
-    return UnconstrainedProblem(Q=_llreg_quadratic(A_raw), Cmat=_split_diag(part, C_l, C_u), y=y)
-
-
-def build_gmf(
-    g: GraphSpec, C_l: float, C_u: float, labels_on_S, part: Partition
-) -> UnconstrainedProblem:
-    """Gaussian-field style smoothing with the combinatorial Laplacian."""
-    y = labels_to_full(labels_on_S, part)
-    return UnconstrainedProblem(Q=laplacian(g), Cmat=_split_diag(part, C_l, C_u), y=y)
 
 
 def graph_quadratic(family: str, g: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -415,11 +239,19 @@ class QuadraticSystem:
         KKT system bordered by u gives ``Q h + diag(c) (h - y) + beta u = 0``
         for a multiplier beta.  ``center_labels`` removes the labels'
         component along u on the labeled points (c > 0) before solving and
-        adds it back onto the scores.  A failed ``residual_test`` raises
-        SingularSystem.
+        adds it back onto the scores.  c and y need one entry per row of Q
+        and c must be finite, else ValueError; a failed ``residual_test``
+        raises SingularSystem.
         """
         n = self.Q.shape[0]
         u = self.constraint
+        c = np.asarray(c, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if c.shape != (n,) or y.shape != (n,):
+            raise ValueError("c and y must have one entry per row of Q")
+        if not np.all(np.isfinite(c) & ((c > 0) if u is None else (c >= 0))):
+            raise ValueError("weights c must be finite, and positive without a constraint "
+                             "or non-negative with one")
         offset = 0.0
         if center_labels:
             if u is None:
@@ -441,35 +273,35 @@ class QuadraticSystem:
         return HypothesisScores(scores=h)
 
 
-def solve_unconstrained(p: UnconstrainedProblem) -> HypothesisScores:
-    """Closed-form minimizer h = (Cmat^{-1} Q + I)^{-1} y.
-
-    Solved as the equivalent symmetric system (Q + Cmat) h = Cmat y.
-    """
-    return QuadraticSystem(p.Q).solve(np.diagonal(p.Cmat), p.y)
+def solve_unconstrained(Q: np.ndarray, c: np.ndarray, y: np.ndarray) -> HypothesisScores:
+    """Closed-form minimizer ``h = (C^{-1} Q + I)^{-1} y`` for C = diag(c), c > 0."""
+    return QuadraticSystem(Q).solve(c, y)
 
 
-def stabilize(p: UnconstrainedProblem) -> HypothesisScores:
-    """Solve the problem restricted to the orthogonal complement of Q's bottom eigenvector.
+def stabilize(Q: np.ndarray, c: np.ndarray, y: np.ndarray) -> HypothesisScores:
+    """The unconstrained problem restricted to the orthogonal complement of Q's bottom eigenvector.
 
     The feasible subspace's smallest Q-eigenvalue is the second-smallest
     eigenvalue of Q, which tightens the score-perturbation denominator.
+    The eigenvector comes from ``spectrum`` (eigh), not ``graph_quadratic``.
     """
-    bottom = spectrum(p.Q).eigenvector_min
-    return QuadraticSystem(p.Q, bottom).solve(np.diagonal(p.Cmat), p.y)
+    return QuadraticSystem(Q, spectrum(Q).eigenvector_min).solve(c, y)
 
 
-def solve_constrained(p: ConstrainedProblem) -> HypothesisScores:
+def solve_constrained(L: np.ndarray, part: Partition, y_S: np.ndarray, C: float,
+                      u: np.ndarray | None = None, center_labels: bool = False
+                      ) -> HypothesisScores:
     """KKT solve of the constrained Laplacian problem: weight C/m on S, 0 on T.
 
-    Raises ConstraintSpansNullSpace for a constant u on a disconnected
-    graph, else as ``QuadraticSystem.solve``.
+    ``y_S`` holds the m labels in sorted-S order and ``u`` defaults to the
+    all-ones direction.  Raises ConstraintSpansNullSpace for a constant u on
+    a disconnected graph, else as ``QuadraticSystem.solve``.
     """
-    system = QuadraticSystem(p.L, p.u_vec)
+    system = QuadraticSystem(L, np.ones(part.n) if u is None else u)
     system.check_null_space()
-    c = np.zeros(p.n)
-    c[p.part.train_idx] = p.C_tradeoff / p.part.m
-    return system.solve(c, p.y_S, p.center_labels)
+    c = np.zeros(part.n)
+    c[part.train_idx] = float(C) / part.m
+    return system.solve(c, labels_to_full(y_S, part), center_labels)
 
 
 def gaussian_kernel(points: np.ndarray, sigma: float) -> np.ndarray:
@@ -569,10 +401,22 @@ class KernelSystem:
         ``y_tilde`` may be empty when C' = 0.  The residual ``K_kk alpha +
         Lambda^{-1} alpha - [y_S; y_tilde]`` of each column must stay within
         1e-10 of ``max(1, ||[y_S; y_tilde]||)``, as in ``QuadraticSystem``'s
-        unbordered solves, else SingularSystem; NaN fails.
+        unbordered solves, else SingularSystem; NaN fails.  ValueError when
+        the partition does not cover K, y is not of length m, y_tilde is not
+        of length u (or 0 with C' = 0), or C or C' is negative or not finite.
         """
-        if C < 0 or C_prime < 0:
-            raise ValueError("C and C_prime must be non-negative")
+        y = np.asarray(y, dtype=np.float64)
+        y_tilde = np.asarray(y_tilde, dtype=np.float64)
+        if part.n != self.K.shape[0]:
+            raise ValueError("the partition must have one index per row of K")
+        if y.shape != (part.m,):
+            raise ValueError("y must have length m")
+        if not (0 <= C < math.inf and 0 <= C_prime < math.inf):
+            raise ValueError("C and C_prime must be finite and non-negative")
+        if C_prime > 0 and y_tilde.shape[0] == 0:
+            raise ValueError("C_prime > 0 requires pseudo-targets")
+        if y_tilde.shape[0] not in (0, part.u):
+            raise ValueError("y_tilde must have length u (or 0 when C_prime = 0)")
         cols = y_tilde.shape[1:]  # () for one problem, (k,) for a block
         kept_parts = []
         inv_weights = []
@@ -606,29 +450,18 @@ class KernelSystem:
     def solve(self, part: Partition, y: np.ndarray, y_tilde: np.ndarray,
               C: float, C_prime: float) -> HypothesisScores:
         """Scores of the LTR minimizer for one pseudo-target vector."""
+        if np.ndim(y_tilde) != 1:
+            raise ValueError("a block of pseudo-targets is solved by dual")
         return HypothesisScores(scores=self.scores(*self.dual(part, y, y_tilde, C, C_prime)))
 
 
-def ltr_dual_coefficients(p: LtrProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion ``(alpha, kept)`` of the LTR minimizer; see ``KernelSystem.dual``."""
-    return KernelSystem(p.K).dual(p.part, p.y, p.y_tilde, p.C, p.C_prime)
-
-
-def solve_ltr(p: LtrProblem) -> HypothesisScores:
+def solve_ltr(K: np.ndarray, part: Partition, y: np.ndarray, y_tilde: np.ndarray,
+              C: float, C_prime: float) -> HypothesisScores:
     """Minimize ``||f||_K^2 + (C/m) sum_S (f - y)^2 + (C'/u) sum_T (f - y_tilde)^2``."""
-    if p.y_tilde.ndim == 2:
-        raise ValueError("a y_tilde block is solved by ltr_dual_coefficients")
-    return KernelSystem(p.K).solve(p.part, p.y, p.y_tilde, p.C, p.C_prime)
+    return KernelSystem(K).solve(part, y, y_tilde, C, C_prime)
 
 
-def solve_krr_induction(p: LtrProblem) -> HypothesisScores:
-    """Kernel ridge regression on the labeled points, evaluated everywhere.
-
-    Requires C_prime = 0; with C = 0 the solution is identically zero and K
-    is not checked.
-    """
-    if p.C_prime != 0:
-        raise ValueError("solve_krr_induction requires C_prime = 0")
-    if p.C == 0:
-        return HypothesisScores(scores=np.zeros(p.n))
-    return KernelSystem(p.K).solve(p.part, p.y, np.zeros(0), p.C, 0.0)
+def solve_krr_induction(K: np.ndarray, part: Partition, y: np.ndarray, C: float
+                        ) -> HypothesisScores:
+    """Kernel ridge regression on the labeled points, evaluated everywhere: LTR with C' = 0."""
+    return KernelSystem(K).solve(part, y, np.zeros(0), C, 0.0)

@@ -46,7 +46,7 @@ from .errors import (
     InvalidStabilityInput,
 )
 from .graph import SpectrumSummary
-from .regressors import UnconstrainedProblem, solve_unconstrained
+from .regressors import QuadraticSystem
 
 __all__ = [
     "StabilityInputs",
@@ -313,7 +313,6 @@ def empirical_stability(
     sample: FullSample,
     part: Partition,
     swaps: tuple[np.ndarray, np.ndarray] | None = None,
-    B: float = 1.0,
     seed: int = 0,
     *,
     batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
@@ -330,8 +329,6 @@ def empirical_stability(
             when there are at most ``SWAP_BUDGET``, else a seeded subset of
             that size.  A swap whose indices are not on the sides it names
             raises ``apply_swap``'s ValueError, after the swaps before it.
-        B: residual bound used by the cost/score consistency contract
-            (cost delta <= 2 B score delta when residuals stay within B).
         seed: seed for the sampled-subset mode.
         batch: ``batch(removed, added)`` giving the (k, n) scores of k swaps
             of ``part`` at once, one row per swap, e.g. an engine from
@@ -340,8 +337,6 @@ def empirical_stability(
             scores.  Swaps go in blocks of 128, so memory does not grow
             with the swap count.
     """
-    if not B > 0:
-        raise InvalidStabilityInput("B must be positive")
     if swaps is None:
         (removed, added), mode = _default_swaps(part, seed)
         stop = removed.size
@@ -392,31 +387,27 @@ def empirical_stability(
     )
 
 
-def cm_lower_bound_instance(
-    m: int, C: float
-) -> tuple[UnconstrainedProblem, Partition, float]:
+def cm_lower_bound_instance(m: int, C: float) -> tuple[np.ndarray, Partition, float]:
     """Worst-case CM instance: two complete-graph blocks, labels 0 on S and 1 on T.
 
     The quadratic form is block-diagonal with two m x m blocks having unit
-    diagonal and off-diagonal -1/(m-1); the weight matrix is C times the
-    identity.  Exchanging the last labeled point (index m-1) with the first
-    unlabeled point (index m) moves the score at the swapped-in index by
-    exactly
+    diagonal and off-diagonal -1/(m-1); every point has weight C.
+    Exchanging the last labeled point (index m-1) with the first unlabeled
+    point (index m) moves the score at the swapped-in index by exactly
 
         predicted_a = 1/m + ((m-1) C / m) / (C + m/(m-1)),
 
     which stays at least C / (2 (C + 1)) for every m >= 2.
 
     Returns:
-        (problem, partition, predicted_a); the problem's label vector is the
-        base one (labels on S, which are all zero).
+        (Q, partition, predicted_a); the base labels on S are all zero.
     """
     m = int(m)
     if m < 2:
         raise InvalidInstance("the construction needs m >= 2")
     C = float(C)
-    if not C > 0:
-        raise InvalidInstance("C must be positive")
+    if not 0 < C < math.inf:
+        raise InvalidInstance("C must be positive and finite")
     block = (m / (m - 1.0)) * (np.eye(m) - np.full((m, m), 1.0 / m))
     q = np.zeros((2 * m, 2 * m))
     q[:m, :m] = block
@@ -425,9 +416,8 @@ def cm_lower_bound_instance(
     part = Partition(
         train_idx=np.arange(m), test_idx=np.arange(m, 2 * m), seed=0
     )
-    problem = UnconstrainedProblem(Q=q, Cmat=C * np.eye(2 * m), y=np.zeros(2 * m))
     predicted_a = 1.0 / m + ((m - 1.0) * C / m) / (C + m / (m - 1.0))
-    return problem, part, predicted_a
+    return q, part, predicted_a
 
 
 def cm_lower_bound_demo(m: int, C: float) -> dict:
@@ -436,15 +426,15 @@ def cm_lower_bound_demo(m: int, C: float) -> dict:
     Returns a dict with the predicted movement, the measured movement at the
     swapped-in index, and the universal floor C / (2 (C + 1)).
     """
-    problem, part, predicted_a = cm_lower_bound_instance(m, C)
+    q, part, predicted_a = cm_lower_bound_instance(m, C)
     m = int(m)
     removed, added = m - 1, m
-    base = solve_unconstrained(problem)
+    system = QuadraticSystem(q)
+    weights = np.full(2 * m, float(C))
+    base = system.solve(weights, np.zeros(2 * m))
     y_swapped = np.zeros(2 * m)
     y_swapped[added] = 1.0  # the swapped-in point carries its true label
-    moved = solve_unconstrained(
-        UnconstrainedProblem(Q=problem.Q, Cmat=problem.Cmat, y=y_swapped)
-    )
+    moved = system.solve(weights, y_swapped)
     measured = float(abs(moved.scores[added] - base.scores[added]))
     return {
         "m": m,

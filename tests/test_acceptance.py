@@ -19,8 +19,8 @@ import pytest
 
 from stabreg import (
     FullSample,
+    KernelSystem,
     LocalEstimatorConfig,
-    LtrProblem,
     StabilityInputs,
     beta_loc_invdist,
     checks,
@@ -33,7 +33,6 @@ from stabreg import (
     ltr_stability_bound,
     pseudo_targets,
     sample_partition,
-    solve_ltr,
     test_error,
 )
 from stabreg.cli import (
@@ -110,7 +109,7 @@ def test_criterion_07_bound_coverage(capsys):
     targets = 0.8 * np.tanh(points[:, 0]) + 0.05 * rng.normal(size=n)
     M = float(np.max(np.abs(targets)))
     sample = FullSample(points=points, targets=targets, label_bound_M=M)
-    kernel = gaussian_kernel(points, sigma=1.0)
+    system = KernelSystem(gaussian_kernel(points, sigma=1.0))  # checked once for every partition
     kappa, C, C_prime, r, delta = 1.0, 1.0, 1.0, 1.5, 0.1
     est = LocalEstimatorConfig(radius_r=r, weighting="inverse-distance",
                                fallback="zero")
@@ -120,12 +119,7 @@ def test_criterion_07_bound_coverage(capsys):
     for i in range(total):
         part = sample_partition(sample, m, seed=derive_seed(700, i))
         y_tilde = pseudo_targets(sample, part, est)
-        h = solve_ltr(
-            LtrProblem(
-                K=kernel, part=part, y=sample.targets[part.train_idx],
-                y_tilde=y_tilde, C=C, C_prime=C_prime, kappa=kappa,
-            )
-        )
+        h = system.solve(part, sample.targets[part.train_idx], y_tilde, C, C_prime)
         m_r = m_of_r(sample, part, r)
         beta = ltr_stability_bound(
             StabilityInputs(
@@ -205,7 +199,7 @@ def test_every_swap_at_n80_moves_the_cost_by_at_most_the_printed_beta(tmp_path, 
                            **options)
     sample, part = cli._first_partition(cfg)
     fit = cli._setup(sample, part, cfg, cli._resolve_sigma(sample, part, cfg))
-    report = empirical_stability(fit.solve, sample, part, swaps=enumerate_swaps(part), B=fit.B,
+    report = empirical_stability(fit.solve, sample, part, swaps=enumerate_swaps(part),
                                  batch=fit.swap_engine())
     assert report.mode == "exhaustive"
     assert report.swaps_evaluated == report.swaps_total == 1600

@@ -1,20 +1,16 @@
 """Exact solvers: closed forms, optimality oracles, and input validation."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabreg import (
-    ConstrainedProblem,
     ConstraintSpansNullSpace,
     FullSample,
     GraphSpec,
     KernelSystem,
     LocalEstimatorConfig,
-    LtrProblem,
     NonFiniteMatrix,
     NotPSDKernel,
     NotSymmetric,
@@ -22,18 +18,14 @@ from stabreg import (
     PseudoTargetUnavailable,
     QuadraticSystem,
     SwapPair,
-    UnconstrainedProblem,
     apply_swap,
     enumerate_swaps,
-    build_cm,
-    build_gmf,
-    build_llreg,
     gaussian_affinity,
     gaussian_kernel,
     laplacian,
-    ltr_dual_coefficients,
     normalized_laplacian,
     pseudo_targets,
+    row_normalize,
     sample_partition,
     solve_constrained,
     solve_krr_induction,
@@ -54,6 +46,13 @@ def random_graph(n, seed):
     return GraphSpec(weights=w + w.T)
 
 
+def _llreg(g):
+    """LL-Reg's Q = (I - A)^T (I - A) for the row-normalized A, built here."""
+    m_mat = np.eye(g.n) - row_normalize(g.weights)
+    q = m_mat.T @ m_mat
+    return 0.5 * (q + q.T)
+
+
 def random_partition(n, m, seed):
     s = FullSample(points=np.arange(float(n))[:, None], targets=np.zeros(n), label_bound_M=1.0)
     return sample_partition(s, m, seed)
@@ -67,8 +66,7 @@ def test_unconstrained_frozen_example():
     # Q couples the two points, C = I, y = (1, 0); solving
     # (Q + I) h = y gives h = (2/3, 1/3)
     q = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    p = UnconstrainedProblem(Q=q, Cmat=np.eye(2), y=np.array([1.0, 0.0]))
-    h = solve_unconstrained(p).scores
+    h = solve_unconstrained(q, np.ones(2), np.array([1.0, 0.0])).scores
     assert np.allclose(h, [2 / 3, 1 / 3], atol=1e-12)
 
 
@@ -78,12 +76,11 @@ def test_unconstrained_matches_direct_inverse():
         n = 8
         b = rng.normal(size=(n, n))
         q = b.T @ b / n
-        cmat = np.diag(rng.uniform(0.5, 3.0, n))
+        c = rng.uniform(0.5, 3.0, n)
         y = rng.uniform(-1, 1, n)
-        p = UnconstrainedProblem(Q=q, Cmat=cmat, y=y)
-        h = solve_unconstrained(p).scores
+        h = solve_unconstrained(q, c, y).scores
         # independent closed form: h = (C^{-1} Q + I)^{-1} y
-        ref = np.linalg.solve(np.linalg.inv(cmat) @ q + np.eye(n), y)
+        ref = np.linalg.solve(np.linalg.inv(np.diag(c)) @ q + np.eye(n), y)
         assert np.allclose(h, ref, atol=1e-9)
 
 
@@ -96,7 +93,7 @@ def test_unconstrained_solution_is_optimal(seed):
     q = b.T @ b / n
     cmat = np.diag(rng.uniform(0.2, 2.0, n))
     y = rng.uniform(-1, 1, n)
-    h = solve_unconstrained(UnconstrainedProblem(Q=q, Cmat=cmat, y=y)).scores
+    h = solve_unconstrained(q, np.diagonal(cmat), y).scores
 
     def objective(v):
         d = v - y
@@ -108,64 +105,48 @@ def test_unconstrained_solution_is_optimal(seed):
 
 
 def test_unconstrained_rejects_asymmetric_q():
-    with pytest.raises(Exception):
-        UnconstrainedProblem(
-            Q=np.array([[1.0, 2.0], [0.0, 1.0]]), Cmat=np.eye(2), y=np.zeros(2)
-        )
+    with pytest.raises(NotSymmetric):
+        solve_unconstrained(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2), np.zeros(2))
 
 
 def test_unconstrained_rejects_non_pd_cmat():
-    q = np.eye(2)
-    with pytest.raises(ValueError):
-        UnconstrainedProblem(Q=q, Cmat=np.diag([1.0, 0.0]), y=np.zeros(2))
+    # a zero weight without a constraint: a divide warning at the residual
+    # test, or a solve that quietly drops the point
+    with pytest.raises(ValueError, match="positive without a constraint"):
+        QuadraticSystem(np.eye(3)).solve([1.0, 0.0, 1.0], np.ones(3))
+    # a negative weight used to solve to [0.5, -1, 0.5]
+    with pytest.raises(ValueError, match="positive without a constraint"):
+        QuadraticSystem(np.eye(3)).solve([1.0, -0.5, 1.0], np.ones(3))
+    # with a constraint a zero weight is allowed, a negative one is not
+    bordered = QuadraticSystem(laplacian(random_graph(3, 0)), np.ones(3))
+    assert bordered.solve([1.0, 0.0, 1.0], [1.0, 0.0, -1.0]).n == 3
+    with pytest.raises(ValueError, match="non-negative with one"):
+        bordered.solve([1.0, -0.5, 1.0], np.ones(3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_unconstrained_rejects_non_finite_diagonal_cmat(bad):
     # an infinite weight used to pass and solve to NaN scores
-    with pytest.raises(ValueError):
-        UnconstrainedProblem(Q=np.eye(2), Cmat=np.diag([1.0, bad]), y=np.zeros(2))
+    for system in (QuadraticSystem(np.eye(2)), QuadraticSystem(np.eye(2), np.ones(2))):
+        with pytest.raises(ValueError, match="finite"):
+            system.solve(np.array([1.0, bad]), np.zeros(2))
 
 
-# ---------------------------------------------------------------------------
-# builders
+def test_quadratic_system_rejects_weights_or_labels_of_the_wrong_length():
+    # a length-1 c or y used to broadcast over every point
+    system = QuadraticSystem(np.eye(3))
+    for c, y in (([2.0], np.ones(3)), (np.ones(3), [1.0]), (np.ones(4), np.ones(4))):
+        with pytest.raises(ValueError, match="one entry per row"):
+            system.solve(c, y)
 
 
-def test_build_cm_uses_normalized_laplacian_and_identity_tradeoff():
-    g = random_graph(5, 0)
-    part = random_partition(5, 2, 0)
-    y_s = np.array([0.5, -0.5])
-    p = build_cm(g, 2.0, y_s, part)
-    assert np.allclose(p.Q, normalized_laplacian(g), atol=1e-12)
-    assert np.allclose(p.Cmat, 2.0 * np.eye(5), atol=1e-12)
-    full = np.zeros(5)
-    full[part.train_idx] = y_s
-    assert np.allclose(p.y, full)
-
-
-def test_build_llreg_quadratic_is_reconstruction_error():
+def test_llreg_quadratic_is_reconstruction_error():
     g = random_graph(6, 1)
-    part = random_partition(6, 3, 1)
-    p = build_llreg(g.weights, 1.0, 2.0, np.zeros(3), part)
-    rng = np.random.default_rng(0)
-    h = rng.normal(size=6)
+    q = graph_quadratic("llreg", g)[0]
+    h = np.random.default_rng(0).normal(size=6)
     a = g.weights / g.weights.sum(axis=1, keepdims=True)
     direct = float(np.sum((h - a @ h) ** 2))
-    assert h @ p.Q @ h == pytest.approx(direct, rel=1e-10)
-    # labeled points carry C_l, unlabeled C_u
-    diag = np.diagonal(p.Cmat)
-    assert np.all(diag[part.train_idx] == 1.0)
-    assert np.all(diag[part.test_idx] == 2.0)
-
-
-def test_build_gmf_uses_combinatorial_laplacian():
-    g = random_graph(4, 2)
-    part = random_partition(4, 2, 2)
-    p = build_gmf(g, 1.5, 0.5, np.zeros(2), part)
-    assert np.allclose(p.Q, laplacian(g), atol=1e-12)
-    diag = np.diagonal(p.Cmat)
-    assert np.all(diag[part.train_idx] == 1.5)
-    assert np.all(diag[part.test_idx] == 0.5)
+    assert h @ q @ h == pytest.approx(direct, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +157,9 @@ def test_stabilize_enforces_orthogonality():
     g = random_graph(7, 3)
     part = random_partition(7, 3, 3)
     rng = np.random.default_rng(3)
-    p = build_cm(g, 1.0, rng.uniform(-1, 1, 3), part)
-    h = stabilize(p).scores
-    v = spectrum(p.Q).eigenvector_min
+    q = normalized_laplacian(g)
+    h = stabilize(q, np.ones(7), labels_to_full(rng.uniform(-1, 1, 3), part)).scores
+    v = spectrum(q).eigenvector_min
     assert abs(float(v @ h)) <= 1e-8
 
 
@@ -186,13 +167,14 @@ def test_stabilize_is_optimal_on_the_subspace():
     g = random_graph(6, 4)
     part = random_partition(6, 3, 4)
     rng = np.random.default_rng(4)
-    p = build_cm(g, 1.0, rng.uniform(-1, 1, 3), part)
-    h = stabilize(p).scores
-    v = spectrum(p.Q).eigenvector_min
+    q = normalized_laplacian(g)
+    y = labels_to_full(rng.uniform(-1, 1, 3), part)
+    h = stabilize(q, np.ones(6), y).scores
+    v = spectrum(q).eigenvector_min
 
     def objective(vec):
-        d = vec - p.y
-        return vec @ p.Q @ vec + d @ p.Cmat @ d
+        d = vec - y
+        return vec @ q @ vec + d @ d
 
     base = objective(h)
     for _ in range(200):
@@ -203,8 +185,7 @@ def test_stabilize_is_optimal_on_the_subspace():
 
 def test_stabilize_rejects_a_nan_quadratic_form():
     with pytest.raises(NonFiniteMatrix, match="non-finite"):
-        stabilize(UnconstrainedProblem(Q=np.array([[1.0, np.nan], [np.nan, 1.0]]),
-                                       Cmat=np.eye(2), y=np.ones(2)))
+        stabilize(np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(2), np.ones(2))
 
 
 def test_stabilize_matches_unconstrained_when_q_is_pd():
@@ -215,13 +196,13 @@ def test_stabilize_matches_unconstrained_when_q_is_pd():
     n = 5
     b = rng.normal(size=(n, n))
     q = b.T @ b / n + 0.5 * np.eye(n)
-    p = UnconstrainedProblem(Q=q, Cmat=np.eye(n), y=rng.uniform(-1, 1, n))
-    h_free = solve_unconstrained(p).scores
-    h_con = stabilize(p).scores
+    y = rng.uniform(-1, 1, n)
+    h_free = solve_unconstrained(q, np.ones(n), y).scores
+    h_con = stabilize(q, np.ones(n), y).scores
 
     def objective(vec):
-        d = vec - p.y
-        return vec @ p.Q @ vec + d @ p.Cmat @ d
+        d = vec - y
+        return vec @ q @ vec + d @ d
 
     assert objective(h_free) <= objective(h_con) + 1e-10
 
@@ -236,8 +217,7 @@ def test_constrained_satisfies_constraint_and_stationarity():
     part = random_partition(8, 4, 6)
     rng = np.random.default_rng(6)
     y_s = rng.uniform(-1, 1, 4)
-    p = ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part, y_S=y_s)
-    h = solve_constrained(p).scores
+    h = solve_constrained(lap, part, y_s, 1.0).scores
     assert float(np.ones(8) @ h) == pytest.approx(0.0, abs=1e-9)
     # stationarity on the feasible subspace: gradient parallel to ones
     grad = 2.0 * (lap @ h)
@@ -261,12 +241,7 @@ def test_constrained_custom_direction():
     lap = laplacian(g)
     part = random_partition(5, 2, 8)
     u_vec = np.array([1.0, 2.0, 0.0, -1.0, 3.0])
-    h = solve_constrained(
-        ConstrainedProblem(
-            L=lap, C_tradeoff=1.0, part=part,
-            y_S=np.array([1.0, -1.0]), u_vec=u_vec,
-        )
-    ).scores
+    h = solve_constrained(lap, part, np.array([1.0, -1.0]), 1.0, u=u_vec).scores
     assert float(u_vec @ h) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -274,10 +249,7 @@ def test_constrained_rejects_zero_direction():
     g = random_graph(4, 9)
     part = random_partition(4, 2, 9)
     with pytest.raises(ZeroConstraintVector):
-        ConstrainedProblem(
-            L=laplacian(g), C_tradeoff=1.0, part=part,
-            y_S=np.zeros(2), u_vec=np.zeros(4),
-        )
+        solve_constrained(laplacian(g), part, np.zeros(2), 1.0, u=np.zeros(4))
 
 
 def test_constrained_detects_disconnected_graph_with_constant_direction():
@@ -287,9 +259,7 @@ def test_constrained_detects_disconnected_graph_with_constant_direction():
     lap = laplacian(GraphSpec(weights=w))
     part = random_partition(4, 2, 10)
     with pytest.raises(ConstraintSpansNullSpace):
-        solve_constrained(
-            ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part, y_S=np.zeros(2))
-        )
+        solve_constrained(lap, part, np.zeros(2), 1.0)
 
 
 def test_constrained_centering_removes_label_offset():
@@ -297,18 +267,10 @@ def test_constrained_centering_removes_label_offset():
     lap = laplacian(g)
     part = random_partition(6, 3, 11)
     y_s = np.array([0.9, 1.0, 0.8])  # strong common offset
-    h_plain = solve_constrained(
-        ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part, y_S=y_s)
-    ).scores
-    h_centered = solve_constrained(
-        ConstrainedProblem(
-            L=lap, C_tradeoff=1.0, part=part, y_S=y_s, center_labels=True
-        )
-    ).scores
+    h_plain = solve_constrained(lap, part, y_s, 1.0).scores
+    h_centered = solve_constrained(lap, part, y_s, 1.0, center_labels=True).scores
     offset = y_s.mean()
-    shifted = solve_constrained(
-        ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part, y_S=y_s - offset)
-    ).scores
+    shifted = solve_constrained(lap, part, y_s - offset, 1.0).scores
     assert np.allclose(h_centered, shifted + offset, atol=1e-9)
     assert not np.allclose(h_centered, h_plain, atol=1e-3)
 
@@ -407,40 +369,32 @@ def test_ltr_frozen_scalar_example():
     # identity kernel, one labeled point with y=1, C=1:
     # (K_SS + m/C) alpha = y gives alpha = 1/2, so h = (1/2, 0)
     part = Partition(train_idx=np.array([0]), test_idx=np.array([1]))
-    p = LtrProblem(
-        K=np.eye(2), part=part, y=np.array([1.0]), y_tilde=np.zeros(0),
-        C=1.0, C_prime=0.0, kappa=1.0,
-    )
-    assert np.allclose(solve_ltr(p).scores, [0.5, 0.0], atol=1e-12)
-    assert np.allclose(solve_krr_induction(p).scores, [0.5, 0.0], atol=1e-12)
+    y = np.array([1.0])
+    assert np.allclose(solve_ltr(np.eye(2), part, y, np.zeros(0), 1.0, 0.0).scores, [0.5, 0.0],
+                       atol=1e-12)
+    assert np.allclose(solve_krr_induction(np.eye(2), part, y, 1.0).scores, [0.5, 0.0],
+                       atol=1e-12)
 
 
 def test_ltr_dual_drops_zero_weight_blocks():
     part = Partition(train_idx=np.array([0, 2]), test_idx=np.array([1, 3]))
-    p = LtrProblem(
-        K=np.eye(4), part=part, y=np.array([1.0, -1.0]), y_tilde=np.zeros(0),
-        C=2.0, C_prime=0.0, kappa=1.0,
-    )
-    _, kept = ltr_dual_coefficients(p)
+    _, kept = KernelSystem(np.eye(4)).dual(part, np.array([1.0, -1.0]), np.zeros(0), 2.0, 0.0)
     assert list(kept) == [0, 2]
 
 
 def test_ltr_zero_tradeoffs_give_zero_solution():
     part = Partition(train_idx=np.array([0]), test_idx=np.array([1]))
-    p = LtrProblem(
-        K=np.eye(2), part=part, y=np.array([1.0]), y_tilde=np.array([0.5]),
-        C=0.0, C_prime=0.0, kappa=1.0,
-    )
-    assert np.allclose(solve_ltr(p).scores, 0.0)
+    h = solve_ltr(np.eye(2), part, np.array([1.0]), np.array([0.5]), 0.0, 0.0)
+    assert np.allclose(h.scores, 0.0)
 
 
-def _ltr_objective(p: LtrProblem, alpha: np.ndarray, kept: np.ndarray) -> float:
+def _ltr_objective(kern, part, y, y_t, c_val, cp_val, alpha, kept) -> float:
     """Objective value of the expansion ``f = sum_kept alpha_i K(., x_i)``."""
-    scores = p.K[:, kept] @ alpha
-    d_s = scores[p.part.train_idx] - p.y
-    d_t = scores[p.part.test_idx] - p.y_tilde
-    return (float(alpha @ p.K[np.ix_(kept, kept)] @ alpha)
-            + (p.C / p.part.m) * float(d_s @ d_s) + (p.C_prime / p.part.u) * float(d_t @ d_t))
+    scores = kern[:, kept] @ alpha
+    d_s = scores[part.train_idx] - y
+    d_t = scores[part.test_idx] - y_t
+    return (float(alpha @ kern[np.ix_(kept, kept)] @ alpha)
+            + (c_val / part.m) * float(d_s @ d_s) + (cp_val / part.u) * float(d_t @ d_t))
 
 
 @given(st.integers(0, 10_000))
@@ -451,18 +405,16 @@ def test_ltr_solution_minimizes_objective(seed):
     b = rng.normal(size=(n, n))
     kern = b @ b.T
     kern = 0.5 * (kern + kern.T)
-    kappa = float(np.sqrt(np.max(np.diagonal(kern))))
     part = random_partition(n, max(1, n // 2), seed)
     c_val = float(rng.uniform(0.1, 3.0))
     cp_val = float(rng.uniform(0.0, 3.0))
     y = rng.uniform(-1, 1, part.m)
     y_t = rng.uniform(-1, 1, part.u)
-    p = LtrProblem(K=kern, part=part, y=y, y_tilde=y_t, C=c_val, C_prime=cp_val, kappa=kappa)
-    alpha, kept = ltr_dual_coefficients(p)
-    base = _ltr_objective(p, alpha, kept)
+    alpha, kept = KernelSystem(kern).dual(part, y, y_t, c_val, cp_val)
+    base = _ltr_objective(kern, part, y, y_t, c_val, cp_val, alpha, kept)
     for _ in range(30):
         perturbed = alpha + rng.normal(scale=0.05, size=alpha.size)
-        assert base <= _ltr_objective(p, perturbed, kept) + 1e-10
+        assert base <= _ltr_objective(kern, part, y, y_t, c_val, cp_val, perturbed, kept) + 1e-10
 
 
 @pytest.mark.parametrize("c_val, cp_val", [(1.3, 0.7), (1.3, 0.0), (0.0, 0.7), (0.0, 0.0)])
@@ -472,19 +424,17 @@ def test_ltr_block_of_pseudo_targets_matches_one_solve_per_column(c_val, cp_val)
     part = random_partition(10, 4, 5)
     y = rng.uniform(-1, 1, part.m)
     block = rng.uniform(-1, 1, (part.u, 3))
+    kern = gaussian_kernel(pts, 1.0)
+    system = KernelSystem(kern)
 
-    def problem(y_tilde):
-        return LtrProblem(K=gaussian_kernel(pts, 1.0), part=part, y=y, y_tilde=y_tilde,
-                          C=c_val, C_prime=cp_val, kappa=1.0)
-
-    alpha, kept = ltr_dual_coefficients(problem(block))
+    alpha, kept = system.dual(part, y, block, c_val, cp_val)
     assert alpha.shape == (kept.size, 3)
     for j in range(3):
-        alpha_j, kept_j = ltr_dual_coefficients(problem(block[:, j]))
+        alpha_j, kept_j = system.dual(part, y, block[:, j], c_val, cp_val)
         assert np.array_equal(kept, kept_j)
         assert np.allclose(alpha[:, j], alpha_j, rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError):
-        solve_ltr(problem(block))
+    with pytest.raises(ValueError, match="solved by dual"):
+        solve_ltr(kern, part, y, block, c_val, cp_val)
 
 
 def test_ltr_transduction_vs_induction_agree_when_c_prime_zero():
@@ -493,37 +443,22 @@ def test_ltr_transduction_vs_induction_agree_when_c_prime_zero():
     kern = gaussian_kernel(pts, 1.0)
     part = random_partition(9, 4, 17)
     y = rng.uniform(-1, 1, 4)
-    p = LtrProblem(K=kern, part=part, y=y, y_tilde=np.zeros(0), C=1.2, C_prime=0.0, kappa=1.0)
-    assert np.allclose(solve_ltr(p).scores, solve_krr_induction(p).scores, atol=1e-9)
-
-
-def test_krr_rejects_nonzero_c_prime():
-    part = Partition(train_idx=np.array([0]), test_idx=np.array([1]))
-    p = LtrProblem(
-        K=np.eye(2), part=part, y=np.array([1.0]), y_tilde=np.array([0.0]),
-        C=1.0, C_prime=0.5, kappa=1.0,
-    )
-    with pytest.raises(ValueError):
-        solve_krr_induction(p)
+    assert np.allclose(solve_ltr(kern, part, y, np.zeros(0), 1.2, 0.0).scores,
+                       solve_krr_induction(kern, part, y, 1.2).scores, atol=1e-9)
 
 
 def test_ltr_rejects_indefinite_kernel():
     part = Partition(train_idx=np.array([0]), test_idx=np.array([1]))
     k_bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    p = LtrProblem(
-        K=k_bad, part=part, y=np.array([1.0]), y_tilde=np.zeros(0),
-        C=1.0, C_prime=0.0, kappa=2.0,
-    )
     with pytest.raises(NotPSDKernel):
-        solve_ltr(p)
+        solve_ltr(k_bad, part, np.array([1.0]), np.zeros(0), 1.0, 0.0)
 
 
 def test_ltr_rejects_a_nan_kernel():
     part = Partition(train_idx=np.array([0]), test_idx=np.array([1]))
     k_nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
     with pytest.raises(NonFiniteMatrix, match="non-finite"):
-        solve_ltr(LtrProblem(K=k_nan, part=part, y=np.array([1.0]), y_tilde=np.zeros(0),
-                             C=1.0, C_prime=0.0, kappa=1.0))
+        solve_ltr(k_nan, part, np.array([1.0]), np.zeros(0), 1.0, 0.0)
     with pytest.raises(NonFiniteMatrix, match="non-finite"):
         KernelSystem(k_nan)
 
@@ -541,33 +476,31 @@ def test_kernel_system_rejects_a_nan_target(where):
     with pytest.raises(SingularSystem, match="solution residual exceeds tolerance"):
         system.dual(part, y, np.column_stack([y_tilde, np.zeros(3)]), 1.0, 0.5)
 
-def test_ltr_problem_rejects_kappa_below_diagonal():
-    part = Partition(train_idx=np.array([0]), test_idx=np.array([1]))
-    with pytest.raises(ValueError):
-        LtrProblem(
-            K=4.0 * np.eye(2), part=part, y=np.array([1.0]), y_tilde=np.zeros(0),
-            C=1.0, C_prime=0.0, kappa=1.0,  # diag is 4 > kappa^2 = 1
-        )
-
-
 def test_ltr_problem_rejects_bad_label_lengths():
+    # a long y or y_tilde used to be truncated to its first m or u entries
     part = Partition(train_idx=np.array([0]), test_idx=np.array([1, 2]))
-    with pytest.raises(ValueError):
-        LtrProblem(
-            K=np.eye(3), part=part, y=np.array([1.0, 2.0]), y_tilde=np.zeros(0),
-            C=1.0, C_prime=0.0, kappa=1.0,
-        )
-    with pytest.raises(ValueError):
-        LtrProblem(
-            K=np.eye(3), part=part, y=np.array([1.0]), y_tilde=np.zeros(1),
-            C=1.0, C_prime=0.5, kappa=1.0,
-        )
+    system = KernelSystem(np.eye(3))
+    y = np.array([1.0])
+    for bad_y, y_tilde, c_prime, message in (
+        (np.array([1.0, 2.0]), np.zeros(0), 0.0, "y must have length m"),
+        (y, np.zeros(1), 0.5, "y_tilde must have length u"),
+        (y, np.zeros(3), 0.5, "y_tilde must have length u"),
+        (y, np.zeros(1), 0.0, "y_tilde must have length u"),
+        (y, np.zeros(0), 0.5, "requires pseudo-targets"),  # used to raise IndexError
+    ):
+        with pytest.raises(ValueError, match=message):
+            system.dual(part, bad_y, y_tilde, 1.0, c_prime)
+    with pytest.raises(ValueError, match="one index per row of K"):
+        KernelSystem(np.eye(4)).dual(part, y, np.zeros(0), 1.0, 0.0)
 
 
-def test_unconstrained_rejects_non_diagonal_cmat():
-    cmat = np.array([[2.0, 0.5], [0.5, 2.0]])  # positive definite, not diagonal
-    with pytest.raises(ValueError, match="diagonal"):
-        UnconstrainedProblem(Q=np.eye(2), Cmat=cmat, y=np.zeros(2))
+@pytest.mark.parametrize("c_val, cp_val", [(np.nan, 0.5), (1.0, np.nan), (np.inf, 0.5),
+                                           (1.0, np.inf), (-1.0, 0.5), (1.0, -0.5)])
+def test_kernel_system_rejects_a_bad_tradeoff(c_val, cp_val):
+    # a NaN trade-off used to drop its loss term: C < 0 is False for NaN
+    part = Partition(train_idx=np.array([0]), test_idx=np.array([1, 2]))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        KernelSystem(np.eye(3)).solve(part, np.array([1.0]), np.zeros(2), c_val, cp_val)
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +508,9 @@ def test_unconstrained_rejects_non_diagonal_cmat():
 
 
 def test_unconstrained_nan_residual_raises():
-    # a NaN weight passes every check on Q and reaches the residual test
+    # a NaN label passes every check on Q and c and reaches the residual test
     with pytest.raises(SingularSystem, match="residual"):
-        QuadraticSystem(np.eye(2)).solve(np.array([np.nan, 1.0]), np.ones(2))
+        QuadraticSystem(np.eye(2)).solve(np.ones(2), np.array([np.nan, 1.0]))
 
 
 def test_constrained_nan_residual_raises():
@@ -588,15 +521,15 @@ def test_constrained_nan_residual_raises():
 
 
 def test_stabilized_nan_weight_raises_in_the_solve_and_the_engine():
-    # a bordered solve gets the KKT residual test too: a NaN weight fails it
-    # instead of returning NaN scores, and the engine's home solve fails it alike
+    # the solve rejects a NaN weight up front; the engine, which takes its
+    # weights as two scalars, fails the KKT residual test on its home solve
     q = laplacian(random_graph(5, 15))
     system = QuadraticSystem(q, spectrum(q).eigenvector_min)
     part = random_partition(5, 2, 15)
     sample = FullSample(points=np.zeros((5, 1)), targets=np.linspace(-1.0, 1.0, 5),
                         label_bound_M=1.0)
     c = np.where(np.isin(np.arange(5), part.train_idx), np.nan, 1.0)
-    with pytest.raises(SingularSystem, match="KKT residual"):
+    with pytest.raises(ValueError, match="finite"):
         system.solve(c, labels_to_full(sample.targets[part.train_idx], part))
     with pytest.raises(SingularSystem, match="KKT residual"):
         swaps.quadratic(system, sample, part, np.nan, 1.0)
@@ -605,7 +538,7 @@ def test_stabilized_nan_weight_raises_in_the_solve_and_the_engine():
 def test_unconstrained_nan_matrix_is_rejected():
     q = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(NonFiniteMatrix, match="non-finite"):
-        solve_unconstrained(UnconstrainedProblem(Q=q, Cmat=np.eye(2), y=np.ones(2)))
+        solve_unconstrained(q, np.ones(2), np.ones(2))
 
 
 def test_constrained_nan_matrix_is_rejected():
@@ -613,9 +546,7 @@ def test_constrained_nan_matrix_is_rejected():
     lap[0, 1] = lap[1, 0] = np.nan
     part = Partition(train_idx=np.array([0]), test_idx=np.array([1, 2]))
     with pytest.raises(NonFiniteMatrix, match="non-finite"):
-        solve_constrained(ConstrainedProblem(L=lap, C_tradeoff=1.0, part=part,
-                                             y_S=np.array([1.0]),
-                                             u_vec=np.array([1.0, 2.0, 3.0])))
+        solve_constrained(lap, part, np.array([1.0]), 1.0, u=np.array([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -633,22 +564,15 @@ def test_quadratic_system_matches_the_public_solver_on_every_swap(family, stabil
     g = random_graph(7, 20)
     targets = np.random.default_rng(20).uniform(-1, 1, 7)
     home = random_partition(7, 3, 20)
-
-    def problem(p):
-        y = targets[p.train_idx]
-        if family == "cm":
-            return build_cm(g, 0.7, y, p)
-        if family == "llreg":
-            return build_llreg(g.weights, 2.0, 0.5, y, p)
-        return build_gmf(g, 2.0, 0.5, y, p)
-
-    q = problem(home).Q
+    q = {"cm": normalized_laplacian(g), "llreg": _llreg(g), "gmf": laplacian(g)}[family]
+    c_S, c_T = (0.7, 0.7) if family == "cm" else (2.0, 0.5)
     system = QuadraticSystem(q, spectrum(q).eigenvector_min if stabilized else None)
     public = stabilize if stabilized else solve_unconstrained
     for p in _swapped_partitions(home):
-        prob = problem(p)
-        got = system.solve(np.diagonal(prob.Cmat), prob.y).scores
-        assert np.array_equal(got, public(prob).scores)
+        c = np.full(7, c_T)
+        c[p.train_idx] = c_S
+        y = labels_to_full(targets[p.train_idx], p)
+        assert np.array_equal(system.solve(c, y).scores, public(q, c, y).scores)
 
 
 @pytest.mark.parametrize("center", [False, True])
@@ -661,9 +585,7 @@ def test_laplacian_system_matches_the_public_solver_on_every_swap(center):
         y = targets[p.train_idx]
         c = labels_to_full(np.full(p.m, 2.0 / p.m), p)
         got = system.solve(c, labels_to_full(y, p), center_labels=center).scores
-        want = solve_constrained(
-            ConstrainedProblem(L=lap, C_tradeoff=2.0, part=p, y_S=y, center_labels=center)
-        ).scores
+        want = solve_constrained(lap, p, y, 2.0, center_labels=center).scores
         assert np.array_equal(got, want)
 
 
@@ -678,10 +600,9 @@ def test_kernel_system_matches_the_public_solvers_on_every_swap(c_val, cp_val):
     for p in _swapped_partitions(home):
         y, y_t = targets[p.train_idx], pseudo[p.test_idx]
         got = system.solve(p, y, y_t, c_val, cp_val).scores
-        prob = LtrProblem(K=kern, part=p, y=y, y_tilde=y_t, C=c_val, C_prime=cp_val, kappa=1.0)
-        assert np.array_equal(got, solve_ltr(prob).scores)
+        assert np.array_equal(got, solve_ltr(kern, p, y, y_t, c_val, cp_val).scores)
         if cp_val == 0:
-            assert np.array_equal(got, solve_krr_induction(prob).scores)
+            assert np.array_equal(got, solve_krr_induction(kern, p, y, c_val).scores)
 
 
 def _assert_engine_matches_the_system(u, c_S, c_T, center=False):
@@ -775,8 +696,9 @@ def test_systems_do_not_change_when_the_caller_mutates_the_source():
 
 def test_systems_share_a_read_only_matrix():
     lap = laplacian(random_graph(5, 24))
-    problem = UnconstrainedProblem(Q=lap, Cmat=np.eye(5), y=np.zeros(5))
-    assert QuadraticSystem(problem.Q).Q is problem.Q
+    lap.flags.writeable = False
+    assert QuadraticSystem(lap).Q is lap
+    assert QuadraticSystem(lap, np.ones(5)).Q is lap
 
 
 def test_krr_at_zero_tradeoff_returns_zeros():
@@ -786,8 +708,7 @@ def test_krr_at_zero_tradeoff_returns_zeros():
     y = rng.uniform(-1, 1, 3)
     assert np.array_equal(KernelSystem(kern).solve(part, y, np.zeros(0), 0.0, 0.0).scores,
                           np.zeros(6))
-    p = LtrProblem(K=kern, part=part, y=y, y_tilde=np.zeros(0), C=0.0, C_prime=0.0, kappa=1.0)
-    assert np.array_equal(solve_krr_induction(p).scores, np.zeros(6))
+    assert np.array_equal(solve_krr_induction(kern, part, y, 0.0).scores, np.zeros(6))
 
 
 def _ring_with_chords(n=24):
@@ -815,12 +736,9 @@ def test_graph_quadratic_null_vector_is_the_bottom_eigenvector(family, graph):
 
 def test_graph_quadratic_matches_the_builders():
     g = _ring_with_chords(9)
-    part = Partition(train_idx=np.arange(0, 9, 2), test_idx=np.arange(1, 9, 2))
-    y = np.zeros(part.m)
-    for family, problem in (("cm", build_cm(g, 1.0, y, part)),
-                            ("llreg", build_llreg(g.weights, 1.0, 1.0, y, part)),
-                            ("gmf", build_gmf(g, 1.0, 1.0, y, part))):
-        assert np.array_equal(graph_quadratic(family, g)[0], problem.Q), family
+    for family, q in (("cm", normalized_laplacian(g)), ("llreg", _llreg(g)),
+                      ("gmf", laplacian(g))):
+        assert np.array_equal(graph_quadratic(family, g)[0], q), family
     with pytest.raises(ValueError, match="unknown"):
         graph_quadratic("laplacian", g)
 

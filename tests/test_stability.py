@@ -32,8 +32,6 @@ from stabreg import (
     beta_loc_bound,
     beta_loc_gaussian,
     beta_loc_invdist,
-    build_cm,
-    build_llreg,
     cm_lower_bound_demo,
     cm_lower_bound_instance,
     cm_score_bound,
@@ -44,12 +42,13 @@ from stabreg import (
     llreg_score_bound,
     llreg_score_bound_spectral,
     ltr_stability_bound,
+    normalized_laplacian,
     pseudo_targets,
     sample_partition,
     solve_unconstrained,
     unconstrained_score_bound,
 )
-from stabreg.regressors import labels_to_full
+from stabreg.regressors import graph_quadratic, labels_to_full
 from stabreg.stability import SWAP_BUDGET, _default_swaps
 
 
@@ -292,13 +291,20 @@ def make_instance(n, m, seed):
     return sample, part, GraphSpec(weights=w)
 
 
-def test_empirical_stability_exhaustive_under_cm_bound():
-    sample, part, g = make_instance(12, 6, 0)
+def cm_solver(g):
+    """CM at mu = 1 on g, solved from scratch on each partition."""
+    q = normalized_laplacian(g)
 
     def solver(s, p):
-        return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
+        return solve_unconstrained(q, np.ones(p.n), labels_to_full(s.targets[p.train_idx], p))
 
-    report = empirical_stability(solver, sample, part, B=2.0)
+    return solver
+
+
+def test_empirical_stability_exhaustive_under_cm_bound():
+    sample, part, g = make_instance(12, 6, 0)
+    solver = cm_solver(g)
+    report = empirical_stability(solver, sample, part)
     assert report.mode == "exhaustive"
     assert report.swaps_evaluated == report.swaps_total == 36
     assert report.max_score_delta <= cm_score_bound(1.0) + 1e-9
@@ -311,19 +317,19 @@ def test_empirical_stability_llreg_under_bound():
     sample, part, g = make_instance(10, 5, 1)
 
     def solver(s, p):
-        return solve_unconstrained(build_llreg(g.weights, 1.0, 2.0, s.targets[p.train_idx], p))
+        c = np.full(p.n, 2.0)
+        c[p.train_idx] = 1.0  # C_l = 1 on S, C_u = 2 on T
+        return solve_unconstrained(graph_quadratic("llreg", g)[0], c,
+                                   labels_to_full(s.targets[p.train_idx], p))
 
-    report = empirical_stability(solver, sample, part, B=2.0)
+    report = empirical_stability(solver, sample, part)
     assert report.max_score_delta <= llreg_score_bound(1.0, part.m, 1.0, 2.0) + 1e-9
 
 
 def test_empirical_stability_sampled_mode_kicks_in():
     sample, part, g = make_instance(60, 30, 2)
-
-    def solver(s, p):
-        return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
-
-    report = empirical_stability(solver, sample, part, B=2.0, seed=3)
+    solver = cm_solver(g)
+    report = empirical_stability(solver, sample, part, seed=3)
     assert report.mode == "sampled"
     assert report.swaps_evaluated == 400  # the sweep budget
     assert report.swaps_total == 900
@@ -345,42 +351,32 @@ def test_sampled_swaps_are_the_chosen_entries_of_the_full_enumeration(n, m):
 def test_empirical_stability_custom_swaps():
     sample, part, g = make_instance(10, 5, 4)
     swaps = (part.train_idx[:1], part.test_idx[:1])
-
-    def solver(s, p):
-        return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
-
-    report = empirical_stability(solver, sample, part, swaps=swaps, B=2.0)
+    solver = cm_solver(g)
+    report = empirical_stability(solver, sample, part, swaps=swaps)
     assert report.mode == "custom"
     assert report.swaps_evaluated == 1
     assert report.worst_swap == SwapPair(removed=part.train_idx[0], added=part.test_idx[0])
     with pytest.raises(InvalidStabilityInput, match="same length"):
-        empirical_stability(solver, sample, part, swaps=(part.train_idx[:2], swaps[1]), B=2.0)
+        empirical_stability(solver, sample, part, swaps=(part.train_idx[:2], swaps[1]))
     with pytest.raises(InvalidStabilityInput, match="no swaps"):
-        empirical_stability(solver, sample, part, swaps=([], []), B=2.0)
+        empirical_stability(solver, sample, part, swaps=([], []))
 
 
 def test_empirical_stability_repeated_swaps_are_not_exhaustive():
     sample, part, g = make_instance(6, 3, 4)
-
-    def solver(s, p):
-        return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
-
+    solver = cm_solver(g)
     copies = (np.repeat(part.train_idx[:1], 9), np.repeat(part.test_idx[:1], 9))
-    report = empirical_stability(solver, sample, part, swaps=copies, B=2.0)
+    report = empirical_stability(solver, sample, part, swaps=copies)
     assert (report.mode, report.swaps_evaluated, report.swaps_total) == ("custom", 9, 9)
-    every = empirical_stability(solver, sample, part, swaps=enumerate_swaps(part), B=2.0)
+    every = empirical_stability(solver, sample, part, swaps=enumerate_swaps(part))
     assert (every.mode, every.swaps_evaluated) == ("exhaustive", 9)
 
 
 def test_empirical_stability_cost_delta_matches_direct_recomputation():
     sample, part, g = make_instance(8, 4, 5)
-
-    def solver(s, p):
-        return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
-
+    solver = cm_solver(g)
     swap = SwapPair(removed=int(part.train_idx[1]), added=int(part.test_idx[2]))
-    report = empirical_stability(solver, sample, part, swaps=([swap.removed], [swap.added]),
-                                 B=2.0)
+    report = empirical_stability(solver, sample, part, swaps=([swap.removed], [swap.added]))
     h_base = solver(sample, part).scores
     h_swap = solver(sample, apply_swap(part, swap)).scores
     assert report.max_score_delta == pytest.approx(
@@ -390,9 +386,7 @@ def test_empirical_stability_cost_delta_matches_direct_recomputation():
 
 def test_empirical_stability_matches_a_swap_by_swap_scan():
     sample, part, g = make_instance(30, 13, 8)  # 221 swaps: a full block of 128 and a partial one
-
-    def solver(s, p):
-        return solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
+    solver = cm_solver(g)
 
     def scan(removed, added):
         base = solver(sample, part).scores
@@ -411,7 +405,7 @@ def test_empirical_stability_matches_a_swap_by_swap_scan():
     # again with the worst swap last, in the partial block
     order = np.roll(np.arange(removed.size), -(k + 1))
     for r, a in ((removed, added), (removed[order], added[order])):
-        report = empirical_stability(solver, sample, part, swaps=(r, a), B=2.0)
+        report = empirical_stability(solver, sample, part, swaps=(r, a))
         assert (report.max_score_delta, report.max_cost_delta, report.worst_swap) == want
 
 
@@ -421,14 +415,15 @@ def test_empirical_stability_passes_over_a_swap_with_nan_scores():
     sample, part, g = make_instance(10, 5, 4)
     removed, added = enumerate_swaps(part)
     nan_part = apply_swap(part, SwapPair(removed=removed[3], added=added[3]))
+    cm = cm_solver(g)
 
     def solver(s, p):
-        h = solve_unconstrained(build_cm(g, 1.0, s.targets[p.train_idx], p))
+        h = cm(s, p)
         return HypothesisScores(np.full(p.n, np.nan)) if np.array_equal(p.train_idx, nan_part.train_idx) else h
 
-    report = empirical_stability(solver, sample, part, swaps=(removed, added), B=2.0)
+    report = empirical_stability(solver, sample, part, swaps=(removed, added))
     keep = np.arange(removed.size) != 3
-    want = empirical_stability(solver, sample, part, swaps=(removed[keep], added[keep]), B=2.0)
+    want = empirical_stability(solver, sample, part, swaps=(removed[keep], added[keep]))
     assert (report.max_score_delta, report.max_cost_delta, report.worst_swap) == (
         want.max_score_delta, want.max_cost_delta, want.worst_swap)
     assert want.max_score_delta > 0.0
@@ -443,7 +438,7 @@ def _both_paths(solver, sample, part, batch, **kwargs):
     errors = []
     for path in (None, batch):
         with pytest.raises(Exception) as caught:
-            empirical_stability(solver, sample, part, B=2.0, batch=path, **kwargs)
+            empirical_stability(solver, sample, part, batch=path, **kwargs)
         errors.append((type(caught.value), str(caught.value)))
     assert errors[0] == errors[1]
     return errors[0]
@@ -451,8 +446,7 @@ def _both_paths(solver, sample, part, batch, **kwargs):
 
 def _cm_system(n, m, seed):
     sample, part, g = make_instance(n, m, seed)
-    problem = build_cm(g, 1.0, sample.targets[part.train_idx], part)
-    system = QuadraticSystem(problem.Q)
+    system = QuadraticSystem(normalized_laplacian(g))
 
     def solver(s, p):
         return system.solve(np.ones(p.n), labels_to_full(s.targets[p.train_idx], p))
@@ -500,7 +494,7 @@ def test_swap_engine_applies_the_residual_test(monkeypatch):
     for path in (None, batch):
         monkeypatch.setattr(regressors, "_RESIDUAL_TOL", 1e-10)
         with pytest.raises(SingularSystem, match="solution residual exceeds tolerance"):
-            empirical_stability(solver, sample, part, B=2.0, batch=path)
+            empirical_stability(solver, sample, part, batch=path)
 
 
 def test_swap_engine_singular_swapped_system():
@@ -570,19 +564,19 @@ def test_lower_bound_demo_measures_prediction(m, c_val):
 
 
 def test_lower_bound_instance_shape_and_partition():
-    problem, part, _ = cm_lower_bound_instance(4, 1.0)
-    assert problem.n == 8
+    q, part, _ = cm_lower_bound_instance(4, 1.0)
+    assert q.shape == (8, 8)
     assert list(part.train_idx) == [0, 1, 2, 3]
-    assert np.allclose(problem.y, 0.0)  # all labeled targets zero
     # Q is block diagonal with two complete-graph blocks
-    assert np.allclose(problem.Q[:4, 4:], 0.0)
+    assert np.allclose(q[:4, 4:], 0.0)
 
 
 def test_lower_bound_instance_validation():
     with pytest.raises(InvalidInstance):
         cm_lower_bound_instance(1, 1.0)
-    with pytest.raises(InvalidInstance):
-        cm_lower_bound_instance(3, 0.0)
+    for c_val in (0.0, math.nan, math.inf):  # an infinite C used to predict NaN
+        with pytest.raises(InvalidInstance):
+            cm_lower_bound_instance(3, c_val)
 
 
 def test_lower_bound_grows_with_tradeoff():
