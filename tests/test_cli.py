@@ -692,6 +692,47 @@ def test_cli_stability_reports_the_coefficients_run_uses(toy_csv, algorithm, cap
         assert report["score_bound"] == record["score_beta"]
 
 
+SWAP_FLAGS = ["--C", "2", "--mu", "0.7", "--C-l", "2", "--C-u", "0.5"]
+
+
+PINNED_COEFFICIENTS = {  # stability --sigma 2 with SWAP_FLAGS (ltr: r = 1.5, C' = 0.5)
+    "ltr": {"cost_bound": 7.707349858255622, "B": 2.672540027612679,
+            "beta_loc": 2.126193995330846},
+    "krr": {"cost_bound": 4.165679183617185, "B": 2.4997037375308655},
+    "cm": {"cost_bound": 13.536449696848532, "B": 4.622180765610705,
+           "score_bound": 1.4642925475308657},
+    "llreg": {"cost_bound": 523.715297201084, "B": 8.208950341221408,
+              "score_bound": 31.899041621145958, "score_bound_spectral": 22.984910001195093},
+    "gmf": {"cost_bound": 2092.4827002295883, "B": 8.208950341221408,
+            "score_bound": 127.45129482158912},
+    "laplacian": {"cost_bound": 1.9576163971880862, "B": 2.653827390196495,
+                  "lambda2": 6.308282446061909, "rho_G": 1,
+                  "theorem_beta": 0.18004729747737935},
+    "stabilized-cm": {"cost_bound": 6.370548641326746, "B": 4.622180765610705,
+                      "score_bound": 0.6891280289948849},
+    "stabilized-llreg": {"cost_bound": 107.33975596486057, "B": 8.208950341221408,
+                         "score_bound": 6.537970842986578,
+                         "score_bound_spectral": 22.984910001195093},
+    "stabilized-gmf": {"cost_bound": 125.64895910487886, "B": 8.208950341221408,
+                       "score_bound": 7.653168424830766},
+}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cli_stability_prints_the_pinned_coefficients(toy_csv, algorithm, capsys):
+    # distinct trade-offs make every argument of the closed forms count, so a
+    # swapped argument in a bound's call moves one of these values
+    extra = ["--radius", "1.5", "--C-prime", "0.5"] if algorithm == "ltr" else []
+    assert main(["stability", "--data", toy_csv, "--algorithm", algorithm, "--sigma", "2",
+                 *SWAP_FLAGS, *extra]) == 0
+    report = json.loads(capsys.readouterr().out)
+    keys = ("cost_bound", "B", "score_bound", "score_bound_spectral", "lambda2", "rho_G",
+            "theorem_beta", "beta_loc")
+    got = {k: report[k] for k in keys if k in report}
+    want = PINNED_COEFFICIENTS[algorithm]
+    assert got == pytest.approx(want, rel=1e-10)
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_cli_stability_empirical_within_cost_bound(toy_csv, algorithm, capsys):
     _, report = _run_and_stability(toy_csv, algorithm, capsys)
@@ -699,9 +740,6 @@ def test_cli_stability_empirical_within_cost_bound(toy_csv, algorithm, capsys):
     assert empirical["mode"] == "exhaustive"
     assert empirical["swaps_evaluated"] == report["m"] * report["u"] == 144
     assert empirical["max_cost_delta"] <= report["cost_bound"]
-
-
-SWAP_FLAGS = ["--C", "2", "--mu", "0.7", "--C-l", "2", "--C-u", "0.5"]
 
 
 def _per_swap_solver(algorithm, sample, sigma):
