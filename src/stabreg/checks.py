@@ -17,7 +17,6 @@ from . import bounds
 from .bounds import concentration_harness
 from .core import (
     FullSample,
-    HypothesisScores,
     Partition,
     empirical_error,
     overall_error,
@@ -104,7 +103,7 @@ def error_identity(seed: int, count: int) -> tuple[bool, str]:
         n = int(rng.integers(4, 40))
         sample = FullSample(points=rng.normal(size=(n, 2)), targets=rng.uniform(-1, 1, n),
                             label_bound_M=1.0)
-        h = HypothesisScores(scores=rng.uniform(-2, 2, n))
+        h = rng.uniform(-2, 2, n)
         part = sample_partition(sample, int(rng.integers(1, n)), int(rng.integers(1 << 30)))
         rhs = ((n / part.u) * overall_error(h, sample)
                - (part.m / part.u) * empirical_error(h, sample, part))
@@ -138,7 +137,7 @@ def unconstrained_oracle(seed: int, count: int) -> tuple[bool, str]:
         q = 0.5 * (q + q.T)
         c = rng.uniform(0.5, 3.0, n)
         y = rng.uniform(-1.0, 1.0, n)
-        h = solve_unconstrained(q, c, y).scores
+        h = solve_unconstrained(q, c, y)
         h_ref = _descent_minimize(q, np.diag(c), y)
         worst = max(worst, math.inf if h_ref is None else float(np.max(np.abs(h - h_ref))))
     return worst <= 1e-8, f"{count} instances, max sup-norm gap {worst:.2e}"
@@ -151,7 +150,7 @@ def constrained_optimality(seed: int, count: int, C: float = 1.0) -> tuple[bool,
     worst_gap = -math.inf  # max over graphs of (our objective - best random)
     for _ in range(count):
         lap, part, y = _random_laplacian_problem(rng)
-        h = solve_constrained(lap, part, y, C).scores
+        h = solve_constrained(lap, part, y, C)
         worst_feas = max(worst_feas, abs(float(h.sum())) / max(float(np.linalg.norm(h)), 1e-300))
         cand = rng.normal(size=(10_000, part.n))
         cand -= cand.mean(axis=1, keepdims=True)  # project onto sum-zero
@@ -172,8 +171,8 @@ def pinv_kernel_equivalence(seed: int, count: int) -> tuple[bool, str]:
     for _ in range(count):
         lap, part, y = _random_laplacian_problem(rng)
         C = float(rng.uniform(0.5, 4.0))
-        h_con = solve_constrained(lap, part, y, C).scores
-        h_ltr = solve_ltr(pseudo_inverse(lap), part, y, np.zeros(0), C, 0.0).scores
+        h_con = solve_constrained(lap, part, y, C)
+        h_ltr = solve_ltr(pseudo_inverse(lap), part, y, np.zeros(0), C, 0.0)
         worst = max(worst, float(np.max(np.abs(h_con - h_ltr))))
     return worst <= 1e-6, f"{count} graphs, max sup-norm gap {worst:.2e}"
 
@@ -265,7 +264,7 @@ def ltr_output_bound(seed: int, count: int) -> tuple[bool, str]:
         C_prime = float(rng.uniform(0.0, 10.0)) if rng.random() < 0.7 else 0.0
         y = rng.uniform(-M, M, part.m)
         y_tilde = rng.uniform(-M, M, part.u) if C_prime > 0 else np.zeros(0)
-        h = solve_ltr(kappa * kappa * kernel, part, y, y_tilde, C, C_prime).scores
+        h = solve_ltr(kappa * kappa * kernel, part, y, y_tilde, C, C_prime)
         bound = kappa * M * math.sqrt(C + C_prime)
         worst_excess = max(worst_excess, float(np.max(np.abs(h))) - bound)
     return (worst_excess <= 1e-8, f"{count} random problems and {count // 10 + 1} with "

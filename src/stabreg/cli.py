@@ -43,7 +43,6 @@ from ._kernels import mix64_int
 from .bounds import generalization_bound
 from .core import (
     FullSample,
-    HypothesisScores,
     Partition,
     empirical_error,
     sample_partition,
@@ -60,7 +59,6 @@ from .errors import (
 )
 from .graph import (
     GraphSpec,
-    SpectrumSummary,
     gaussian_affinity,
     load_edge_list,
     spectrum,
@@ -76,7 +74,6 @@ from .regressors import (
     pseudo_targets,
 )
 from .stability import (
-    StabilityInputs,
     belkin_cost_stability,
     belkin_score_stability,
     beta_loc_gaussian,
@@ -222,6 +219,11 @@ class ExperimentConfig:
         for name in ("C", "C_prime", "mu", "C_l", "C_u"):
             if not math.isfinite(float(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
+        for name in ("C", "C_prime"):
+            if float(getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        if not 0.0 < float(self.delta) <= 1.0:
+            raise ValueError(f"delta={self.delta} outside (0, 1]")
         grid = tuple(float(r) for r in self.radius_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("radius_grid must be strictly increasing")
@@ -325,13 +327,13 @@ class Fit:
     computed on that partition, if any.
     """
 
-    solve: Callable[[FullSample, Partition], HypothesisScores]
+    solve: Callable[[FullSample, Partition], np.ndarray]
     swap_engine: Callable[[], Callable[[np.ndarray, np.ndarray], np.ndarray]]
     beta: float
     B: float
     run_fields: dict = field(default_factory=dict)
     stability_fields: dict = field(default_factory=dict)
-    h: HypothesisScores | None = None
+    h: np.ndarray | None = None
 
 
 def _kernel_fit(solve, swap_engine, part: Partition, cfg: ExperimentConfig, M: float,
@@ -339,9 +341,8 @@ def _kernel_fit(solve, swap_engine, part: Partition, cfg: ExperimentConfig, M: f
     """Kernel least squares: the LTR coefficient and B = M (1 + sqrt(C + C'))."""
     beta = math.inf  # an empty neighborhood leaves beta_loc, and so beta, unbounded
     if math.isfinite(beta_loc):
-        beta = ltr_stability_bound(StabilityInputs(
-            m=part.m, u=part.u, C=cfg.C, C_prime=C_prime, kappa=1.0, M=M, beta_loc=beta_loc
-        ))
+        beta = ltr_stability_bound(m=part.m, u=part.u, C=cfg.C, C_prime=C_prime, kappa=1.0,
+                                   M=M, beta_loc=beta_loc)
     return Fit(solve, swap_engine, beta, M * (1.0 + math.sqrt(cfg.C + C_prime)), **fields)
 
 
@@ -350,7 +351,7 @@ def _krr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     """Kernel ridge regression on the labeled points (LTR with C' = 0)."""
     system = KernelSystem(kern)
 
-    def solve(s: FullSample, p: Partition) -> HypothesisScores:
+    def solve(s: FullSample, p: Partition) -> np.ndarray:
         return system.solve(p, s.targets[p.train_idx], np.zeros(0), cfg.C, 0.0)
 
     def swap_engine():
@@ -372,7 +373,7 @@ def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     """LTR with the local estimator at radius r on the partition's kernel system."""
     local = _local_estimator(cfg, sigma, r)
 
-    def solve(s: FullSample, p: Partition) -> HypothesisScores:
+    def solve(s: FullSample, p: Partition) -> np.ndarray:
         return system.solve(p, s.targets[p.train_idx], pseudo_targets(s, p, local),
                             cfg.C, cfg.C_prime)
 
@@ -412,7 +413,7 @@ def _quadratic_fit(system: QuadraticSystem, sample: FullSample, part: Partition,
     Both label S with the sample's targets; the engine is built on ``part``.
     """
 
-    def solve(s: FullSample, p: Partition) -> HypothesisScores:
+    def solve(s: FullSample, p: Partition) -> np.ndarray:
         c = np.full(p.n, c_T)
         c[p.train_idx] = c_S
         return system.solve(c, labels_to_full(s.targets[p.train_idx], p), center_labels)
@@ -457,18 +458,16 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     elif algo == "llreg":
         score_beta = llreg_score_bound(M, m, c_min, c_max)
     else:
-        q_spec = graph.L_eigenvalues if family == "gmf" else spectrum(q, eigenvector=False)
+        q_spec = graph.L_eigenvalues if family == "gmf" else spectrum(q)
+        q_min = q_spec.lambda_min
         if algo != family:
             # the solve lives on the complement of Q's bottom eigenvector,
             # where Q's smallest eigenvalue is lambda2
             constraint = null
-            q_spec = replace(q_spec, lambda_min=q_spec.lambda2)
-        # diag(c): m entries c_S and u entries c_T
-        lo_count = m if c_S <= c_T else part.u
-        c_spec = SpectrumSummary(lambda_min=c_min, lambda_max=c_max,
-                                 lambda2=c_min if lo_count > 1 else c_max)
+            q_min = q_spec.lambda2
+        # C = C' = diag(c), with m entries c_S and u entries c_T
         score_beta = unconstrained_score_bound(
-            q_spec, c_spec, c_spec,
+            q_min, q_spec.lambda_max, c_max, c_max,
             math.sqrt(2.0) * M,
             math.sqrt(m) * M,
             math.sqrt(2.0) * (1.0 / c_min - 1.0 / c_max),
@@ -515,7 +514,7 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     """
     M, m = sample.label_bound_M, part.m
     if not float(cfg.C) > 0:  # before a bound divides by C
-        raise ValueError("C_tradeoff must be positive")
+        raise ValueError("C must be positive")
     rho = graph.hop_diameter  # a disconnected graph fails here, before the null-space check
     system = QuadraticSystem(graph.L, np.ones(graph.n))
     system.check_null_space(graph.L_eigenvalues)
@@ -626,9 +625,8 @@ def select_radius(
     alpha, kept = system.dual(part, sample.targets[part.train_idx], block, cfg.C, cfg.C_prime)
     scores = system.scores(alpha, kept)
     best = (math.inf, next(iter(targets)))  # all-infinite objectives: smallest feasible r
-    for r, column in zip(targets, scores.T):
+    for r, h in zip(targets, scores.T):
         fit = _ltr_at(sample, part, cfg, sigma, system, r)
-        h = HypothesisScores(scores=column)
         if fits is not None:
             fits[r] = (fit, h)
         train = empirical_error(h, sample, part)

@@ -28,8 +28,6 @@ if TYPE_CHECKING:
 __all__ = [
     "FullSample",
     "Partition",
-    "HypothesisScores",
-    "SwapPair",
     "sample_partition",
     "empirical_error",
     "test_error",
@@ -141,39 +139,6 @@ class Partition:
         return self.m + self.u
 
 
-@dataclass(frozen=True)
-class HypothesisScores:
-    """Predicted scores for every point of the associated full sample."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.scores, dtype=np.float64).ravel()
-        object.__setattr__(self, "scores", _readonly(s))
-
-    @property
-    def n(self) -> int:
-        return self.scores.size
-
-
-@dataclass(frozen=True)
-class SwapPair:
-    """One S/T exchange: ``removed`` leaves S, ``added`` leaves T."""
-
-    removed: int
-    added: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "removed", int(self.removed))
-        object.__setattr__(self, "added", int(self.added))
-
-
-def _as_scores(h) -> np.ndarray:
-    if isinstance(h, HypothesisScores):
-        return h.scores
-    return np.asarray(h, dtype=np.float64).ravel()
-
-
 def sample_partition(sample: FullSample, m: int, seed: int) -> Partition:
     """Draw S uniformly without replacement; T is the complement.
 
@@ -189,26 +154,25 @@ def sample_partition(sample: FullSample, m: int, seed: int) -> Partition:
     return Partition(train_idx=order[:m], test_idx=order[m:], seed=seed)  # Partition sorts
 
 
-def _check_length(h: np.ndarray, sample: FullSample) -> None:
-    if h.size != sample.n:
+def _scores(h, sample: FullSample) -> np.ndarray:
+    """``h`` as a flat float array with one score per point of the sample."""
+    scores = np.asarray(h, dtype=np.float64).ravel()
+    if scores.size != sample.n:
         raise ValueError(
-            f"scores have length {h.size}, sample has {sample.n} points"
+            f"scores have length {scores.size}, sample has {sample.n} points"
         )
+    return scores
 
 
 def empirical_error(h, sample: FullSample, part: Partition) -> float:
     """Mean squared residual over the labeled set S."""
-    scores = _as_scores(h)
-    _check_length(scores, sample)
-    d = scores[part.train_idx] - sample.targets[part.train_idx]
+    d = _scores(h, sample)[part.train_idx] - sample.targets[part.train_idx]
     return float(np.mean(d * d))
 
 
 def test_error(h, sample: FullSample, part: Partition) -> float:
     """Mean squared residual over the unlabeled set T."""
-    scores = _as_scores(h)
-    _check_length(scores, sample)
-    d = scores[part.test_idx] - sample.targets[part.test_idx]
+    d = _scores(h, sample)[part.test_idx] - sample.targets[part.test_idx]
     return float(np.mean(d * d))
 
 
@@ -222,9 +186,7 @@ def overall_error(h, sample: FullSample) -> float:
     Satisfies the exact decomposition
     ``test_error = ((m+u)/u) * overall_error - (m/u) * empirical_error``.
     """
-    scores = _as_scores(h)
-    _check_length(scores, sample)
-    d = scores - sample.targets
+    d = _scores(h, sample) - sample.targets
     return float(np.mean(d * d))
 
 
@@ -254,16 +216,17 @@ def enumerate_swaps(part: Partition) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(part.train_idx, part.u), np.tile(part.test_idx, part.m)
 
 
-def apply_swap(part: Partition, swap: SwapPair) -> Partition:
-    """Return the partition with ``swap.removed`` and ``swap.added`` exchanged."""
-    i = _sorted_position(part.train_idx, swap.removed)
+def apply_swap(part: Partition, removed: int, added: int) -> Partition:
+    """Return the partition with labeled ``removed`` and unlabeled ``added`` exchanged."""
+    removed, added = int(removed), int(added)
+    i = _sorted_position(part.train_idx, removed)
     if i is None:
-        raise ValueError(f"index {swap.removed} is not in the labeled set")
-    j = _sorted_position(part.test_idx, swap.added)
+        raise ValueError(f"index {removed} is not in the labeled set")
+    j = _sorted_position(part.test_idx, added)
     if j is None:
-        raise ValueError(f"index {swap.added} is not in the unlabeled set")
-    new_s = _replace_sorted(part.train_idx, i, swap.added)
-    new_t = _replace_sorted(part.test_idx, j, swap.removed)
+        raise ValueError(f"index {added} is not in the unlabeled set")
+    new_s = _replace_sorted(part.train_idx, i, added)
+    new_t = _replace_sorted(part.test_idx, j, removed)
     return Partition(train_idx=new_s, test_idx=new_t, seed=part.seed)
 
 

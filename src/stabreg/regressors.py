@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FullSample, HypothesisScores, Partition, _readonly
+from .core import FullSample, Partition, _readonly
 from .errors import (
     ConstraintSpansNullSpace,
     NotPSDKernel,
@@ -192,7 +192,7 @@ class QuadraticSystem:
         """
         u = self.constraint
         if u is not None and np.allclose(u, np.full(u.size, u[0]), rtol=1e-12, atol=0.0):
-            eig = eigenvalues or spectrum(self.Q, eigenvector=False)
+            eig = eigenvalues or spectrum(self.Q)
             if eig.lambda2 <= 1e-9 * max(abs(eig.lambda_max), 1.0):
                 raise ConstraintSpansNullSpace(
                     "all-ones constraint cannot pin the null space of a disconnected Laplacian"
@@ -231,7 +231,7 @@ class QuadraticSystem:
         return ~ok, "KKT residual exceeds tolerance"
 
     def solve(self, c: np.ndarray, y: np.ndarray, center_labels: bool = False
-              ) -> HypothesisScores:
+              ) -> np.ndarray:
         """Minimize ``h^T Q h + (h - y)^T diag(c) (h - y)`` for weights c.
 
         Without a constraint, c > 0 and ``(Q + diag(c)) h = c y`` is solved.
@@ -241,7 +241,7 @@ class QuadraticSystem:
         component along u on the labeled points (c > 0) before solving and
         adds it back onto the scores.  c and y need one entry per row of Q
         and c must be finite, else ValueError; a failed ``residual_test``
-        raises SingularSystem.
+        raises SingularSystem.  Returns the (n,) scores.
         """
         n = self.Q.shape[0]
         u = self.constraint
@@ -270,27 +270,27 @@ class QuadraticSystem:
             raise SingularSystem(message)
         if center_labels:
             h = h + offset * u
-        return HypothesisScores(scores=h)
+        return h
 
 
-def solve_unconstrained(Q: np.ndarray, c: np.ndarray, y: np.ndarray) -> HypothesisScores:
+def solve_unconstrained(Q: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Closed-form minimizer ``h = (C^{-1} Q + I)^{-1} y`` for C = diag(c), c > 0."""
     return QuadraticSystem(Q).solve(c, y)
 
 
-def stabilize(Q: np.ndarray, c: np.ndarray, y: np.ndarray) -> HypothesisScores:
+def stabilize(Q: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The unconstrained problem restricted to the orthogonal complement of Q's bottom eigenvector.
 
     The feasible subspace's smallest Q-eigenvalue is the second-smallest
     eigenvalue of Q, which tightens the score-perturbation denominator.
-    The eigenvector comes from ``spectrum`` (eigh), not ``graph_quadratic``.
+    The eigenvector comes from eigh, not ``graph_quadratic``.
     """
-    return QuadraticSystem(Q, spectrum(Q).eigenvector_min).solve(c, y)
+    return QuadraticSystem(Q, np.linalg.eigh(_check_symmetric(Q))[1][:, 0]).solve(c, y)
 
 
 def solve_constrained(L: np.ndarray, part: Partition, y_S: np.ndarray, C: float,
                       u: np.ndarray | None = None, center_labels: bool = False
-                      ) -> HypothesisScores:
+                      ) -> np.ndarray:
     """KKT solve of the constrained Laplacian problem: weight C/m on S, 0 on T.
 
     ``y_S`` holds the m labels in sorted-S order and ``u`` defaults to the
@@ -448,20 +448,20 @@ class KernelSystem:
         return self.K[:, kept] @ alpha
 
     def solve(self, part: Partition, y: np.ndarray, y_tilde: np.ndarray,
-              C: float, C_prime: float) -> HypothesisScores:
+              C: float, C_prime: float) -> np.ndarray:
         """Scores of the LTR minimizer for one pseudo-target vector."""
         if np.ndim(y_tilde) != 1:
             raise ValueError("a block of pseudo-targets is solved by dual")
-        return HypothesisScores(scores=self.scores(*self.dual(part, y, y_tilde, C, C_prime)))
+        return self.scores(*self.dual(part, y, y_tilde, C, C_prime))
 
 
 def solve_ltr(K: np.ndarray, part: Partition, y: np.ndarray, y_tilde: np.ndarray,
-              C: float, C_prime: float) -> HypothesisScores:
+              C: float, C_prime: float) -> np.ndarray:
     """Minimize ``||f||_K^2 + (C/m) sum_S (f - y)^2 + (C'/u) sum_T (f - y_tilde)^2``."""
     return KernelSystem(K).solve(part, y, y_tilde, C, C_prime)
 
 
 def solve_krr_induction(K: np.ndarray, part: Partition, y: np.ndarray, C: float
-                        ) -> HypothesisScores:
+                        ) -> np.ndarray:
     """Kernel ridge regression on the labeled points, evaluated everywhere: LTR with C' = 0."""
     return KernelSystem(K).solve(part, y, np.zeros(0), C, 0.0)

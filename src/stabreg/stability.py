@@ -30,14 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from .core import (
-    FullSample,
-    HypothesisScores,
-    Partition,
-    SwapPair,
-    apply_swap,
-    enumerate_swaps,
-)
+from .core import FullSample, Partition, apply_swap, enumerate_swaps
 from .errors import (
     BoundDiverges,
     EmptyNeighborhood,
@@ -45,11 +38,9 @@ from .errors import (
     InvalidInstance,
     InvalidStabilityInput,
 )
-from .graph import SpectrumSummary
 from .regressors import QuadraticSystem
 
 __all__ = [
-    "StabilityInputs",
     "ltr_stability_bound",
     "unconstrained_score_bound",
     "cm_score_bound",
@@ -72,31 +63,8 @@ SWAP_BUDGET = 400
 _BLOCK_SWAPS = 128
 
 
-@dataclass(frozen=True)
-class StabilityInputs:
-    """Scalar inputs of the kernel least-squares stability bound.
-
-    Without pseudo-targets, ``C_prime`` and ``beta_loc`` stay at their
-    defaults.
-    """
-
-    m: int
-    u: int
-    C: float = 0.0
-    C_prime: float = 0.0
-    kappa: float = 1.0
-    M: float = 1.0
-    beta_loc: float = 0.0
-
-    def __post_init__(self):
-        if int(self.m) < 1 or int(self.u) < 1:
-            raise InvalidStabilityInput("m and u must be at least 1")
-        for name in ("C", "C_prime", "kappa", "M", "beta_loc"):
-            if float(getattr(self, name)) < 0:
-                raise InvalidStabilityInput(f"{name} must be non-negative")
-
-
-def ltr_stability_bound(inputs: StabilityInputs) -> float:
+def ltr_stability_bound(*, m: int, u: int, C: float, C_prime: float = 0.0,
+                        kappa: float = 1.0, M: float = 1.0, beta_loc: float = 0.0) -> float:
     """Cost stability of the kernel least-squares solution.
 
     With A = 1 + kappa * sqrt(C + C') the coefficient is
@@ -105,14 +73,19 @@ def ltr_stability_bound(inputs: StabilityInputs) -> float:
             + sqrt( (C/m + C'/u)^2 + 2 C' beta_loc / (A M kappa^2 u) ) ].
 
     With C' = 0 and beta_loc = 0 this collapses to 4 C (A M)^2 kappa^2 / m.
+    Without pseudo-targets, ``C_prime`` and ``beta_loc`` stay at their
+    defaults.
     """
-    kappa = float(inputs.kappa)
-    M = float(inputs.M)
+    m, u = int(m), int(u)
+    if m < 1 or u < 1:
+        raise InvalidStabilityInput("m and u must be at least 1")
+    C, Cp, kappa, M, beta_loc = (float(v) for v in (C, C_prime, kappa, M, beta_loc))
+    for name, val in (("C", C), ("C_prime", Cp), ("kappa", kappa), ("M", M),
+                      ("beta_loc", beta_loc)):
+        if val < 0:
+            raise InvalidStabilityInput(f"{name} must be non-negative")
     if not (kappa > 0 and M > 0):
         raise InvalidStabilityInput("kappa and M must be positive")
-    m, u = int(inputs.m), int(inputs.u)
-    C, Cp = float(inputs.C), float(inputs.C_prime)
-    beta_loc = float(inputs.beta_loc)
     a_const = 1.0 + kappa * math.sqrt(C + Cp)
     lin = C / m + Cp / u
     rad = lin * lin + 2.0 * Cp * beta_loc / (a_const * M * kappa * kappa * u)
@@ -120,9 +93,10 @@ def ltr_stability_bound(inputs: StabilityInputs) -> float:
 
 
 def unconstrained_score_bound(
-    Q_spec: SpectrumSummary,
-    C_spec: SpectrumSummary,
-    Cp_spec: SpectrumSummary,
+    q_min: float,
+    q_max: float,
+    c_max: float,
+    cp_max: float,
     delta_y_norm: float,
     yprime_norm: float,
     Cinv_diff_norm: float,
@@ -131,7 +105,10 @@ def unconstrained_score_bound(
 
     ``||h - h'||_inf <= ||y - y'|| / (lam_m(Q)/lam_M(C) + 1)
        + lam_M(Q) ||C'^{-1} - C^{-1}|| ||y'|| /
-         ((lam_m(Q)/lam_M(C') + 1) (lam_m(Q)/lam_M(C) + 1))``.
+         ((lam_m(Q)/lam_M(C') + 1) (lam_m(Q)/lam_M(C) + 1))``,
+
+    with ``q_min``, ``q_max`` the extreme eigenvalues of Q and ``c_max``,
+    ``cp_max`` the largest of C and of C'.
     """
     for name, val in (
         ("delta_y_norm", delta_y_norm),
@@ -140,15 +117,13 @@ def unconstrained_score_bound(
     ):
         if float(val) < 0:
             raise InvalidStabilityInput(f"{name} must be non-negative")
-    if not (C_spec.lambda_max > 0 and Cp_spec.lambda_max > 0):
+    if not (c_max > 0 and cp_max > 0):
         raise InvalidStabilityInput("C and C' must be positive definite")
-    lam_m_q = max(float(Q_spec.lambda_min), 0.0)
-    d1 = lam_m_q / float(C_spec.lambda_max) + 1.0
-    d2 = lam_m_q / float(Cp_spec.lambda_max) + 1.0
+    lam_m_q = max(float(q_min), 0.0)
+    d1 = lam_m_q / float(c_max) + 1.0
+    d2 = lam_m_q / float(cp_max) + 1.0
     lead = float(delta_y_norm) / d1
-    cross = (
-        float(Q_spec.lambda_max) * float(Cinv_diff_norm) * float(yprime_norm) / (d2 * d1)
-    )
+    cross = float(q_max) * float(Cinv_diff_norm) * float(yprime_norm) / (d2 * d1)
     return lead + cross
 
 
@@ -283,11 +258,13 @@ class EmpiricalStabilityReport:
     ``mode`` records coverage: "exhaustive" (every m*u swap), "sampled"
     (seeded subset of the full swap set) or "custom" (caller-provided swaps).
     ``swaps_total`` is m*u, the number of swaps of the partition.
+    ``worst_swap`` is ``{"removed": i, "added": j}``, the first evaluated swap
+    with the largest score movement.
     """
 
     max_score_delta: float
     max_cost_delta: float
-    worst_swap: SwapPair
+    worst_swap: dict
     swaps_evaluated: int
     swaps_total: int
     mode: str
@@ -309,7 +286,7 @@ def _default_swaps(part: Partition, seed: int) -> tuple[tuple[np.ndarray, np.nda
 
 
 def empirical_stability(
-    solver: Callable[[FullSample, Partition], HypothesisScores],
+    solver: Callable[[FullSample, Partition], np.ndarray],
     sample: FullSample,
     part: Partition,
     swaps: tuple[np.ndarray, np.ndarray] | None = None,
@@ -320,7 +297,7 @@ def empirical_stability(
     """Measure worst-case score and cost movement under S/T swaps.
 
     Args:
-        solver: closure mapping (sample, partition) to HypothesisScores.
+        solver: closure mapping (sample, partition) to the (n,) scores.
         sample: the fixed full sample.
         part: base partition; each swap is evaluated on the swapped partition.
         swaps: ``(removed, added)``, two index arrays of equal length, swap k
@@ -352,12 +329,11 @@ def empirical_stability(
         stop = removed.size if valid.all() else int(np.argmin(valid))
     if not removed.size:
         raise InvalidStabilityInput("no swaps to evaluate")
-    base = solver(sample, part).scores
+    base = solver(sample, part)
     base_cost = (base - sample.targets) ** 2
     if batch is None:  # the reference: every swapped partition solved from scratch
         def batch(i, j):
-            return np.vstack([solver(sample, apply_swap(part, SwapPair(a, b))).scores
-                              for a, b in zip(i, j)])
+            return np.vstack([solver(sample, apply_swap(part, a, b)) for a, b in zip(i, j)])
     max_score = -1.0
     max_cost = 0.0
     worst = 0
@@ -376,11 +352,11 @@ def empirical_stability(
         max_cost = max(max_cost, float(np.max(cost_delta, initial=0.0,
                                               where=~np.isnan(cost_delta))))
     if stop < removed.size:
-        apply_swap(part, SwapPair(removed[stop], added[stop]))  # raises for the invalid swap
+        apply_swap(part, removed[stop], added[stop])  # raises for the invalid swap
     return EmpiricalStabilityReport(
         max_score_delta=max_score,
         max_cost_delta=max_cost,
-        worst_swap=SwapPair(removed[worst], added[worst]),
+        worst_swap={"removed": int(removed[worst]), "added": int(added[worst])},
         swaps_evaluated=removed.size,
         swaps_total=part.m * part.u,
         mode=mode,
@@ -435,7 +411,7 @@ def cm_lower_bound_demo(m: int, C: float) -> dict:
     y_swapped = np.zeros(2 * m)
     y_swapped[added] = 1.0  # the swapped-in point carries its true label
     moved = system.solve(weights, y_swapped)
-    measured = float(abs(moved.scores[added] - base.scores[added]))
+    measured = float(abs(moved[added] - base[added]))
     return {
         "m": m,
         "C": float(C),

@@ -21,7 +21,6 @@ from stabreg import (
     FullSample,
     KernelSystem,
     LocalEstimatorConfig,
-    StabilityInputs,
     beta_loc_invdist,
     checks,
     cli,
@@ -122,10 +121,8 @@ def test_criterion_07_bound_coverage(capsys):
         h = system.solve(part, sample.targets[part.train_idx], y_tilde, C, C_prime)
         m_r = m_of_r(sample, part, r)
         beta = ltr_stability_bound(
-            StabilityInputs(
-                m=part.m, u=part.u, C=C, C_prime=C_prime, kappa=kappa, M=M,
-                beta_loc=beta_loc_invdist(M, m_r, r),
-            )
+            m=part.m, u=part.u, C=C, C_prime=C_prime, kappa=kappa, M=M,
+            beta_loc=beta_loc_invdist(M, m_r, r),
         )
         report = generalization_bound(
             empirical_error(h, sample, part), beta, B, part.m, part.u, delta

@@ -12,14 +12,12 @@ import pytest
 from stabreg import (
     ConcentrationResult,
     FullSample,
-    HypothesisScores,
     KernelSystem,
     LocalEstimatorConfig,
     NoSweepData,
     ParseError,
     Partition,
     PseudoTargetUnavailable,
-    SwapPair,
     ZeroVarianceFeature,
     apply_swap,
     empirical_error,
@@ -357,8 +355,8 @@ def test_select_radius_matches_one_solve_per_radius(toy_csv, C_prime, fallback):
             assert row["reason"] == str(exc_info.value)
             assert row["r"] not in fits
             continue
-        h = fit.solve(sample, part).scores
-        swept = fits[row["r"]][1].scores
+        h = fit.solve(sample, part)
+        swept = fits[row["r"]][1]
         assert np.max(np.abs(swept - h)) <= 1e-10 * np.max(np.abs(h))
         assert row["train_mse"] == pytest.approx(empirical_error(h, sample, part), rel=1e-10)
         assert row["test_mse"] == pytest.approx(test_error(h, sample, part), rel=1e-10)
@@ -473,7 +471,7 @@ def test_verify_suite_catches_broken_variance_factor(monkeypatch):
 
 
 def _shifted(solve, by):
-    return lambda *args: HypothesisScores(scores=solve(*args).scores + by)
+    return lambda *args: solve(*args) + by
 
 
 def _loose_tail(harness):
@@ -627,10 +625,31 @@ def test_cli_exit_code_two_on_a_non_finite_tradeoff(toy_csv, capsys, algorithm, 
     assert f"{name} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, algorithm, flags, message", [
+    ("run", "krr", ["--C", "-1"], "C must be non-negative"),
+    ("stability", "krr", ["--C", "-1"], "C must be non-negative"),
+    ("run", "cm", ["--C", "-1"], "C must be non-negative"),
+    ("run", "ltr", ["--C-prime", "-1", "--radius", "2"], "C_prime must be non-negative"),
+    ("run", "cm", ["--delta", "0"], "delta=0.0 outside (0, 1]"),
+    ("run", "gmf", ["--delta", "2"], "delta=2.0 outside (0, 1]"),
+    ("stability", "laplacian", ["--delta", "0"], "delta=0.0 outside (0, 1]"),
+    ("select-radius", None, ["--delta", "0", "--radius", "2"], "delta=0.0 outside (0, 1]"),
+    ("select-radius", None, ["--delta", "2", "--radius", "2"], "delta=2.0 outside (0, 1]"),
+], ids=["run-krr-C", "stability-krr-C", "run-cm-C", "run-ltr-C-prime", "run-cm-delta-0",
+        "run-gmf-delta-2", "stability-laplacian-delta-0", "select-radius-delta-0",
+        "select-radius-delta-2"])
+def test_cli_exit_code_two_on_an_out_of_range_flag(toy_csv, capsys, command, algorithm, flags,
+                                                   message):
+    # all but cm --C -1 (which exited 0) and stability --delta 0 exited 1
+    algo = ["--algorithm", algorithm] if algorithm else []
+    assert main([command, "--data", toy_csv, *algo, *flags]) == 2
+    assert capsys.readouterr().err == f"stabreg: {message}\n"
+
+
 def test_cli_stability_laplacian_rejects_zero_C(toy_csv, capsys):
     code = main(["stability", "--data", toy_csv, "--algorithm", "laplacian", "--C", "0"])
     assert code == 2
-    assert "C_tradeoff must be positive" in capsys.readouterr().err
+    assert capsys.readouterr().err == "stabreg: C must be positive\n"
 
 
 def test_cli_exit_code_two_on_missing_file(capsys):
@@ -810,7 +829,7 @@ def _home_fit(data, algorithm, target_scale=1.0, **options):
 
 def _assert_engine_matches_per_swap_solves(sample, part, fit, removed, added):
     got = fit.swap_engine()(removed, added)
-    want = np.vstack([fit.solve(sample, apply_swap(part, SwapPair(removed=i, added=j))).scores
+    want = np.vstack([fit.solve(sample, apply_swap(part, i, j))
                       for i, j in zip(removed, added)])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, float(np.max(np.abs(want))))
@@ -893,7 +912,7 @@ def _two_spectra(family, g):
     """``graph_quadratic`` with Q's bottom eigenvector from a second, full eigh
     in place of the closed form (the eigenvalues still come from eigvalsh)."""
     q, _ = graph_quadratic(family, g)
-    return q, spectrum(q).eigenvector_min
+    return q, np.linalg.eigh(q)[1][:, 0]
 
 
 def _assert_close(got, want, where="report"):

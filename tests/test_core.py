@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from stabreg import (
     FullSample,
-    HypothesisScores,
     InvalidPartitionSize,
     InvalidStabilityInput,
     Partition,
-    SwapPair,
     apply_swap,
     empirical_error,
     enumerate_swaps,
@@ -177,7 +175,7 @@ def test_error_functionals_hand_example():
         label_bound_M=1.0,
     )
     p = Partition(train_idx=np.array([0, 1]), test_idx=np.array([2, 3]))
-    h = HypothesisScores(scores=np.array([0.0, 0.0, 1.0, 1.0]))
+    h = np.array([0.0, 0.0, 1.0, 1.0])
     assert empirical_error(h, s, p) == pytest.approx(0.5)  # (0 + 1)/2
     assert test_error(h, s, p) == pytest.approx(0.5)  # (1 + 0)/2
     assert overall_error(h, s) == pytest.approx(0.5)
@@ -186,8 +184,10 @@ def test_error_functionals_hand_example():
 def test_error_accepts_plain_arrays():
     s = make_sample(6)
     p = sample_partition(s, 3, 0)
-    h = np.zeros(6)
-    assert empirical_error(h, s, p) == empirical_error(HypothesisScores(scores=h), s, p)
+    h = np.linspace(-1.0, 1.0, 6)
+    want = empirical_error(h, s, p)
+    assert empirical_error(h.tolist(), s, p) == want
+    assert empirical_error(h[:, None], s, p) == want  # a column is flattened
 
 
 def test_error_rejects_length_mismatch():
@@ -209,7 +209,7 @@ def test_error_decomposition_identity(n, seed, data):
         label_bound_M=1.0,
     )
     p = sample_partition(s, m, seed)
-    h = HypothesisScores(scores=rng.uniform(-2, 2, n))
+    h = rng.uniform(-2, 2, n)
     lhs = test_error(h, s, p)
     rhs = (n / p.u) * overall_error(h, s) - (p.m / p.u) * empirical_error(h, s, p)
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -232,7 +232,7 @@ def test_enumerate_swaps_full_product():
 def test_apply_swap_moves_one_point_each_way():
     s = make_sample(6)
     p = Partition(train_idx=np.array([0, 1, 2]), test_idx=np.array([3, 4, 5]))
-    q = apply_swap(p, SwapPair(removed=1, added=4))
+    q = apply_swap(p, 1, 4)
     assert list(q.train_idx) == [0, 2, 4]
     assert list(q.test_idx) == [1, 3, 5]
     assert (q.m, q.u) == (p.m, p.u)
@@ -242,10 +242,9 @@ def test_apply_swap_matches_sorting_the_exchanged_sets():
     p = Partition(train_idx=np.array([1, 4, 5, 9]), test_idx=np.array([0, 2, 3, 6, 7, 8, 10]),
                   seed=7)
     for i, j in zip(*enumerate_swaps(p)):
-        sw = SwapPair(removed=i, added=j)
-        q = apply_swap(p, sw)
-        s = np.sort(np.append(p.train_idx[p.train_idx != sw.removed], sw.added))
-        t = np.sort(np.append(p.test_idx[p.test_idx != sw.added], sw.removed))
+        q = apply_swap(p, i, j)
+        s = np.sort(np.append(p.train_idx[p.train_idx != i], j))
+        t = np.sort(np.append(p.test_idx[p.test_idx != j], i))
         assert np.array_equal(q.train_idx, s) and np.array_equal(q.test_idx, t)
         assert q.seed == p.seed
 
@@ -253,9 +252,9 @@ def test_apply_swap_matches_sorting_the_exchanged_sets():
 def test_apply_swap_validates_membership():
     p = Partition(train_idx=np.array([0, 1]), test_idx=np.array([2, 3]))
     with pytest.raises(ValueError):
-        apply_swap(p, SwapPair(removed=2, added=3))  # removed not labeled
+        apply_swap(p, 2, 3)  # removed not labeled
     with pytest.raises(ValueError):
-        apply_swap(p, SwapPair(removed=0, added=1))  # added not unlabeled
+        apply_swap(p, 0, 1)  # added not unlabeled
 
 
 # ---------------------------------------------------------------------------

@@ -147,26 +147,15 @@ def test_spectrum_fields_on_path3():
     assert summary.lambda_min == pytest.approx(0.0, abs=1e-12)
     assert summary.lambda2 == pytest.approx(1.0, abs=1e-12)
     assert summary.lambda_max == pytest.approx(3.0, abs=1e-12)
-    # null vector of a connected Laplacian is the constant vector
-    v = summary.eigenvector_min
-    assert np.allclose(v, v[0], atol=1e-9)
-
-
-def test_spectrum_eigenvector_is_unit_norm():
-    rng = np.random.default_rng(3)
-    b = rng.normal(size=(5, 5))
-    summary = spectrum(b + b.T)
-    assert np.linalg.norm(summary.eigenvector_min) == pytest.approx(1.0)
 
 
 def test_spectrum_without_eigenvector_matches_eigh_eigenvalues():
     rng = np.random.default_rng(4)
     b = rng.normal(size=(30, 30))
-    full = spectrum(b + b.T)
-    values = spectrum(b + b.T, eigenvector=False)
-    assert values.eigenvector_min is None
-    for name in ("lambda_min", "lambda2", "lambda_max"):
-        assert getattr(values, name) == pytest.approx(getattr(full, name), rel=1e-12, abs=1e-12)
+    full = np.linalg.eigh(b + b.T)[0]
+    values = spectrum(b + b.T)
+    for name, want in (("lambda_min", full[0]), ("lambda2", full[1]), ("lambda_max", full[-1])):
+        assert getattr(values, name) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +493,7 @@ def test_graph_keeps_its_laplacian_eigenvalues_and_diameter(monkeypatch):
     g = path_graph(6)
     for _ in range(2):
         assert np.array_equal(g.L, laplacian(path_graph(6)))
-        assert g.L_eigenvalues == spectrum(laplacian(path_graph(6)), eigenvector=False)
+        assert g.L_eigenvalues == spectrum(laplacian(path_graph(6)))
         assert g.hop_diameter == 5
     assert sorted(calls) == ["diameter", "laplacian", "spectrum"]
     assert not g.L.flags.writeable

@@ -14,7 +14,6 @@ from stabreg import (
     FullSample,
     GraphDisconnected,
     GraphSpec,
-    HypothesisScores,
     InvalidInstance,
     InvalidStabilityInput,
     KernelSystem,
@@ -23,9 +22,6 @@ from stabreg import (
     PseudoTargetUnavailable,
     QuadraticSystem,
     SingularSystem,
-    SpectrumSummary,
-    StabilityInputs,
-    SwapPair,
     apply_swap,
     belkin_cost_stability,
     belkin_score_stability,
@@ -58,25 +54,23 @@ from stabreg.stability import SWAP_BUDGET, _default_swaps
 
 def test_ltr_bound_frozen_labeled_only():
     # C'=0: A = 2, bound = 2 (2M)^2 kappa^2 [C/m + sqrt((C/m)^2)] = 16/m
-    si = StabilityInputs(m=10, u=10, C=1.0, C_prime=0.0, kappa=1.0, M=1.0)
-    assert ltr_stability_bound(si) == pytest.approx(1.6, abs=1e-12)
+    got = ltr_stability_bound(m=10, u=10, C=1.0, C_prime=0.0, kappa=1.0, M=1.0)
+    assert got == pytest.approx(1.6, abs=1e-12)
 
 
 def test_ltr_bound_frozen_with_pseudo_labels():
-    si = StabilityInputs(m=10, u=10, C=1.0, C_prime=1.0, kappa=1.0, M=1.0, beta_loc=0.1)
+    got = ltr_stability_bound(m=10, u=10, C=1.0, C_prime=1.0, kappa=1.0, M=1.0, beta_loc=0.1)
     # hand-evaluated closed form
     a_fac = 1.0 + math.sqrt(2.0)
     inner = math.sqrt(0.2**2 + 2 * 0.1 / (a_fac * 10))
     expected = 2 * a_fac**2 * (0.2 + inner)
-    assert ltr_stability_bound(si) == pytest.approx(expected, abs=1e-12)
-    assert ltr_stability_bound(si) == pytest.approx(4.8928109652838785, abs=1e-10)
+    assert got == pytest.approx(expected, abs=1e-12)
+    assert got == pytest.approx(4.8928109652838785, abs=1e-10)
 
 
 def test_ltr_bound_scales_with_m_squared_and_kappa():
-    base = ltr_stability_bound(StabilityInputs(m=10, u=10, C=1.0, C_prime=0.0, kappa=1.0, M=1.0))
-    doubled_m = ltr_stability_bound(
-        StabilityInputs(m=10, u=10, C=1.0, C_prime=0.0, kappa=1.0, M=2.0)
-    )
+    base = ltr_stability_bound(m=10, u=10, C=1.0, C_prime=0.0, kappa=1.0, M=1.0)
+    doubled_m = ltr_stability_bound(m=10, u=10, C=1.0, C_prime=0.0, kappa=1.0, M=2.0)
     assert doubled_m == pytest.approx(4 * base, rel=1e-12)
 
 
@@ -89,71 +83,55 @@ def test_ltr_bound_scales_with_m_squared_and_kappa():
 )
 @settings(max_examples=60)
 def test_ltr_bound_nonnegative_and_monotone_in_beta_loc(m, u, c_val, cp_val, b_loc):
-    lo = ltr_stability_bound(
-        StabilityInputs(m=m, u=u, C=c_val, C_prime=cp_val, kappa=1.0, M=1.0, beta_loc=b_loc)
-    )
-    hi = ltr_stability_bound(
-        StabilityInputs(m=m, u=u, C=c_val, C_prime=cp_val, kappa=1.0, M=1.0, beta_loc=b_loc + 1)
-    )
+    lo = ltr_stability_bound(m=m, u=u, C=c_val, C_prime=cp_val, kappa=1.0, M=1.0,
+                             beta_loc=b_loc)
+    hi = ltr_stability_bound(m=m, u=u, C=c_val, C_prime=cp_val, kappa=1.0, M=1.0,
+                             beta_loc=b_loc + 1)
     assert 0.0 <= lo <= hi + 1e-12
 
 
 def test_ltr_bound_shrinks_with_more_data():
-    small = ltr_stability_bound(StabilityInputs(m=10, u=10, C=1.0, C_prime=1.0,
-                                                kappa=1.0, M=1.0, beta_loc=0.1))
-    large = ltr_stability_bound(StabilityInputs(m=1000, u=1000, C=1.0, C_prime=1.0,
-                                                kappa=1.0, M=1.0, beta_loc=0.1))
+    small = ltr_stability_bound(m=10, u=10, C=1.0, C_prime=1.0, kappa=1.0, M=1.0, beta_loc=0.1)
+    large = ltr_stability_bound(m=1000, u=1000, C=1.0, C_prime=1.0, kappa=1.0, M=1.0,
+                                beta_loc=0.1)
     assert large < small
 
 
 def test_stability_inputs_validation():
-    with pytest.raises(InvalidStabilityInput):
-        StabilityInputs(m=0, u=10)
-    with pytest.raises(InvalidStabilityInput):
-        StabilityInputs(m=10, u=10, C=-1.0)
-    with pytest.raises(InvalidStabilityInput):
-        ltr_stability_bound(StabilityInputs(m=10, u=10, kappa=0.0))
+    for args, message in (
+        ({"m": 0}, "m and u must be at least 1"),
+        ({"u": 0}, "m and u must be at least 1"),
+        ({"C": -1.0}, "C must be non-negative"),
+        ({"C_prime": -1.0}, "C_prime must be non-negative"),
+        ({"kappa": -1.0}, "kappa must be non-negative"),
+        ({"M": -1.0}, "M must be non-negative"),
+        ({"beta_loc": -1.0}, "beta_loc must be non-negative"),
+        ({"kappa": 0.0}, "kappa and M must be positive"),
+        ({"M": 0.0}, "kappa and M must be positive"),
+    ):
+        with pytest.raises(InvalidStabilityInput, match=f"^{message}$"):
+            ltr_stability_bound(**{"m": 10, "u": 10, "C": 1.0, **args})
 
 
 # ---------------------------------------------------------------------------
 # unconstrained score perturbation
 
 
-def flat_spectrum(lo, hi, lam2=None):
-    return SpectrumSummary(
-        lambda_min=lo, lambda_max=hi,
-        lambda2=lam2 if lam2 is not None else lo,
-        eigenvector_min=np.array([1.0]),
-    )
-
-
 def test_unconstrained_score_bound_reduces_to_cm_form():
     # Q has a zero eigenvalue, C = mu I unchanged: bound collapses to
     # ||delta y|| / (0/mu + 1) = sqrt(2) M
     m_label = 1.5
-    got = unconstrained_score_bound(
-        flat_spectrum(0.0, 2.0),
-        flat_spectrum(1.0, 1.0),
-        flat_spectrum(1.0, 1.0),
-        math.sqrt(2.0) * m_label,
-        10.0,
-        0.0,
-    )
+    got = unconstrained_score_bound(0.0, 2.0, 1.0, 1.0, math.sqrt(2.0) * m_label, 10.0, 0.0)
     assert got == pytest.approx(cm_score_bound(m_label), abs=1e-12)
 
 
 def test_unconstrained_score_bound_second_term():
-    # pure trade-off change: delta_y = 0, ||C'^{-1} - C^{-1}|| = 0.5
-    got = unconstrained_score_bound(
-        flat_spectrum(1.0, 4.0),
-        flat_spectrum(2.0, 2.0),
-        flat_spectrum(2.0, 2.0),
-        0.0,
-        3.0,
-        0.5,
-    )
-    # lambda_M(Q) ||...|| ||y'|| / ((lam_m/lam_M(C')+1)(lam_m/lam_M(C)+1))
-    expected = 4.0 * 0.5 * 3.0 / ((1 / 2 + 1) * (1 / 2 + 1))
+    # lam_m(Q) = 1, lam_M(Q) = 4, lam_M(C) = 2, lam_M(C') = 4, ||delta y|| = 1,
+    # ||y'|| = 3, ||C'^{-1} - C^{-1}|| = 0.5
+    got = unconstrained_score_bound(1.0, 4.0, 2.0, 4.0, 1.0, 3.0, 0.5)
+    # ||delta y|| / (lam_m/lam_M(C)+1)
+    #   + lambda_M(Q) ||...|| ||y'|| / ((lam_m/lam_M(C')+1)(lam_m/lam_M(C)+1))
+    expected = 1.0 / (1 / 2 + 1) + 4.0 * 0.5 * 3.0 / ((1 / 4 + 1) * (1 / 2 + 1))
     assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -309,8 +287,8 @@ def test_empirical_stability_exhaustive_under_cm_bound():
     assert report.swaps_evaluated == report.swaps_total == 36
     assert report.max_score_delta <= cm_score_bound(1.0) + 1e-9
     assert report.max_cost_delta >= 0.0
-    assert report.worst_swap.removed in part.train_idx
-    assert report.worst_swap.added in part.test_idx
+    assert report.worst_swap["removed"] in part.train_idx
+    assert report.worst_swap["added"] in part.test_idx
 
 
 def test_empirical_stability_llreg_under_bound():
@@ -355,7 +333,7 @@ def test_empirical_stability_custom_swaps():
     report = empirical_stability(solver, sample, part, swaps=swaps)
     assert report.mode == "custom"
     assert report.swaps_evaluated == 1
-    assert report.worst_swap == SwapPair(removed=part.train_idx[0], added=part.test_idx[0])
+    assert report.worst_swap == {"removed": part.train_idx[0], "added": part.test_idx[0]}
     with pytest.raises(InvalidStabilityInput, match="same length"):
         empirical_stability(solver, sample, part, swaps=(part.train_idx[:2], swaps[1]))
     with pytest.raises(InvalidStabilityInput, match="no swaps"):
@@ -375,10 +353,10 @@ def test_empirical_stability_repeated_swaps_are_not_exhaustive():
 def test_empirical_stability_cost_delta_matches_direct_recomputation():
     sample, part, g = make_instance(8, 4, 5)
     solver = cm_solver(g)
-    swap = SwapPair(removed=int(part.train_idx[1]), added=int(part.test_idx[2]))
-    report = empirical_stability(solver, sample, part, swaps=([swap.removed], [swap.added]))
-    h_base = solver(sample, part).scores
-    h_swap = solver(sample, apply_swap(part, swap)).scores
+    i, j = int(part.train_idx[1]), int(part.test_idx[2])
+    report = empirical_stability(solver, sample, part, swaps=([i], [j]))
+    h_base = solver(sample, part)
+    h_swap = solver(sample, apply_swap(part, i, j))
     assert report.max_score_delta == pytest.approx(
         float(np.max(np.abs(h_base - h_swap))), abs=1e-12
     )
@@ -389,19 +367,19 @@ def test_empirical_stability_matches_a_swap_by_swap_scan():
     solver = cm_solver(g)
 
     def scan(removed, added):
-        base = solver(sample, part).scores
+        base = solver(sample, part)
         max_score, max_cost, worst = -1.0, 0.0, None
         for i, j in zip(removed, added):
-            h = solver(sample, apply_swap(part, SwapPair(removed=i, added=j))).scores
+            h = solver(sample, apply_swap(part, i, j))
             cost = np.abs((h - sample.targets) ** 2 - (base - sample.targets) ** 2)
             if np.max(np.abs(h - base)) > max_score:
-                max_score, worst = float(np.max(np.abs(h - base))), SwapPair(removed=i, added=j)
+                max_score, worst = float(np.max(np.abs(h - base))), {"removed": i, "added": j}
             max_cost = max(max_cost, float(np.max(cost)))
         return max_score, max_cost, worst
 
     removed, added = enumerate_swaps(part)
     want = scan(removed, added)
-    k = int(np.flatnonzero((removed == want[2].removed) & (added == want[2].added))[0])
+    k = int(np.flatnonzero((removed == want[2]["removed"]) & (added == want[2]["added"]))[0])
     # again with the worst swap last, in the partial block
     order = np.roll(np.arange(removed.size), -(k + 1))
     for r, a in ((removed, added), (removed[order], added[order])):
@@ -414,12 +392,12 @@ def test_empirical_stability_passes_over_a_swap_with_nan_scores():
     # swaps of its block still count
     sample, part, g = make_instance(10, 5, 4)
     removed, added = enumerate_swaps(part)
-    nan_part = apply_swap(part, SwapPair(removed=removed[3], added=added[3]))
+    nan_part = apply_swap(part, removed[3], added[3])
     cm = cm_solver(g)
 
     def solver(s, p):
         h = cm(s, p)
-        return HypothesisScores(np.full(p.n, np.nan)) if np.array_equal(p.train_idx, nan_part.train_idx) else h
+        return np.full(p.n, np.nan) if np.array_equal(p.train_idx, nan_part.train_idx) else h
 
     report = empirical_stability(solver, sample, part, swaps=(removed, added))
     keep = np.arange(removed.size) != 3
