@@ -15,7 +15,10 @@ the draw of the split,
 
 ``concentration_harness`` estimates tail probabilities by Monte-Carlo and
 compares them against the closed-form bound; the default statistic is the
-sample mean, whose per-swap variation is (max - min)/m.
+sample mean, whose per-swap variation is (max - min)/m.  A custom statistic
+is a numpy-style reduction over the last axis: it is called once per block
+of draws on the (k, m) array of the drawn values and returns the k
+statistics, so ``np.median``, ``np.mean`` and ``np.max`` serve as they are.
 """
 
 from __future__ import annotations
@@ -122,8 +125,6 @@ class ConcentrationResult(NamedTuple):
 
 
 def _tail_bound(epsilon: float, a: float, c: float) -> float:
-    if epsilon < 0:
-        raise InvalidStabilityInput("epsilon must be non-negative")
     if c == 0.0:
         return 1.0 if epsilon <= 0 else 0.0
     return math.exp(-2.0 * epsilon * epsilon / (a * c * c))
@@ -135,7 +136,7 @@ def concentration_harness(
     epsilon: float,
     trials: int,
     seed: int,
-    phi: Callable[[np.ndarray], float] | None = None,
+    phi: Callable[..., np.ndarray] | None = None,
     c: float | None = None,
     expectation_trials: int | None = None,
 ) -> ConcentrationResult:
@@ -145,11 +146,23 @@ def concentration_harness(
     E[phi] is the population mean exactly (symmetry of the draw) and the
     per-swap variation is c = (max - min)/m; its draws are split across
     worker threads by ``_kernels.sample_means_without_replacement``, with
-    results that do not depend on the thread count.  A custom ``phi`` may be
-    passed together with its swap bound ``c``; its expectation is then
+    results that do not depend on the thread count.
+
+    A custom ``phi`` may be passed together with its swap bound ``c``.  It
+    is a reduction over the last axis: ``phi(values, axis=-1)`` gets the
+    (k, m) array of one block of k draws from ``_kernels.subset_blocks``
+    (row r holds the drawn values in sorted-index order) and returns an
+    array of shape (k,), else InvalidStabilityInput is raised.
+    ``np.median``, ``np.mean`` and ``np.max`` qualify as they are; wrap a
+    function of one draw's values as
+    ``lambda v, axis: np.apply_along_axis(f, axis, v)``.  Its expectation is
     estimated by a separate, independently seeded pass of
-    ``expectation_trials`` draws (default: same as ``trials``).  Its draws
-    run in the calling thread, since a Python ``phi`` holds the GIL.
+    ``expectation_trials`` draws (default: same as ``trials``).  ``phi`` is
+    called in the calling thread, once per block, in block order.
+
+    Every argument is checked before the first draw: ``epsilon``, ``c`` and
+    the population values must be finite, and ``trials`` and
+    ``expectation_trials`` at least 1.
 
     Returns:
         ConcentrationResult(empirical_tail, bound) where
@@ -163,32 +176,48 @@ def concentration_harness(
     trials = int(trials)
     if trials < 1:
         raise InvalidStabilityInput("trials must be at least 1")
-    u = n - m
-    a = alpha(m, u)
+    est_trials = trials if expectation_trials is None else int(expectation_trials)
+    if est_trials < 1:
+        raise InvalidStabilityInput("expectation_trials must be at least 1")
+    epsilon = float(epsilon)
+    if not math.isfinite(epsilon):
+        raise InvalidStabilityInput("epsilon must be finite")
+    if epsilon < 0:
+        raise InvalidStabilityInput("epsilon must be non-negative")
+    if not np.isfinite(pop).all():
+        raise InvalidStabilityInput("population values must be finite")
+    a = alpha(m, n - m)
 
     if phi is None:
         c_val = float(pop.max() - pop.min()) / m
         means = _kernels.sample_means_without_replacement(pop, m, trials, seed)
         expectation = float(pop.mean())
         tail = float(np.count_nonzero(means - expectation >= epsilon)) / trials
-        return ConcentrationResult(tail, _tail_bound(float(epsilon), a, c_val))
+        return ConcentrationResult(tail, _tail_bound(epsilon, a, c_val))
 
     if c is None:
         raise InvalidStabilityInput("a custom statistic needs its swap bound c")
     c_val = float(c)
+    if not math.isfinite(c_val):
+        raise InvalidStabilityInput("c must be finite")
     if c_val < 0:
         raise InvalidStabilityInput("c must be non-negative")
-    est_trials = int(expectation_trials) if expectation_trials else trials
 
     def draws(count: int, stream_seed: int) -> np.ndarray:
         out = np.empty(count)
         root = _kernels.mix64_int(stream_seed)
         for start, subsets in _kernels.subset_blocks(root, n, m, count):
-            for t, subset in enumerate(subsets, start):
-                out[t] = float(phi(pop[subset]))
+            k = subsets.shape[0]
+            values = np.asarray(phi(pop[subsets], axis=-1))
+            if values.shape != (k,):
+                raise InvalidStabilityInput(
+                    f"phi returned shape {values.shape} for a block of {k} draws; "
+                    f"it must reduce the last axis to shape ({k},)"
+                )
+            out[start:start + k] = values
         return out
 
     expectation = float(np.mean(draws(est_trials, _kernels.mix64_int(int(seed) + 1))))
     values = draws(trials, int(seed))
     tail = float(np.count_nonzero(values - expectation >= epsilon)) / trials
-    return ConcentrationResult(tail, _tail_bound(float(epsilon), a, c_val))
+    return ConcentrationResult(tail, _tail_bound(epsilon, a, c_val))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -133,19 +134,16 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
                 continue
             if len(row) != width:
                 raise ParseError(row_no, 0, f"expected {width} fields, got {len(row)}")
-            parsed = np.empty(width)
-            for col_no, cell in enumerate(row, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(row_no, col_no, f"non-numeric cell {cell!r}") from None
-                if not math.isfinite(value):
-                    raise ParseError(row_no, col_no, f"non-finite cell {cell!r}")
-                parsed[col_no - 1] = value
-            rows.append(parsed)
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise _cell_error(row_no, row) from None
+            if not all(map(math.isfinite, values)):
+                raise _cell_error(row_no, row)
+            rows.append(values)
     if len(rows) < 2:
         raise ParseError(len(rows) + 1, 0, "need at least 2 data rows")
-    data = np.vstack(rows)
+    data = np.array(rows, dtype=np.float64)
     features = data[:, :-1]
     target = data[:, -1] * float(target_scale)
     keep = []
@@ -165,6 +163,18 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
     feats = (feats - feats.mean(axis=0)) / feats.std(axis=0)
     m_bound = float(np.max(np.abs(target), initial=0.0))
     return FullSample(points=feats, targets=target, label_bound_M=m_bound or 1.0)
+
+
+def _cell_error(row_no: int, row: list[str]) -> ParseError:
+    """The ParseError for the first bad cell of a row that failed to convert."""
+    for col_no, cell in enumerate(row, start=1):
+        try:
+            value = float(cell)
+        except ValueError:
+            return ParseError(row_no, col_no, f"non-numeric cell {cell!r}")
+        if not math.isfinite(value):
+            return ParseError(row_no, col_no, f"non-finite cell {cell!r}")
+    raise AssertionError(f"row {row_no} has no bad cell")
 
 
 def m_of_r(sample: FullSample, part: Partition, r: float) -> int:
@@ -269,24 +279,30 @@ def _cv_sigma(sample: FullSample, part: Partition, C: float) -> float:
     ys = sample.targets[part.train_idx]
     d2 = sq_distances(xs)
     med = _median_pairwise_distance(d2)
-    folds = np.array_split(np.arange(xs.shape[0]), min(_CV_FOLDS, xs.shape[0]))
+    n = xs.shape[0]
+    # per fold: its held-out and fit indices, and the flat indices of the
+    # fit-by-fit and fold-by-fit blocks of an (n, n) matrix
+    splits = []
+    for fold in np.array_split(np.arange(n), min(_CV_FOLDS, n)):
+        if 0 < fold.size < n:
+            fit = np.setdiff1d(np.arange(n), fold, assume_unique=True)
+            splits.append((fold, fit, (fit[:, None] * n + fit).ravel(),
+                           (fold[:, None] * n + fit).ravel()))
     best = (math.inf, med)
     for factor in _SIGMA_GRID:
         sig = factor * med
         kern = np.exp(-d2 / (2.0 * sig * sig))
         err = 0.0
         count = 0
-        for fold in folds:
-            if fold.size == 0 or fold.size == xs.shape[0]:
-                continue
-            fit = np.setdiff1d(np.arange(xs.shape[0]), fold, assume_unique=True)
-            reg = kern[np.ix_(fit, fit)] + (fit.size / max(C, 1e-12)) * np.eye(fit.size)
+        for fold, fit, fit_flat, cross_flat in splits:
+            reg = kern.take(fit_flat).reshape(fit.size, fit.size)
+            reg.flat[::fit.size + 1] += fit.size / max(C, 1e-12)
             try:
                 coef = np.linalg.solve(reg, ys[fit])
             except np.linalg.LinAlgError:
                 err = math.inf
                 break
-            pred = kern[np.ix_(fold, fit)] @ coef
+            pred = kern.take(cross_flat).reshape(fold.size, fit.size) @ coef
             err += float(np.sum((pred - ys[fold]) ** 2))
             count += fold.size
         score = err / count if count else math.inf
@@ -1115,9 +1131,14 @@ def _cmd_emit_plot(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and kept: it holds no run data."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -1125,7 +1146,8 @@ def main(argv=None) -> int:
         return 2
     except StabregError as exc:
         print(f"stabreg: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        # every input of bound is a command-line value, so a rejected one is a usage error
+        return 2 if args.command == "bound" else 1
     except (ValueError, OSError) as exc:
         print(f"stabreg: {exc}", file=sys.stderr)
         return 2

@@ -207,15 +207,15 @@ def test_harness_custom_statistic_needs_scale():
     population = np.arange(10.0)
     with pytest.raises(InvalidStabilityInput):
         concentration_harness(
-            population, 3, 0.5, 100, seed=0, phi=lambda idx: float(idx[0])
+            population, 3, 0.5, 100, seed=0, phi=lambda drawn, axis: drawn[..., 0]
         )
 
 
 def test_harness_custom_statistic_runs():
     population = np.arange(10.0)
 
-    def largest(drawn):
-        return float(drawn.max())
+    def largest(drawn, axis):
+        return drawn.max(axis=axis)
 
     tail, bound = concentration_harness(
         population, 3, 0.5, 2000, seed=0, phi=largest, c=1.0
@@ -232,17 +232,18 @@ def test_harness_rejects_bad_m():
 
 
 def draws_per_trial(pop, m, count, stream_seed, phi):
-    """The custom-statistic draws before blocking: one key stream per draw."""
+    """The custom-statistic draws before blocking: one key stream and one call per draw."""
     root = _kernels.mix64_int(stream_seed)
     out = []
     for t in range(count):
         keys = _kernels.partition_keys(root + t + 1, pop.size)
-        out.append(float(phi(pop[np.sort(np.argpartition(keys, m - 1)[:m])])))
+        out.append(float(phi(pop[np.sort(np.argpartition(keys, m - 1)[:m])], axis=-1)))
     return np.array(out)
 
 
 @pytest.mark.parametrize(
-    "phi", [np.median, lambda drawn: float(drawn.max() - drawn[::3].mean())],
+    "phi",
+    [np.median, lambda drawn, axis: drawn.max(axis=axis) - drawn[..., ::3].mean(axis=axis)],
     ids=["median", "lambda"],
 )
 def test_harness_custom_statistic_matches_per_draw_loop(phi):
@@ -252,9 +253,9 @@ def test_harness_custom_statistic_matches_per_draw_loop(phi):
     seen, want_seen = [], []
 
     def recorded(into):
-        def statistic(drawn):
-            into.append(drawn.copy())
-            return phi(drawn)
+        def statistic(drawn, axis):
+            into.extend(row.copy() for row in np.atleast_2d(drawn))  # one entry per draw
+            return phi(drawn, axis=axis)
         return statistic
 
     got = concentration_harness(pop, m, eps, trials, seed=seed, phi=recorded(seen), c=1.0)
@@ -265,3 +266,83 @@ def test_harness_custom_statistic_matches_per_draw_loop(phi):
     assert all(np.array_equal(a, b) for a, b in zip(seen, want_seen))
     assert got.empirical_tail == float(np.count_nonzero(values - expectation >= eps)) / trials
     assert 0.0 < got.empirical_tail < 1.0
+
+
+def test_harness_calls_phi_once_per_block_in_block_order():
+    pop = np.random.default_rng(6).uniform(size=200)
+    trials = 2 * (_kernels._BLOCK_KEYS // pop.size) + 5  # three blocks per pass
+    shapes = []
+
+    def statistic(drawn, axis):
+        shapes.append(drawn.shape)
+        return np.median(drawn, axis=axis)
+
+    concentration_harness(pop, 40, 0.01, trials, seed=3, phi=statistic, c=1.0,
+                          expectation_trials=7)
+    rows = _kernels._BLOCK_KEYS // pop.size
+    assert shapes == [(7, 40), (rows, 40), (rows, 40), (5, 40)]
+
+
+@pytest.mark.parametrize("phi", [
+    lambda drawn, axis: np.median(drawn),  # a scalar: reduced over every axis
+    lambda drawn, axis: drawn,  # not reduced
+    lambda drawn, axis: np.median(drawn, axis=axis)[:-1],  # one statistic short
+    lambda drawn, axis: np.median(drawn, axis=axis)[:, None],  # (k, 1)
+], ids=["scalar", "identity", "short", "column"])
+def test_harness_rejects_a_phi_of_the_wrong_shape(phi):
+    with pytest.raises(InvalidStabilityInput, match="must reduce the last axis"):
+        concentration_harness(np.arange(10.0), 3, 0.5, 100, seed=0, phi=phi, c=1.0)
+
+
+def test_harness_apply_along_axis_wrapper_matches_the_per_draw_statistic():
+    pop = np.random.default_rng(8).uniform(size=120)
+    m, seed, eps, trials = 30, 4, 0.01, _kernels._BLOCK_KEYS // 120 + 9
+
+    def per_draw(drawn):
+        return float(drawn.max() - drawn[::3].mean())
+
+    got = concentration_harness(
+        pop, m, eps, trials, seed=seed, c=1.0,
+        phi=lambda drawn, axis: np.apply_along_axis(per_draw, axis, drawn),
+    )
+    one_draw = lambda drawn, axis: per_draw(drawn)  # noqa: E731
+    expectation = float(np.mean(draws_per_trial(pop, m, trials, _kernels.mix64_int(seed + 1),
+                                                 one_draw)))
+    values = draws_per_trial(pop, m, trials, seed, one_draw)
+    assert got.empirical_tail == float(np.count_nonzero(values - expectation >= eps)) / trials
+    assert 0.0 < got.empirical_tail < 1.0
+
+
+_BAD_FOR_EITHER = [
+    ("epsilon-nan", {"epsilon": math.nan}, "epsilon must be finite"),
+    ("epsilon-inf", {"epsilon": math.inf}, "epsilon must be finite"),
+    ("epsilon-negative", {"epsilon": -0.1}, "epsilon must be non-negative"),
+    ("expectation-trials-negative", {"expectation_trials": -3},
+     "expectation_trials must be at least 1"),
+    ("expectation-trials-zero", {"expectation_trials": 0}, "expectation_trials must be at least 1"),
+    ("population-nan", {"population": [0.0, 1.0, math.nan, 3.0]},
+     "population values must be finite"),
+    ("population-inf", {"population": [0.0, 1.0, -math.inf, 3.0]},
+     "population values must be finite"),
+]
+_BAD_FOR_CUSTOM = [
+    ("c-nan", {"c": math.nan}, "c must be finite"),
+    ("c-inf", {"c": math.inf}, "c must be finite"),
+]
+
+
+@pytest.mark.parametrize("custom, kwargs, message", [
+    pytest.param(custom, kwargs, message, id=f"{'custom' if custom else 'mean'}-{name}")
+    for custom, cases in ((False, _BAD_FOR_EITHER), (True, _BAD_FOR_EITHER + _BAD_FOR_CUSTOM))
+    for name, kwargs, message in cases
+])
+def test_harness_rejects_bad_input_before_any_draw(monkeypatch, custom, kwargs, message):
+    def no_draws(*args, **kw):
+        raise AssertionError("drew before validating")
+
+    monkeypatch.setattr(_kernels, "subset_blocks", no_draws)
+    monkeypatch.setattr(_kernels, "sample_means_without_replacement", no_draws)
+    args = {"population": np.arange(4.0), "m": 2, "epsilon": 0.1, "trials": 50, "seed": 0,
+            "phi": np.median if custom else None, "c": 1.0 if custom else None, **kwargs}
+    with pytest.raises(InvalidStabilityInput, match=message):
+        concentration_harness(**args)

@@ -612,6 +612,20 @@ def test_cli_exit_code_two_on_non_finite_cell(tmp_path, capsys, cell):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, where, message", [
+    (["1,inf", "x,0.2"], (3, 2), "non-finite cell 'inf'"),
+    (["1,0.5", "nan,x"], (4, 1), "non-finite cell 'nan'"),
+    (["1,0.5", "x,nan"], (4, 1), "non-numeric cell 'x'"),
+], ids=["non-finite-row-before-non-numeric-row", "non-finite-cell-first", "non-numeric-cell-first"])
+def test_load_reports_the_first_bad_cell(tmp_path, rows, where, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,t\n0,0.1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ParseError) as exc_info:
+        load_and_normalize(str(bad))
+    assert (exc_info.value.row, exc_info.value.column) == where
+    assert str(exc_info.value) == f"row {where[0]}, column {where[1]}: {message}"
+
+
 @pytest.mark.parametrize("algorithm, flag", [
     ("krr", "--C"), ("ltr", "--C-prime"), ("laplacian", "--C"), ("cm", "--mu"), ("gmf", "--C-l"),
 ])
@@ -644,6 +658,61 @@ def test_cli_exit_code_two_on_an_out_of_range_flag(toy_csv, capsys, command, alg
     algo = ["--algorithm", algorithm] if algorithm else []
     assert main([command, "--data", toy_csv, *algo, *flags]) == 2
     assert capsys.readouterr().err == f"stabreg: {message}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--delta", "0"], "InvalidConfidence: delta=0.0 outside (0, 1]"),
+    (["--delta", "2"], "InvalidConfidence: delta=2.0 outside (0, 1]"),
+    (["--r-hat", "-0.1"], "InvalidStabilityInput: r_hat must be non-negative"),
+    (["--beta", "-1"], "InvalidStabilityInput: beta and B must be non-negative"),
+    (["--B", "-1"], "InvalidStabilityInput: beta and B must be non-negative"),
+    (["-m", "0"], "InvalidPartitionSize: m and u must both be at least 1"),
+    (["-u", "0"], "InvalidPartitionSize: m and u must both be at least 1"),
+], ids=["delta-0", "delta-2", "r-hat", "beta", "B", "m", "u"])
+def test_cli_bound_exit_code_two_on_an_out_of_range_argument(capsys, flags, message):
+    # each exited 1, with the same message
+    args = {"--r-hat": "0.1", "--beta": "0.05", "--B": "1.0", "-m": "10", "-u": "10",
+            "--delta": "0.05"}
+    args.update(zip(flags[::2], flags[1::2]))
+    assert main(["bound", *(tok for kv in args.items() for tok in kv)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"stabreg: {message}\n")
+
+
+def test_cli_back_to_back_calls_print_what_fresh_calls_print(toy_csv, capsys):
+    calls = [
+        ["run", "--data", toy_csv, "--algorithm", "ltr", "--radius", "0.8,1.6",
+         "--partitions", "2"],
+        ["stability", "--data", toy_csv, "--algorithm", "laplacian", "--empirical"],
+        ["bound", "--r-hat", "0.1", "--beta", "0.05", "--B", "1.0", "-m", "10", "-u", "10"],
+        ["bound", "--r-hat", "0.1", "--beta", "0.05", "--B", "1.0", "-m", "0", "-u", "10"],
+        ["run", "--data", toy_csv, "--algorithm", "cm", "--format", "csv"],
+    ]
+
+    def outcome(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._parser.cache_clear()
+    built = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return real_build()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_parser", counting_build)
+        again = [outcome(argv) for argv in calls]
+    cli._parser.cache_clear()
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0]
+    assert again == fresh
+    assert len(built) == 1
 
 
 def test_cli_stability_laplacian_rejects_zero_C(toy_csv, capsys):
