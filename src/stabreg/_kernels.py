@@ -12,17 +12,23 @@ finalizer is a bijection and the counters are distinct), so the selected
 subset is well defined.
 
 Many trials are drawn at once in blocks of ``rows`` trials, one row of n
-keys per trial, with ``rows = 131072 // n`` (at least 1): a block holds
-about 1 MB of keys.  Buffers are allocated once per call and refilled in
+keys per trial, with ``rows = _BLOCK_KEYS // n`` (at least 1): a block
+holds about 256 KB of keys, so a block and its scratch copy stay in a
+core's L2 cache.  The block size is a constant, not read from the host:
+where the blocks start decides how the means' sums are grouped, and so
+their last bits.  Buffers are allocated once per call and refilled in
 place for every block, so the memory a call needs does not grow with the
-trial count (beyond the output and one uint64 base per trial).
-``subset_blocks`` runs in the calling thread with one key and one scratch
-block.  ``sample_means_without_replacement`` shares its blocks out among
-worker threads, one per CPU the process may run on, with two blocks (keys
-and scratch) per worker; numpy releases the GIL in the ufuncs, the
-partition and the matrix-vector product, so the workers run in parallel.
-Each block is computed the same way whichever worker runs it, so the means
-are bit-identical for any number of workers.
+trial count (beyond the output and one uint64 base per trial).  Both
+callers draw a block the same way (``_select_block``): fill the keys, find
+each row's m-th smallest key by partitioning a copy, and mark the keys at
+or below it.  ``subset_blocks`` runs in the calling thread with one key
+block, one scratch block and a bool mask of the same shape.
+``sample_means_without_replacement`` shares its blocks out among worker
+threads, one per CPU the process may run on, with two blocks (keys and
+scratch) per worker; numpy releases the GIL in the ufuncs, the partition
+and the matrix-vector product, so the workers run in parallel.  Each block
+is computed the same way whichever worker runs it, so the means are
+bit-identical for any number of workers.
 
 Per-trial *means* may differ from a per-trial sum by a few float ulps
 because the summation order differs (the tests allow 4 * eps times the
@@ -90,11 +96,14 @@ def partition_keys(seed: int, n: int) -> np.ndarray:
     return mix64_array(counters)
 
 
-_BLOCK_KEYS = 131_072  # uint64 keys per block: 1 MB
+_BLOCK_KEYS = 32_768  # uint64 keys per block: 256 KB
 
 
 def _block_rows(n: int, trials: int) -> int:
-    """Trials per key block: about 1 MB of keys, at least 1, at most ``trials``."""
+    """Trials per key block: ``_BLOCK_KEYS // n``, at least 1, at most ``trials``.
+
+    A block then holds about 256 KB of keys, or one row when n is larger.
+    """
     return min(max(1, _BLOCK_KEYS // n), trials)
 
 
@@ -102,6 +111,12 @@ def _item_offsets(n: int) -> np.ndarray:
     """``(i+1) * GOLDEN`` for i < n: the per-index counter offsets of a key row."""
     with np.errstate(over="ignore"):
         return np.arange(1, n + 1, dtype=np.uint64) * GOLDEN
+
+
+def _block_buffers(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Key, scratch and m-th-key buffers for blocks of up to ``rows`` draws over n items."""
+    return (np.empty((rows, n), dtype=np.uint64), np.empty((rows, n), dtype=np.uint64),
+            np.empty((rows, 1), dtype=np.uint64))
 
 
 def _fill_keys(block: np.ndarray, item_off: np.ndarray, keys: np.ndarray,
@@ -119,22 +134,22 @@ def _fill_keys(block: np.ndarray, item_off: np.ndarray, keys: np.ndarray,
     np.bitwise_xor(keys, scratch, out=keys)
 
 
-def _key_blocks(bases: np.ndarray, n: int):
-    """Yield ``(start, keys)`` with ``keys[r, i] = mix64(bases[start + r] + (i+1)*GOLDEN)``.
+def _select_block(block: np.ndarray, item_off: np.ndarray, m: int, keys: np.ndarray,
+                  scratch: np.ndarray, kth: np.ndarray, mask: np.ndarray) -> None:
+    """Draw one block: ``mask[r]`` marks the m items of row r's subset.
 
-    ``keys`` is a view of one (rows, n) buffer of about 1 MB that is
-    refilled in place for the next block, so a consumer must be done with a
-    block before it asks for the next one.
+    Fills ``keys`` for the bases in ``block`` (``_fill_keys``), partitions a
+    copy of them in ``scratch`` to read each row's m-th smallest key into
+    ``kth``, and writes ``keys <= kth`` to ``mask``: bool, or float64 (0/1)
+    for a matrix product, in which case it may view ``scratch``, spent by
+    then.  Keys within a row are distinct, so every row has exactly m marks.
+    All buffers have ``block.size`` rows and are overwritten.
     """
-    rows = _block_rows(n, bases.size)
-    item_off = _item_offsets(n)
-    buf = np.empty((rows, n), dtype=np.uint64)
-    tmp = np.empty_like(buf)
-    for start in range(0, bases.size, max(rows, 1)):
-        block = bases[start:start + rows]
-        keys = buf[:block.size]
-        _fill_keys(block, item_off, keys, tmp[:block.size])
-        yield start, keys
+    _fill_keys(block, item_off, keys, scratch)
+    np.copyto(scratch, keys)
+    scratch.partition(m - 1, axis=1)
+    np.copyto(kth, scratch[:, m - 1:m])
+    np.less_equal(keys, kth, out=mask)
 
 
 def _worker_count() -> int:
@@ -151,15 +166,26 @@ def subset_blocks(root: int, n: int, m: int, count: int):
     Row r of ``subsets`` holds the sorted indices of the m smallest keys of
     ``partition_keys(root + start + r + 1, n)``: the draw that key stream
     defines.  Draws are made one block of trials at a time (see the module
-    docstring); ``subsets`` is a fresh (rows, m) array per block.
+    docstring) by ``_select_block`` into a bool mask; ``np.flatnonzero``
+    lists the mask's flat positions in row order and, within a row, in index
+    order, m per row, so they are the subsets once each row's offset is
+    taken off.  ``subsets`` is a fresh (rows, m) int64 array per block.
     """
     with np.errstate(over="ignore"):
         bases = mix64_array(
             np.uint64(int(root) % (1 << 64)) + np.arange(1, count + 1, dtype=np.uint64)
         )
-    for start, keys in _key_blocks(bases, n):
-        subsets = np.argpartition(keys, m - 1, axis=1)[:, :m]
-        subsets.sort(axis=1)
+    rows = _block_rows(n, count)
+    item_off = _item_offsets(n)
+    keys_buf, scratch_buf, kth_buf = _block_buffers(rows, n)
+    mask_buf = np.empty((rows, n), dtype=bool)
+    row_off = np.arange(0, rows * n, n)[:, None]
+    for start in range(0, count, max(rows, 1)):
+        k = min(rows, count - start)
+        _select_block(bases[start:start + k], item_off, m,
+                      keys_buf[:k], scratch_buf[:k], kth_buf[:k], mask_buf[:k])
+        subsets = np.flatnonzero(mask_buf[:k]).reshape(k, m)
+        subsets -= row_off[:k]
         yield start, subsets
 
 
@@ -180,11 +206,11 @@ def sample_means_without_replacement(
     Returns:
         Float array of shape (trials,) with the per-trial sample means.
 
-    Per block of trials, one partition finds every row's m-th smallest key;
-    the row's subset is the keys at or below it (exactly m, the keys being
-    distinct), and the subset sums are one matrix-vector product with that
-    0/1 mask.  Worker w of the module docstring's workers computes blocks
-    w, w + workers, ...; a worker's exception reaches the caller.
+    Per block of trials, ``_select_block`` writes the 0/1 mask of every
+    row's subset over the scratch block, and the subset sums are one
+    matrix-vector product with it.  Worker w of the module docstring's
+    workers computes blocks w, w + workers, ...; a worker's exception
+    reaches the caller.
     """
     values = np.ascontiguousarray(np.asarray(values, dtype=np.float64).ravel())
     n = values.shape[0]
@@ -204,22 +230,16 @@ def sample_means_without_replacement(
     starts = range(0, trials, max(rows, 1))
     workers = min(_worker_count(), len(starts))
     # allocated here, not in the workers, so they come from the main heap
-    buffers = [(np.empty((rows, n), dtype=np.uint64), np.empty((rows, n), dtype=np.uint64),
-                np.empty((rows, 1), dtype=np.uint64)) for _ in range(workers)]
+    buffers = [_block_buffers(rows, n) for _ in range(workers)]
 
     def work(w: int) -> None:
-        keys_buf, scratch_buf, kth_buf = buffers[w]
-        with np.errstate(over="ignore"):  # errstate is per thread
-            for start in starts[w::workers]:
-                count = min(rows, trials - start)
-                keys, scratch, kth = keys_buf[:count], scratch_buf[:count], kth_buf[:count]
-                _fill_keys(bases[start:start + count], item_off, keys, scratch)
-                np.copyto(scratch, keys)
-                scratch.partition(m - 1, axis=1)
-                np.copyto(kth, scratch[:, m - 1:m])
-                mask = scratch.view(np.float64)  # the partitioned copy is spent
-                np.less_equal(keys, kth, out=mask)
-                np.matmul(mask, values, out=out[start:start + count])
+        keys, scratch, kth = buffers[w]
+        for start in starts[w::workers]:
+            count = min(rows, trials - start)
+            mask = scratch[:count].view(np.float64)
+            _select_block(bases[start:start + count], item_off, m,
+                          keys[:count], scratch[:count], kth[:count], mask)
+            np.matmul(mask, values, out=out[start:start + count])
 
     if workers == 1:
         work(0)

@@ -88,6 +88,9 @@ def generalization_bound(
         m: labeled count.  u: unlabeled count.
         delta: confidence level in (0, 1]; delta = 1 gives the slackless value.
 
+    ``r_hat``, ``beta`` and ``B`` must be finite and non-negative, else
+    InvalidStabilityInput is raised.
+
     Returns:
         BoundReport with ``bound_value = r_hat + beta +
         (2 beta + B^2 (m+u)/(m u)) * sqrt(alpha(m,u) * ln(1/delta) / 2)``.
@@ -97,6 +100,9 @@ def generalization_bound(
     B = float(B)
     if not 0.0 < float(delta) <= 1.0:
         raise InvalidConfidence(f"delta={delta} outside (0, 1]")
+    for name, value in (("r_hat", r_hat), ("beta", beta), ("B", B)):
+        if not math.isfinite(value):
+            raise InvalidStabilityInput(f"{name} must be finite")
     if beta < 0 or B < 0:
         raise InvalidStabilityInput("beta and B must be non-negative")
     if r_hat < 0:
@@ -151,7 +157,8 @@ def concentration_harness(
     A custom ``phi`` may be passed together with its swap bound ``c``.  It
     is a reduction over the last axis: ``phi(values, axis=-1)`` gets the
     (k, m) array of one block of k draws from ``_kernels.subset_blocks``
-    (row r holds the drawn values in sorted-index order) and returns an
+    (row r holds the drawn values in sorted-index order; the array is
+    refilled for the next block, so ``phi`` must not keep it) and returns an
     array of shape (k,), else InvalidStabilityInput is raised.
     ``np.median``, ``np.mean`` and ``np.max`` qualify as they are; wrap a
     function of one draw's values as
@@ -161,8 +168,9 @@ def concentration_harness(
     called in the calling thread, once per block, in block order.
 
     Every argument is checked before the first draw: ``epsilon``, ``c`` and
-    the population values must be finite, and ``trials`` and
-    ``expectation_trials`` at least 1.
+    the population values must be finite, ``trials`` and
+    ``expectation_trials`` at least 1, and ``c`` and ``expectation_trials``
+    are passed only with a custom ``phi`` (the mean needs neither).
 
     Returns:
         ConcentrationResult(empirical_tail, bound) where
@@ -186,6 +194,8 @@ def concentration_harness(
         raise InvalidStabilityInput("epsilon must be non-negative")
     if not np.isfinite(pop).all():
         raise InvalidStabilityInput("population values must be finite")
+    if phi is None and (c is not None or expectation_trials is not None):
+        raise InvalidStabilityInput("c and expectation_trials apply only to a custom phi")
     a = alpha(m, n - m)
 
     if phi is None:
@@ -205,10 +215,15 @@ def concentration_harness(
 
     def draws(count: int, stream_seed: int) -> np.ndarray:
         out = np.empty(count)
+        drawn = None
         root = _kernels.mix64_int(stream_seed)
         for start, subsets in _kernels.subset_blocks(root, n, m, count):
             k = subsets.shape[0]
-            values = np.asarray(phi(pop[subsets], axis=-1))
+            if drawn is None:  # the first block is the largest
+                drawn = np.empty(subsets.shape)
+            # indices are in range by construction; "clip" lets take write to out unbuffered
+            np.take(pop, subsets, out=drawn[:k], mode="clip")
+            values = np.asarray(phi(drawn[:k], axis=-1))
             if values.shape != (k,):
                 raise InvalidStabilityInput(
                     f"phi returned shape {values.shape} for a block of {k} draws; "

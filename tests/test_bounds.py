@@ -146,6 +146,15 @@ def test_bound_rejects_negative_inputs():
         generalization_bound(0.1, 0.05, -1.0, 10, 10, 0.05)
 
 
+@pytest.mark.parametrize("name", ["r_hat", "beta", "B"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bound_rejects_non_finite_inputs(name, value):
+    # each used to return a nan or infinite bound_value
+    args = {"r_hat": 0.1, "beta": 0.05, "B": 1.0, name: value}
+    with pytest.raises(InvalidStabilityInput, match=f"^{name} must be finite$"):
+        generalization_bound(args["r_hat"], args["beta"], args["B"], 10, 10, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # concentration harness
 
@@ -329,11 +338,17 @@ _BAD_FOR_CUSTOM = [
     ("c-nan", {"c": math.nan}, "c must be finite"),
     ("c-inf", {"c": math.inf}, "c must be finite"),
 ]
+# the mean statistic needs neither; each used to be ignored
+_BAD_FOR_MEAN = [
+    ("c-passed", {"c": 100.0}, "apply only to a custom phi"),
+    ("expectation-trials-passed", {"expectation_trials": 5}, "apply only to a custom phi"),
+]
 
 
 @pytest.mark.parametrize("custom, kwargs, message", [
     pytest.param(custom, kwargs, message, id=f"{'custom' if custom else 'mean'}-{name}")
-    for custom, cases in ((False, _BAD_FOR_EITHER), (True, _BAD_FOR_EITHER + _BAD_FOR_CUSTOM))
+    for custom, cases in ((False, _BAD_FOR_EITHER + _BAD_FOR_MEAN),
+                          (True, _BAD_FOR_EITHER + _BAD_FOR_CUSTOM))
     for name, kwargs, message in cases
 ])
 def test_harness_rejects_bad_input_before_any_draw(monkeypatch, custom, kwargs, message):

@@ -668,9 +668,15 @@ def test_cli_exit_code_two_on_an_out_of_range_flag(toy_csv, capsys, command, alg
     (["--B", "-1"], "InvalidStabilityInput: beta and B must be non-negative"),
     (["-m", "0"], "InvalidPartitionSize: m and u must both be at least 1"),
     (["-u", "0"], "InvalidPartitionSize: m and u must both be at least 1"),
-], ids=["delta-0", "delta-2", "r-hat", "beta", "B", "m", "u"])
+    (["--r-hat", "nan"], "InvalidStabilityInput: r_hat must be finite"),
+    (["--beta", "inf"], "InvalidStabilityInput: beta must be finite"),
+    (["--beta", "nan"], "InvalidStabilityInput: beta must be finite"),
+    (["--B", "nan"], "InvalidStabilityInput: B must be finite"),
+], ids=["delta-0", "delta-2", "r-hat", "beta", "B", "m", "u", "r-hat-nan", "beta-inf",
+        "beta-nan", "B-nan"])
 def test_cli_bound_exit_code_two_on_an_out_of_range_argument(capsys, flags, message):
-    # each exited 1, with the same message
+    # the first seven exited 1 with the same message; the non-finite ones exited 0
+    # and printed a null bound_value
     args = {"--r-hat": "0.1", "--beta": "0.05", "--B": "1.0", "-m": "10", "-u": "10",
             "--delta": "0.05"}
     args.update(zip(flags[::2], flags[1::2]))

@@ -3,13 +3,14 @@
 import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabreg import _kernels
+from stabreg import _kernels, bounds
 
 
 # published SplitMix64 reference outputs for seed 0; our key stream for
@@ -192,3 +193,46 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(_kernels, "_fill_keys", fail)
     with pytest.raises(MemoryError, match="block"):
         _kernels.sample_means_without_replacement(np.arange(float(N_POP)), 3, 2 * BLOCK, 0)
+
+
+# ---------------------------------------------------------------------------
+# working set: a few cache-sized key blocks, whatever the trial count
+
+BLOCK_BYTES = _kernels._BLOCK_KEYS * 8  # one block of uint64 keys
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` holds in traced allocations at any one time.
+
+    The call is made once untraced first, for the one-time costs: the first
+    ``np.median`` imports ``numpy.ma``, about 1 MB of module objects.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_is_a_few_cache_sized_key_blocks(monkeypatch):
+    # a worker's key and scratch blocks fit a 1 MiB per-core L2 together
+    assert 2 * BLOCK_BYTES <= 1 << 20
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
+    trials = 20_000
+    peak = traced_peak(lambda: _kernels.sample_means_without_replacement(
+        np.repeat([0.0, 1.0], 500), 500, trials, 0))
+    # the means and one base per trial; keys and scratch for each of the two
+    # workers; two blocks of slack for ufunc buffers
+    assert peak <= 2 * 8 * trials + (2 * 2 + 2) * BLOCK_BYTES
+
+    pop = np.random.default_rng(9).uniform(size=200)
+    trials = 2_000
+    peak = traced_peak(lambda: bounds.concentration_harness(
+        pop, 100, 0.05, trials, seed=1, phi=np.median, c=1.0))
+    # the statistics of both passes and one base per draw; keys, scratch and
+    # the bool mask (an eighth of a block); the subsets, the drawn values and
+    # np.median's copy of them (half a block each at m = n/2); one block of
+    # slack for ufunc buffers
+    assert peak <= 3 * 8 * trials + (2 + 1 / 8 + 3 * 0.5 + 1) * BLOCK_BYTES
