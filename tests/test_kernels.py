@@ -118,7 +118,14 @@ def means_per_trial(values, m, trials, seed):
 
 N_POP = 512
 BLOCK = _kernels._BLOCK_KEYS // N_POP  # trials per block at this population size
-TRIAL_COUNTS = [1, BLOCK - 1, BLOCK, BLOCK + 1]
+# a whole number of blocks for every power-of-two block size up to 131,072
+# keys; fixed, so that a change of block size keeps the test ids
+BOUNDARY = 256
+TRIAL_COUNTS = [1, BOUNDARY - 1, BOUNDARY, BOUNDARY + 1]
+
+
+def test_trial_counts_sit_on_a_block_boundary():
+    assert BOUNDARY % BLOCK == 0
 
 
 @pytest.mark.parametrize("trials", TRIAL_COUNTS)
@@ -139,7 +146,7 @@ def test_blocked_means_within_four_eps_on_float_population(trials, m):
     assert np.max(np.abs(got - want)) <= 4 * np.finfo(np.float64).eps
 
 
-@pytest.mark.parametrize("count", [1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("count", [1, 2 * BOUNDARY + 1])
 @pytest.mark.parametrize("m", [1, 100, N_POP])
 def test_subset_blocks_match_partition_keys_per_draw(count, m):
     root = 2**64 - 3  # root + t + 1 wraps past 2**64
