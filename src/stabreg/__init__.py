@@ -9,169 +9,15 @@ concentration and generalization bounds built on them, and a CLI that runs
 partitioned experiments reproducibly from a single seed.
 """
 
-from .errors import (
-    BoundDiverges,
-    ConstraintSpansNullSpace,
-    EmptyNeighborhood,
-    GraphDisconnected,
-    InvalidConfidence,
-    InvalidInstance,
-    InvalidPartitionSize,
-    InvalidStabilityInput,
-    NoFeasibleRadius,
-    NoSweepData,
-    NotPSDKernel,
-    NotSymmetric,
-    ParseError,
-    PseudoTargetUnavailable,
-    SingularSystem,
-    NonFiniteMatrix,
-    StabregError,
-    ZeroConstraintVector,
-    ZeroDegreeVertex,
-    ZeroRowSum,
-    ZeroVarianceFeature,
-)
-from .core import (
-    FullSample,
-    Partition,
-    apply_swap,
-    empirical_error,
-    enumerate_swaps,
-    overall_error,
-    sample_partition,
-    score_to_cost_stability,
-    test_error,
-)
-from .graph import (
-    GraphSpec,
-    SpectrumSummary,
-    diameter,
-    gaussian_affinity,
-    is_connected,
-    laplacian,
-    load_edge_list,
-    normalized_laplacian,
-    pseudo_inverse,
-    row_normalize,
-    save_edge_list,
-    spectrum,
-)
-from .bounds import (
-    BoundReport,
-    ConcentrationResult,
-    alpha,
-    concentration_harness,
-    generalization_bound,
-)
-from .regressors import (
-    KernelSystem,
-    LocalEstimatorConfig,
-    QuadraticSystem,
-    gaussian_kernel,
-    pseudo_targets,
-    solve_constrained,
-    solve_krr_induction,
-    solve_ltr,
-    solve_unconstrained,
-    stabilize,
-)
-from .stability import (
-    EmpiricalStabilityReport,
-    belkin_cost_stability,
-    belkin_score_stability,
-    beta_loc_bound,
-    beta_loc_gaussian,
-    beta_loc_invdist,
-    cm_lower_bound_demo,
-    cm_lower_bound_instance,
-    cm_score_bound,
-    empirical_stability,
-    llreg_score_bound,
-    llreg_score_bound_spectral,
-    ltr_stability_bound,
-    unconstrained_score_bound,
-)
+from . import errors, core, graph, bounds, regressors, stability
+from .errors import *
+from .core import *
+from .graph import *
+from .bounds import *
+from .regressors import *
+from .stability import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "StabregError",
-    "InvalidPartitionSize",
-    "InvalidStabilityInput",
-    "InvalidConfidence",
-    "InvalidInstance",
-    "ZeroDegreeVertex",
-    "NotSymmetric",
-    "ZeroConstraintVector",
-    "GraphDisconnected",
-    "ZeroRowSum",
-    "SingularSystem",
-    "NonFiniteMatrix",
-    "ConstraintSpansNullSpace",
-    "NotPSDKernel",
-    "PseudoTargetUnavailable",
-    "BoundDiverges",
-    "EmptyNeighborhood",
-    "NoFeasibleRadius",
-    "NoSweepData",
-    "ParseError",
-    "ZeroVarianceFeature",
-    # core
-    "FullSample",
-    "Partition",
-    "sample_partition",
-    "empirical_error",
-    "test_error",
-    "overall_error",
-    "score_to_cost_stability",
-    "enumerate_swaps",
-    "apply_swap",
-    # graph
-    "GraphSpec",
-    "SpectrumSummary",
-    "laplacian",
-    "normalized_laplacian",
-    "spectrum",
-    "pseudo_inverse",
-    "is_connected",
-    "diameter",
-    "row_normalize",
-    "gaussian_affinity",
-    "load_edge_list",
-    "save_edge_list",
-    # bounds
-    "alpha",
-    "BoundReport",
-    "generalization_bound",
-    "ConcentrationResult",
-    "concentration_harness",
-    # regressors
-    "LocalEstimatorConfig",
-    "KernelSystem",
-    "QuadraticSystem",
-    "solve_unconstrained",
-    "stabilize",
-    "solve_constrained",
-    "gaussian_kernel",
-    "pseudo_targets",
-    "solve_ltr",
-    "solve_krr_induction",
-    # stability
-    "ltr_stability_bound",
-    "unconstrained_score_bound",
-    "cm_score_bound",
-    "llreg_score_bound",
-    "llreg_score_bound_spectral",
-    "belkin_score_stability",
-    "belkin_cost_stability",
-    "beta_loc_bound",
-    "beta_loc_gaussian",
-    "beta_loc_invdist",
-    "EmpiricalStabilityReport",
-    "empirical_stability",
-    "cm_lower_bound_instance",
-    "cm_lower_bound_demo",
-]
+__all__ = ["__version__", *errors.__all__, *core.__all__, *graph.__all__, *bounds.__all__,
+           *regressors.__all__, *stability.__all__]

@@ -4,7 +4,9 @@ The generator is SplitMix64: a counter-based scheme whose k-th output is
 ``mix64(seed' + (k+1)*GOLDEN)`` where ``mix64`` is the standard 64-bit
 avalanche finalizer and ``seed' = mix64(seed)``.  Everything is unsigned
 64-bit integer arithmetic, so the key streams are bit-identical on any
-platform, and a draw is reproducible from the seed alone.
+platform, and a draw is reproducible from the seed alone.  ``partition_keys``
+is the one vectorized form of that stream: the partitions' keys, the CLI's
+per-partition seeds and the mean kernel's per-trial roots all come from it.
 
 Sampling m points without replacement from n is done by keying every index
 and keeping the m smallest keys.  Keys within one draw are distinct (the
@@ -90,10 +92,14 @@ def partition_keys(seed: int, n: int) -> np.ndarray:
     pairwise distinct for any seed and n < 2**64.
     """
     base = np.uint64(mix64_int(int(seed) % (1 << 64)))
-    idx = np.arange(1, n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        counters = base + idx * GOLDEN
-    return mix64_array(counters)
+        return mix64_array(base + _item_offsets(n))
+
+
+def _item_offsets(n: int) -> np.ndarray:
+    """``(i+1) * GOLDEN`` for i < n: the per-index counter offsets of a key row."""
+    with np.errstate(over="ignore"):
+        return np.arange(1, n + 1, dtype=np.uint64) * GOLDEN
 
 
 _BLOCK_KEYS = 32_768  # uint64 keys per block: 256 KB
@@ -105,12 +111,6 @@ def _block_rows(n: int, trials: int) -> int:
     A block then holds about 256 KB of keys, or one row when n is larger.
     """
     return min(max(1, _BLOCK_KEYS // n), trials)
-
-
-def _item_offsets(n: int) -> np.ndarray:
-    """``(i+1) * GOLDEN`` for i < n: the per-index counter offsets of a key row."""
-    with np.errstate(over="ignore"):
-        return np.arange(1, n + 1, dtype=np.uint64) * GOLDEN
 
 
 def _block_buffers(rows: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,7 +195,7 @@ def sample_means_without_replacement(
     """Means of ``trials`` seeded m-subsets drawn without replacement.
 
     Trial t draws the m-subset whose keys are the m smallest of the SplitMix64
-    stream rooted at ``mix64(mix64(seed) + (t+1)*GOLDEN)``.
+    stream rooted at ``partition_keys(seed, trials)[t]``.
 
     Args:
         values: 1-d float array, the population.
@@ -219,12 +219,8 @@ def sample_means_without_replacement(
     if trials < 0:
         raise ValueError("trials must be non-negative")
     trials = int(trials)
-    root = mix64_int(int(seed) % (1 << 64))
     out = np.empty(trials, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        bases = mix64_array(
-            np.uint64(root) + np.arange(1, trials + 1, dtype=np.uint64) * GOLDEN
-        )
+    bases = partition_keys(seed, trials)
     item_off = _item_offsets(n)
     rows = _block_rows(n, trials)
     starts = range(0, trials, max(rows, 1))

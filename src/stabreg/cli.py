@@ -34,13 +34,13 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from ._kernels import mix64_int
+from ._kernels import partition_keys
 from .bounds import generalization_bound
 from .core import (
     FullSample,
@@ -76,7 +76,6 @@ from .regressors import (
 )
 from .stability import (
     belkin_cost_stability,
-    belkin_score_stability,
     beta_loc_gaussian,
     beta_loc_invdist,
     cm_lower_bound_demo,
@@ -253,9 +252,8 @@ class ExperimentConfig:
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Deterministic per-partition seed from the master seed."""
-    golden = 0x9E3779B97F4A7C15
-    return mix64_int((mix64_int(master) + (index + 1) * golden) % (1 << 64))
+    """Seed of partition ``index``: key ``index`` of the master seed's key stream."""
+    return int(partition_keys(master, index + 1)[index])
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +350,13 @@ class Fit:
     h: np.ndarray | None = None
 
 
+def _swaps():
+    """``stabreg.swaps``, imported on first use: run and select-radius never compile it."""
+    from . import swaps
+
+    return swaps
+
+
 def _kernel_fit(solve, swap_engine, part: Partition, cfg: ExperimentConfig, M: float,
                 C_prime: float, beta_loc: float = 0.0, **fields) -> Fit:
     """Kernel least squares: the LTR coefficient and B = M (1 + sqrt(C + C'))."""
@@ -370,12 +375,8 @@ def _krr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     def solve(s: FullSample, p: Partition) -> np.ndarray:
         return system.solve(p, s.targets[p.train_idx], np.zeros(0), cfg.C, 0.0)
 
-    def swap_engine():
-        from . import swaps  # loaded on first use: run and select-radius never compile it
-
-        return swaps.kernel(system, sample, part, cfg.C, 0.0)
-
-    return _kernel_fit(solve, swap_engine, part, cfg, sample.label_bound_M, 0.0)
+    return _kernel_fit(solve, lambda: _swaps().kernel(system, sample, part, cfg.C, 0.0),
+                       part, cfg, sample.label_bound_M, 0.0)
 
 
 def _local_estimator(cfg: ExperimentConfig, sigma: float, r: float) -> LocalEstimatorConfig:
@@ -394,9 +395,7 @@ def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
                             cfg.C, cfg.C_prime)
 
     def swap_engine():
-        from . import swaps
-
-        return swaps.kernel(system, sample, part, cfg.C, cfg.C_prime, local)
+        return _swaps().kernel(system, sample, part, cfg.C, cfg.C_prime, local)
 
     M = sample.label_bound_M
     m_r = m_of_r(sample, part, r)
@@ -434,12 +433,7 @@ def _quadratic_fit(system: QuadraticSystem, sample: FullSample, part: Partition,
         c[p.train_idx] = c_S
         return system.solve(c, labels_to_full(s.targets[p.train_idx], p), center_labels)
 
-    def swap_engine():
-        from . import swaps
-
-        return swaps.quadratic(system, sample, part, c_S, c_T, center_labels)
-
-    return solve, swap_engine
+    return solve, lambda: _swaps().quadratic(system, sample, part, c_S, c_T, center_labels)
 
 
 def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
@@ -527,6 +521,7 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
       |r + e'|^2 - |r|^2 <= |e'| (2 |r + e'| + |e'|) with |r + e'| <= B.
 
     So beta = belkin_cost_stability(C, 2M, m, lambda2, rho) + e (2B + e).
+    belkin_score_stability is not reported: it bounds the uncentered solver.
     """
     M, m = sample.label_bound_M, part.m
     if not float(cfg.C) > 0:  # before a bound divides by C
@@ -540,10 +535,8 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     b_resid = M * (2.0 + s_root)
     shift = 2.0 * M / m * (1.0 + s_root)
     beta = belkin_cost_stability(cfg.C, 2.0 * M, m, lam2, rho) + shift * (2.0 * b_resid + shift)
-    theorem_beta = belkin_score_stability(M, m, cfg.C, lam2) if m * lam2 / cfg.C > 1 else None
     shared = {"lambda2": lam2, "rho_G": rho}
-    return Fit(solve, swap_engine, beta, b_resid, run_fields=shared,
-               stability_fields={**shared, "theorem_beta": theorem_beta})
+    return Fit(solve, swap_engine, beta, b_resid, run_fields=shared, stability_fields=shared)
 
 
 _ENTRIES: dict[str, Callable[..., Fit]] = {
@@ -758,28 +751,38 @@ def emit_plot_data(report: dict, kind: str, plot_scale: float = 1.0) -> list[dic
 
     Raises:
         NoSweepData: the report carries no per-radius rows.
+        ValueError: the report is not a run report: it, a record or a
+            sweep row is not an object, or a feasible row lacks a numeric
+            r or value.
     """
     if kind not in ("mse_vs_r", "bound_vs_r"):
         raise ValueError(f"unknown plot kind {kind!r}")
+    if not isinstance(report, dict):
+        raise ValueError("the report is not a JSON object")
     records = report.get("records", [])
-    sweeps = [r["per_r"] for r in records if r.get("per_r")]
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ValueError("the report's records are not a list of objects")
+    sweeps = [(i, r["per_r"]) for i, r in enumerate(records) if r.get("per_r")]
     if not sweeps:
         raise NoSweepData("the report holds no radius sweep")
     by_r: dict[float, list[float]] = {}
-    for sweep in sweeps:
-        for row in sweep:
+    for i, sweep in sweeps:
+        for j, row in enumerate(sweep):
+            where = f"record {i}, sweep row {j}"
+            if not isinstance(row, dict):
+                raise ValueError(f"{where} is not an object")
             if not row.get("feasible"):
                 continue
+            r = _row_number(row, "r", where)
+            if math.isnan(r):
+                raise ValueError(f"{where}: 'r' is null")
             if kind == "mse_vs_r":
-                value = row.get("test_mse")
+                value = _row_number(row, "test_mse", where)
             else:
-                slack = row.get("slack")
-                if slack is None or not math.isfinite(slack):
-                    continue
-                value = row["train_mse"] + plot_scale * slack
-            if value is None or not math.isfinite(value):
-                continue
-            by_r.setdefault(float(row["r"]), []).append(float(value))
+                value = (_row_number(row, "train_mse", where)
+                         + plot_scale * _row_number(row, "slack", where))
+            if math.isfinite(value):
+                by_r.setdefault(r, []).append(value)
     rows = []
     for r in sorted(by_r):
         arr = np.asarray(by_r[r])
@@ -787,6 +790,20 @@ def emit_plot_data(report: dict, kind: str, plot_scale: float = 1.0) -> list[dic
     if not rows:
         raise NoSweepData("no finite sweep values to aggregate")
     return rows
+
+
+def _row_number(row: dict, key: str, where: str) -> float:
+    """``row[key]`` as a float; null, a report's non-finite value, reads as nan.
+
+    Raises:
+        ValueError: ``key`` is missing or holds no number.
+    """
+    value = row.get(key)
+    if value is None and key in row:
+        return math.nan
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: {key!r} is missing or not a number")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -929,42 +946,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"stabreg {__version__}")
 
+    # every experiment default is ExperimentConfig's: an experiment flag left
+    # out parses to nothing, and --seed (verify's too) and bound's --delta
+    # take the field's default
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
+    common.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                        help="master seed (default 0)")
+    common.add_argument("--out", help="output path (default stdout)")
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
 
-    data_opts = argparse.ArgumentParser(add_help=False)
+    data_opts = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     data_opts.add_argument("--data", required=True, help="CSV: features then target")
-    data_opts.add_argument("--target-scale", type=float, default=1.0)
-    data_opts.add_argument("--m-fraction", type=float, default=0.5)
-    data_opts.add_argument("--graph", default=None, help="optional 'i j w' edge list")
-    data_opts.add_argument("--sigma", type=_sigma_arg, default="cv")
+    data_opts.add_argument("--target-scale", type=float)
+    data_opts.add_argument("--m-fraction", type=float)
+    data_opts.add_argument("--graph", help="optional 'i j w' edge list")
+    data_opts.add_argument("--sigma", type=_sigma_arg)
 
-    model_opts = argparse.ArgumentParser(add_help=False)
-    model_opts.add_argument("--C", type=float, default=1.0)
-    model_opts.add_argument("--C-prime", type=float, default=0.0)
-    model_opts.add_argument("--mu", type=float, default=1.0)
-    model_opts.add_argument("--C-l", type=float, default=1.0)
-    model_opts.add_argument("--C-u", type=float, default=1.0)
-    model_opts.add_argument("--radius", type=_radius_arg, default=(),
-                            help="comma-separated radius grid")
-    model_opts.add_argument("--weighting", choices=("gaussian", "inverse-distance"),
-                            default="gaussian")
-    model_opts.add_argument("--fallback", choices=("zero", "error"), default="zero")
-    model_opts.add_argument("--delta", type=float, default=0.05)
+    model_opts = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    model_opts.add_argument("--C", type=float)
+    model_opts.add_argument("--C-prime", type=float)
+    model_opts.add_argument("--mu", type=float)
+    model_opts.add_argument("--C-l", type=float)
+    model_opts.add_argument("--C-u", type=float)
+    model_opts.add_argument("--radius", type=_radius_arg, help="comma-separated radius grid")
+    model_opts.add_argument("--weighting", choices=("gaussian", "inverse-distance"))
+    model_opts.add_argument("--fallback", choices=("zero", "error"))
+    model_opts.add_argument("--delta", type=float)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser(
         "run", parents=[common, data_opts, model_opts],
-        help="partitioned experiment", epilog=_PRNG_NOTE,
+        help="partitioned experiment", epilog=_PRNG_NOTE, argument_default=argparse.SUPPRESS,
     )
-    p_run.add_argument("--algorithm", choices=ALGORITHMS, default="krr")
-    p_run.add_argument("--partitions", type=int, default=1)
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--algorithm", choices=ALGORITHMS)
+    p_run.add_argument("--partitions", type=int)
+    p_run.add_argument("--jobs", type=int)
     p_run.set_defaults(func=_cmd_run)
 
     p_sel = sub.add_parser(
@@ -990,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--B", type=float, required=True)
     p_bound.add_argument("-m", type=int, required=True)
     p_bound.add_argument("-u", type=int, required=True)
-    p_bound.add_argument("--delta", type=float, default=0.05)
+    p_bound.add_argument("--delta", type=float, default=ExperimentConfig.delta)
     p_bound.set_defaults(func=_cmd_bound)
 
     p_low = sub.add_parser(
@@ -1016,38 +1035,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, algorithm: str | None = None) -> ExperimentConfig:
-    return ExperimentConfig(
-        data_path=args.data,
-        algorithm=algorithm or getattr(args, "algorithm", "krr"),
-        target_scale=args.target_scale,
-        m_fraction=args.m_fraction,
-        partitions=getattr(args, "partitions", 1),
-        seed=args.seed,
-        C=args.C,
-        C_prime=args.C_prime,
-        mu=args.mu,
-        C_l=args.C_l,
-        C_u=args.C_u,
-        sigma=args.sigma,
-        radius_grid=args.radius,
-        delta=args.delta,
-        weighting=args.weighting,
-        fallback=args.fallback,
-        graph_path=args.graph,
-        jobs=getattr(args, "jobs", 1),
-        output_path=args.out,
-    )
+# flags whose parsed name differs from the ExperimentConfig field they set
+_FLAG_FIELDS = {"data": "data_path", "radius": "radius_grid", "graph": "graph_path",
+                "out": "output_path"}
+
+
+def _config_from_args(args, **overrides) -> ExperimentConfig:
+    """The config of the parsed flags; a field with no flag given keeps its default."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    given = {_FLAG_FIELDS.get(k, k): v for k, v in vars(args).items()}
+    return ExperimentConfig(**{k: v for k, v in given.items() if k in names} | overrides)
+
+
+def _emit_report(args, report: dict, records: list[dict]) -> int:
+    """Write ``report`` as JSON, or its ``records`` as CSV under ``--format csv``."""
+    _emit(_records_csv(records) if args.format == "csv" else _dump_json(report), args.out)
+    return 0
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    report = run_experiment(cfg)
-    if args.format == "csv":
-        _emit(_records_csv(report["records"]), args.out)
-    else:
-        _emit(_dump_json(report), args.out)
-    return 0
+    report = run_experiment(_config_from_args(args))
+    return _emit_report(args, report, report["records"])
 
 
 def _first_partition(cfg: ExperimentConfig) -> tuple[FullSample, Partition]:
@@ -1061,11 +1069,7 @@ def _cmd_select_radius(args) -> int:
     cfg = _config_from_args(args, algorithm="ltr")
     sample, part = _first_partition(cfg)
     r_star, per_r = select_radius(sample, part, cfg)
-    if args.format == "csv":
-        _emit(_records_csv(per_r), args.out)
-    else:
-        _emit(_dump_json({"r_star": r_star, "per_r": per_r}), args.out)
-    return 0
+    return _emit_report(args, {"r_star": r_star, "per_r": per_r}, per_r)
 
 
 def _cmd_stability(args) -> int:

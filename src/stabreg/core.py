@@ -225,9 +225,9 @@ def apply_swap(part: Partition, removed: int, added: int) -> Partition:
     j = _sorted_position(part.test_idx, added)
     if j is None:
         raise ValueError(f"index {added} is not in the unlabeled set")
-    new_s = _replace_sorted(part.train_idx, i, added)
-    new_t = _replace_sorted(part.test_idx, j, removed)
-    return Partition(train_idx=new_s, test_idx=new_t, seed=part.seed)
+    new_s, new_t = part.train_idx.copy(), part.test_idx.copy()
+    new_s[i], new_t[j] = added, removed
+    return Partition(train_idx=new_s, test_idx=new_t, seed=part.seed)  # Partition sorts
 
 
 def _sorted_position(a: np.ndarray, value: int) -> int | None:
@@ -235,15 +235,3 @@ def _sorted_position(a: np.ndarray, value: int) -> int | None:
     i = int(np.searchsorted(a, value))
     return i if i < a.size and a[i] == value else None
 
-
-def _replace_sorted(a: np.ndarray, i: int, value: int) -> np.ndarray:
-    """Sorted ``a`` with ``a[i]`` replaced by ``value``, which ``a`` does not hold."""
-    k = int(np.searchsorted(a, value))  # value's slot among a's entries
-    out = a.copy()
-    if k > i:  # entries i+1..k-1 move one down
-        out[i : k - 1] = a[i + 1 : k]
-        out[k - 1] = value
-    else:  # entries k..i-1 move one up
-        out[k + 1 : i + 1] = a[k:i]
-        out[k] = value
-    return out

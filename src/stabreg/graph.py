@@ -4,7 +4,8 @@ Graphs are dense symmetric weight matrices with zero diagonal and
 non-negative entries.  The module provides the combinatorial and normalized
 Laplacians, a spectrum summary (extremal eigenvalues and the second-smallest
 eigenvalue), Moore-Penrose pseudo-inversion with a PSD clamping rule,
-orthogonal projectors, BFS connectivity/diameter, and row normalization.
+BFS connectivity/diameter, row normalization, and Gaussian affinities from
+squared distances.
 
 Edge-list files use one ``i j w`` triple per line with 1-based indices and
 each undirected edge listed once.
@@ -317,14 +318,19 @@ def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return d2
 
 
-def gaussian_affinity(points: np.ndarray, sigma: float) -> GraphSpec:
-    """Dense Gaussian affinity W_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), zero diagonal."""
+def _gaussian_weights(points: np.ndarray, sigma: float) -> np.ndarray:
+    """``exp(-||x_i - x_j||^2 / (2 sigma^2))`` over the rows of ``points`` (1-d: one feature)."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    w = np.exp(-sq_distances(points) / (2.0 * sigma * sigma))
+    return np.exp(-sq_distances(points) / (2.0 * sigma * sigma))
+
+
+def gaussian_affinity(points: np.ndarray, sigma: float) -> GraphSpec:
+    """Dense Gaussian affinity W_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), zero diagonal."""
+    w = _gaussian_weights(points, sigma)
     np.fill_diagonal(w, 0.0)
     w = np.minimum(w, w.T)  # exact symmetry
     return GraphSpec(weights=w)

@@ -51,6 +51,7 @@ from .graph import (
     GraphSpec,
     SpectrumSummary,
     _check_symmetric,
+    _gaussian_weights,
     normalized_laplacian,
     row_normalize,
     spectrum,
@@ -306,12 +307,7 @@ def solve_constrained(L: np.ndarray, part: Partition, y_S: np.ndarray, C: float,
 
 def gaussian_kernel(points: np.ndarray, sigma: float) -> np.ndarray:
     """Gram matrix K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), unit diagonal."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[:, None]
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    k = np.exp(-sq_distances(points) / (2.0 * sigma * sigma))
+    k = _gaussian_weights(points, sigma)
     k = 0.5 * (k + k.T)
     np.fill_diagonal(k, 1.0)
     return k

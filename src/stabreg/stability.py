@@ -137,14 +137,7 @@ def cm_score_bound(M: float) -> float:
 
 def llreg_score_bound(M: float, m: int, C_min: float, C_max: float) -> float:
     """Score stability of LL-Reg: sqrt(2) M + 4 sqrt(2 m) M (1/C_min - 1/C_max)."""
-    M = float(M)
-    m = int(m)
-    if M < 0 or m < 1:
-        raise InvalidStabilityInput("M must be non-negative and m >= 1")
-    if not (0 < float(C_min) <= float(C_max)):
-        raise InvalidStabilityInput("need 0 < C_min <= C_max")
-    gap = 1.0 / float(C_min) - 1.0 / float(C_max)
-    return math.sqrt(2.0) * M + 4.0 * math.sqrt(2.0 * m) * M * gap
+    return _llreg_bound(M, m, C_min, C_max, 2.0)
 
 
 def llreg_score_bound_spectral(M: float, m: int, C_min: float, C_max: float) -> float:
@@ -153,6 +146,11 @@ def llreg_score_bound_spectral(M: float, m: int, C_min: float, C_max: float) -> 
     The diagonal weight matrix moves in exactly two entries, so its inverse
     difference has spectral norm (1/C_min - 1/C_max) without the sqrt(2).
     """
+    return _llreg_bound(M, m, C_min, C_max, 1.0)
+
+
+def _llreg_bound(M: float, m: int, C_min: float, C_max: float, factor: float) -> float:
+    """sqrt(2) M + 4 sqrt(factor m) M (1/C_min - 1/C_max), with its inputs checked."""
     M = float(M)
     m = int(m)
     if M < 0 or m < 1:
@@ -160,7 +158,7 @@ def llreg_score_bound_spectral(M: float, m: int, C_min: float, C_max: float) -> 
     if not (0 < float(C_min) <= float(C_max)):
         raise InvalidStabilityInput("need 0 < C_min <= C_max")
     gap = 1.0 / float(C_min) - 1.0 / float(C_max)
-    return math.sqrt(2.0) * M + 4.0 * math.sqrt(m) * M * gap
+    return math.sqrt(2.0) * M + 4.0 * math.sqrt(factor * m) * M * gap
 
 
 def belkin_score_stability(M: float, m: int, C: float, lambda2: float) -> float:

@@ -592,6 +592,21 @@ def test_cli_emit_plot_round_trip(toy_csv, tmp_path, capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("report, message", [
+    ([], "the report is not a JSON object"),
+    ({"records": [{"per_r": [[1.0, 0.5]]}]}, "record 0, sweep row 0 is not an object"),
+    ({"records": [{}, {"per_r": [{"feasible": False}, {"feasible": True, "test_mse": 0.5}]}]},
+     "record 1, sweep row 1: 'r' is missing or not a number"),
+    ({"records": [{"per_r": [{"feasible": True, "r": 1.0, "test_mse": "0.5"}]}]},
+     "record 0, sweep row 0: 'test_mse' is missing or not a number"),
+])
+def test_cli_emit_plot_exit_two_on_malformed_report(tmp_path, capsys, report, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["emit-plot", "--report", str(path)]) == 2
+    assert capsys.readouterr().err == f"stabreg: {message}\n"
+
+
 def test_cli_exit_code_two_on_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,t\n1,x\n")
@@ -746,6 +761,18 @@ def test_cli_exit_code_one_on_failed_demo(monkeypatch, capsys):
     assert main(["lowerbound-demo", "--m", "2", "--C", "1.0"]) == 1
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["run"], {}),
+    (["stability"], {"algorithm": "cm"}),
+    # select-radius always fits ltr, which needs a radius grid
+    (["select-radius", "--radius", "1"], {"algorithm": "ltr", "radius_grid": (1.0,)}),
+])
+def test_parser_leaves_unset_run_options_at_the_config_defaults(argv, config):
+    args = build_parser().parse_args([*argv, "--data", "x.csv"])
+    overrides = {"algorithm": "ltr"} if argv[0] == "select-radius" else {}
+    assert cli._config_from_args(args, **overrides) == ExperimentConfig("x.csv", **config)
+
+
 def test_parser_rejects_bad_sigma():
     parser = build_parser()
     with pytest.raises(SystemExit):
@@ -800,8 +827,7 @@ PINNED_COEFFICIENTS = {  # stability --sigma 2 with SWAP_FLAGS (ltr: r = 1.5, C'
     "gmf": {"cost_bound": 2092.4827002295883, "B": 8.208950341221408,
             "score_bound": 127.45129482158912},
     "laplacian": {"cost_bound": 1.9576163971880862, "B": 2.653827390196495,
-                  "lambda2": 6.308282446061909, "rho_G": 1,
-                  "theorem_beta": 0.18004729747737935},
+                  "lambda2": 6.308282446061909, "rho_G": 1},
     "stabilized-cm": {"cost_bound": 6.370548641326746, "B": 4.622180765610705,
                       "score_bound": 0.6891280289948849},
     "stabilized-llreg": {"cost_bound": 107.33975596486057, "B": 8.208950341221408,
@@ -821,7 +847,7 @@ def test_cli_stability_prints_the_pinned_coefficients(toy_csv, algorithm, capsys
                  *SWAP_FLAGS, *extra]) == 0
     report = json.loads(capsys.readouterr().out)
     keys = ("cost_bound", "B", "score_bound", "score_bound_spectral", "lambda2", "rho_G",
-            "theorem_beta", "beta_loc")
+            "beta_loc")
     got = {k: report[k] for k in keys if k in report}
     want = PINNED_COEFFICIENTS[algorithm]
     assert got == pytest.approx(want, rel=1e-10)
