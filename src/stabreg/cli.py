@@ -948,12 +948,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     # every experiment default is ExperimentConfig's: an experiment flag left
     # out parses to nothing, and --seed (verify's too) and bound's --delta
-    # take the field's default
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=ExperimentConfig.seed,
-                        help="master seed (default 0)")
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument(
+    # take the field's default.  Each subcommand takes only the groups it
+    # reads, so a flag it would ignore is an unrecognized argument.
+    seed_opt = argparse.ArgumentParser(add_help=False)
+    seed_opt.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                          help="master seed (default 0)")
+    out_opt = argparse.ArgumentParser(add_help=False)
+    out_opt.add_argument("--out", help="output path (default stdout)")
+    format_opt = argparse.ArgumentParser(add_help=False)
+    format_opt.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
 
@@ -961,24 +964,30 @@ def build_parser() -> argparse.ArgumentParser:
     data_opts.add_argument("--data", required=True, help="CSV: features then target")
     data_opts.add_argument("--target-scale", type=float)
     data_opts.add_argument("--m-fraction", type=float)
-    data_opts.add_argument("--graph", help="optional 'i j w' edge list")
     data_opts.add_argument("--sigma", type=_sigma_arg)
 
     model_opts = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     model_opts.add_argument("--C", type=float)
     model_opts.add_argument("--C-prime", type=float)
-    model_opts.add_argument("--mu", type=float)
-    model_opts.add_argument("--C-l", type=float)
-    model_opts.add_argument("--C-u", type=float)
     model_opts.add_argument("--radius", type=_radius_arg, help="comma-separated radius grid")
     model_opts.add_argument("--weighting", choices=("gaussian", "inverse-distance"))
     model_opts.add_argument("--fallback", choices=("zero", "error"))
-    model_opts.add_argument("--delta", type=float)
+
+    # read only by the graph algorithms, which select-radius never fits
+    graph_opts = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    graph_opts.add_argument("--graph", help="optional 'i j w' edge list")
+    graph_opts.add_argument("--mu", type=float)
+    graph_opts.add_argument("--C-l", type=float)
+    graph_opts.add_argument("--C-u", type=float)
+
+    delta_opt = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    delta_opt.add_argument("--delta", type=float)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser(
-        "run", parents=[common, data_opts, model_opts],
+        "run",
+        parents=[seed_opt, out_opt, format_opt, data_opts, model_opts, graph_opts, delta_opt],
         help="partitioned experiment", epilog=_PRNG_NOTE, argument_default=argparse.SUPPRESS,
     )
     p_run.add_argument("--algorithm", choices=ALGORITHMS)
@@ -987,13 +996,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sel = sub.add_parser(
-        "select-radius", parents=[common, data_opts, model_opts],
+        "select-radius",
+        parents=[seed_opt, out_opt, format_opt, data_opts, model_opts, delta_opt],
         help="bound-driven radius selection",
     )
     p_sel.set_defaults(func=_cmd_select_radius)
 
     p_stab = sub.add_parser(
-        "stability", parents=[common, data_opts, model_opts],
+        "stability", parents=[seed_opt, out_opt, data_opts, model_opts, graph_opts],
         help="stability coefficients for one algorithm",
     )
     p_stab.add_argument("--algorithm", choices=ALGORITHMS, default="cm")
@@ -1002,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab.set_defaults(func=_cmd_stability)
 
     p_bound = sub.add_parser(
-        "bound", parents=[common], help="evaluate the generalization bound"
+        "bound", parents=[out_opt], help="evaluate the generalization bound"
     )
     p_bound.add_argument("--r-hat", type=float, required=True)
     p_bound.add_argument("--beta", type=float, required=True)
@@ -1013,19 +1023,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=_cmd_bound)
 
     p_low = sub.add_parser(
-        "lowerbound-demo", parents=[common],
+        "lowerbound-demo", parents=[out_opt],
         help="worst-case swap instance vs its closed form",
     )
     p_low.add_argument("--m", type=int, default=2)
     p_low.add_argument("--C", type=float, default=1.0)
     p_low.set_defaults(func=_cmd_lowerbound)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run the self-check suite")
+    p_ver = sub.add_parser("verify", parents=[seed_opt, out_opt],
+                           help="run the self-check suite")
     p_ver.add_argument("--level", choices=("fast", "full"), default="fast")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_plot = sub.add_parser(
-        "emit-plot", parents=[common], help="plot-ready CSV from a sweep report"
+        "emit-plot", parents=[out_opt], help="plot-ready CSV from a sweep report"
     )
     p_plot.add_argument("--report", required=True, help="report JSON from 'run'")
     p_plot.add_argument("--kind", choices=("mse_vs_r", "bound_vs_r"), default="mse_vs_r")

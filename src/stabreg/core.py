@@ -122,8 +122,9 @@ class Partition:
         union = np.sort(merged)
         if not np.array_equal(union, np.arange(n, dtype=np.int64)):
             raise ValueError("train and test indices must partition 0..n-1")
-        object.__setattr__(self, "train_idx", _readonly(s))
-        object.__setattr__(self, "test_idx", _readonly(t))
+        s.flags.writeable = t.flags.writeable = False  # np.sort's own copies: no need to copy
+        object.__setattr__(self, "train_idx", s)
+        object.__setattr__(self, "test_idx", t)
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -142,16 +143,18 @@ class Partition:
 def sample_partition(sample: FullSample, m: int, seed: int) -> Partition:
     """Draw S uniformly without replacement; T is the complement.
 
-    The draw keys every index with the SplitMix64 stream for ``seed`` and
-    keeps the m smallest keys, which makes the subset uniform over all
-    (n choose m) subsets and bit-reproducible across platforms.
+    The draw keys every index with the SplitMix64 stream for ``seed``
+    (``_kernels.partition_keys``) and keeps the m smallest keys
+    (``_kernels.smallest_mask``, the one selection routine), which makes the
+    subset uniform over all (n choose m) subsets and bit-reproducible across
+    platforms.
     """
     n = sample.n
     m = int(m)
     if not 1 <= m <= n - 1:
         raise InvalidPartitionSize(f"m={m} outside [1, {n - 1}]")
-    order = np.argpartition(_kernels.partition_keys(seed, n), m - 1)
-    return Partition(train_idx=order[:m], test_idx=order[m:], seed=seed)  # Partition sorts
+    mask = _kernels.smallest_mask(_kernels.partition_keys(seed, n), m)
+    return Partition(train_idx=mask.nonzero()[0], test_idx=(~mask).nonzero()[0], seed=seed)
 
 
 def _scores(h, sample: FullSample) -> np.ndarray:

@@ -158,6 +158,15 @@ def _solve(a_sys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularSystem(str(exc)) from None
 
 
+def _weighted_labels(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``c * y``; SingularSystem where a product overflows, before a solve sees it."""
+    with np.errstate(over="ignore"):
+        cy = c * y
+    if np.isinf(cy).any():
+        raise SingularSystem("weighted labels c * y exceed the float range")
+    return cy
+
+
 @dataclass(frozen=True)
 class QuadraticSystem:
     """A symmetric matrix Q and an optional constraint direction u, checked once.
@@ -241,8 +250,9 @@ class QuadraticSystem:
         for a multiplier beta.  ``center_labels`` removes the labels'
         component along u on the labeled points (c > 0) before solving and
         adds it back onto the scores.  c and y need one entry per row of Q
-        and c must be finite, else ValueError; a failed ``residual_test``
-        raises SingularSystem.  Returns the (n,) scores.
+        and c must be finite, else ValueError; weighted labels ``c y``
+        beyond the float range, or a failed ``residual_test``, raise
+        SingularSystem.  Returns the (n,) scores.
         """
         n = self.Q.shape[0]
         u = self.constraint
@@ -263,7 +273,8 @@ class QuadraticSystem:
                 raise ZeroConstraintVector("constraint vanishes on the labeled set")
             offset = float(u_s @ y) / denom
             y = y - offset * u_s
-        rhs = c * y if u is None else np.append(c * y, 0.0)
+        cy = _weighted_labels(c, y)
+        rhs = cy if u is None else np.append(cy, 0.0)
         sol = _solve(self.matrix(c), rhs)
         h = sol[:n]
         failed, message = self.residual_test(c, y, h, self.Q @ h, sol[n:])

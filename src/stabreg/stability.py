@@ -74,7 +74,7 @@ def ltr_stability_bound(*, m: int, u: int, C: float, C_prime: float = 0.0,
 
     With C' = 0 and beta_loc = 0 this collapses to 4 C (A M)^2 kappa^2 / m.
     Without pseudo-targets, ``C_prime`` and ``beta_loc`` stay at their
-    defaults.
+    defaults.  +inf when (A M)^2 exceeds the float range.
     """
     m, u = int(m), int(u)
     if m < 1 or u < 1:
@@ -89,7 +89,10 @@ def ltr_stability_bound(*, m: int, u: int, C: float, C_prime: float = 0.0,
     a_const = 1.0 + kappa * math.sqrt(C + Cp)
     lin = C / m + Cp / u
     rad = lin * lin + 2.0 * Cp * beta_loc / (a_const * M * kappa * kappa * u)
-    return 2.0 * (a_const * M) ** 2 * kappa * kappa * (lin + math.sqrt(rad))
+    try:
+        return 2.0 * (a_const * M) ** 2 * kappa * kappa * (lin + math.sqrt(rad))
+    except OverflowError:  # float ** raises where float * gives inf
+        return math.inf
 
 
 def unconstrained_score_bound(
@@ -278,7 +281,7 @@ def _default_swaps(part: Partition, seed: int) -> tuple[tuple[np.ndarray, np.nda
     if total <= SWAP_BUDGET:
         return enumerate_swaps(part), "exhaustive"
     keys = _kernels.partition_keys(seed, total)
-    chosen = np.sort(np.argpartition(keys, SWAP_BUDGET - 1)[:SWAP_BUDGET])
+    chosen = _kernels.smallest_mask(keys, SWAP_BUDGET).nonzero()[0]
     removed, added = np.divmod(chosen, part.u)
     return (part.train_idx[removed], part.test_idx[added]), "sampled"
 

@@ -36,6 +36,7 @@ from .regressors import (
     LocalEstimatorConfig,
     QuadraticSystem,
     _solve,
+    _weighted_labels,
     labels_to_full,
 )
 
@@ -199,7 +200,7 @@ def quadratic(system: QuadraticSystem, sample: FullSample, part: Partition, c_S:
     inv += inv.T  # symmetric: row i is column i
     inv *= 0.5
     q_inv = inv[:, :n] @ system.Q  # row i is Q times column i of the inverse
-    x_home = inv[:, :n] @ (c * y)
+    x_home = inv[:, :n] @ _weighted_labels(c, y)
     q_home = system.Q @ x_home[:n]
     failed, message = system.residual_test(c, y, x_home[:n], q_home, x_home[n:])
     if failed:

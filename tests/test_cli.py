@@ -661,15 +661,13 @@ def test_cli_exit_code_two_on_a_non_finite_tradeoff(toy_csv, capsys, algorithm, 
     ("run", "ltr", ["--C-prime", "-1", "--radius", "2"], "C_prime must be non-negative"),
     ("run", "cm", ["--delta", "0"], "delta=0.0 outside (0, 1]"),
     ("run", "gmf", ["--delta", "2"], "delta=2.0 outside (0, 1]"),
-    ("stability", "laplacian", ["--delta", "0"], "delta=0.0 outside (0, 1]"),
     ("select-radius", None, ["--delta", "0", "--radius", "2"], "delta=0.0 outside (0, 1]"),
     ("select-radius", None, ["--delta", "2", "--radius", "2"], "delta=2.0 outside (0, 1]"),
 ], ids=["run-krr-C", "stability-krr-C", "run-cm-C", "run-ltr-C-prime", "run-cm-delta-0",
-        "run-gmf-delta-2", "stability-laplacian-delta-0", "select-radius-delta-0",
-        "select-radius-delta-2"])
+        "run-gmf-delta-2", "select-radius-delta-0", "select-radius-delta-2"])
 def test_cli_exit_code_two_on_an_out_of_range_flag(toy_csv, capsys, command, algorithm, flags,
                                                    message):
-    # all but cm --C -1 (which exited 0) and stability --delta 0 exited 1
+    # all but cm --C -1 (which exited 0) exited 1
     algo = ["--algorithm", algorithm] if algorithm else []
     assert main([command, "--data", toy_csv, *algo, *flags]) == 2
     assert capsys.readouterr().err == f"stabreg: {message}\n"
@@ -777,6 +775,30 @@ def test_parser_rejects_bad_sigma():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["run", "--data", "x.csv", "--sigma", "-1"])
+
+
+_EXPERIMENT_FLAGS = {"--data", "--target-scale", "--m-fraction", "--sigma", "--C", "--C-prime",
+                     "--radius", "--weighting", "--fallback"}
+_GRAPH_FLAGS = {"--graph", "--mu", "--C-l", "--C-u"}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    # select-radius fits only ltr, stability prints JSON and no bound, and
+    # bound, lowerbound-demo and emit-plot draw nothing
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    options = {name: {flag for action in sub._actions for flag in action.option_strings}
+               - {"-h", "--help"} for name, sub in subcommands.items()}
+    assert options == {
+        "run": {"--seed", "--out", "--format", *_EXPERIMENT_FLAGS, *_GRAPH_FLAGS, "--delta",
+                "--algorithm", "--partitions", "--jobs"},
+        "select-radius": {"--seed", "--out", "--format", *_EXPERIMENT_FLAGS, "--delta"},
+        "stability": {"--seed", "--out", *_EXPERIMENT_FLAGS, *_GRAPH_FLAGS, "--algorithm",
+                      "--empirical"},
+        "bound": {"--out", "--r-hat", "--beta", "--B", "-m", "-u", "--delta"},
+        "lowerbound-demo": {"--out", "--m", "--C"},
+        "verify": {"--seed", "--out", "--level"},
+        "emit-plot": {"--out", "--report", "--kind", "--plot-scale"},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1055,6 +1077,30 @@ def test_cli_exit_code_two_on_bad_edge_list(toy_csv, toy_graph, tmp_path, capsys
     code = main(["run", "--data", toy_csv, "--algorithm", "laplacian", "--graph", str(bad)])
     assert code == 2
     assert f"row 37, column {column}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["run", "--algorithm", "krr", "--C", "1e308"], "beta_used"),
+    (["stability", "--algorithm", "krr", "--C", "1e306"], "cost_bound"),
+    (["select-radius", "--radius", "2,4", "--C", "1e306"], "beta"),
+], ids=["run", "stability", "select-radius"])
+def test_cli_huge_kernel_tradeoff_prints_a_null_beta(toy_csv, capsys, argv, field):
+    # (A M)^2 in the kernel coefficient used to raise OverflowError; the
+    # targets are scaled so that M > 1
+    assert main([*argv, "--data", toy_csv, "--target-scale", "100"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    row = report.get("records", report.get("per_r", [report]))[0]
+    assert row[field] is None
+
+
+@pytest.mark.parametrize("command", [["run"], ["stability", "--empirical"]])
+def test_cli_overflowing_weighted_labels_raise_singular_system(toy_csv, capsys, command):
+    # c * y used to overflow (a RuntimeWarning, an error under the test
+    # policy) before the residual test failed
+    assert main([*command, "--data", toy_csv, "--target-scale", "100", "--algorithm", "cm",
+                 "--mu", "1e308"]) == 1
+    assert capsys.readouterr().err == (
+        "stabreg: SingularSystem: weighted labels c * y exceed the float range\n")
 
 
 def test_cli_gaussian_beta_loc_overflow_prints_null(toy_csv, capsys):

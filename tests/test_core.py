@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabreg import _kernels
 from stabreg import (
     FullSample,
     InvalidPartitionSize,
@@ -131,6 +132,17 @@ def test_sample_partition_is_a_partition(n, seed, data):
     assert p.m == m
     assert p.u == n - m
     assert np.array_equal(np.sort(np.concatenate([p.train_idx, p.test_idx])), np.arange(n))
+
+
+@given(st.integers(2, 300), st.integers(0, 2**64 - 1), st.data())
+@settings(max_examples=100)
+def test_sample_partition_keeps_the_m_smallest_keys(n, seed, data):
+    # the draw rule that subset_blocks and the sampled swaps are also held to
+    m = data.draw(st.integers(1, n - 1))
+    s = FullSample(points=np.zeros((n, 1)), targets=np.zeros(n), label_bound_M=1.0)
+    keys = _kernels.partition_keys(seed, n)
+    want = np.sort(np.argpartition(keys, m - 1)[:m])
+    assert np.array_equal(sample_partition(s, m, seed).train_idx, want)
 
 
 def test_sample_partition_rejects_degenerate_sizes():
