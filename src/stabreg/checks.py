@@ -27,7 +27,6 @@ from .graph import GraphSpec, gaussian_affinity, is_connected, laplacian, pseudo
 from .regressors import (
     gaussian_kernel,
     graph_quadratic,
-    labels_to_full,
     solve_constrained,
     solve_ltr,
     solve_unconstrained,
@@ -197,16 +196,14 @@ def swap_stability(seed: int) -> tuple[bool, str]:
     q_cm, q_llreg = graph_quadratic("cm", g)[0], graph_quadratic("llreg", g)[0]
 
     def labels(s, p):
-        return labels_to_full(s.targets[p.train_idx], p)
-
-    def llreg_weights(p):  # C_l = 2 on S, C_u = 1 on T
-        return np.where(np.isin(np.arange(n), p.train_idx), 2.0, 1.0)
+        return p.on_sides(s.targets[p.train_idx])
 
     cases = (
         ("cm", cm_score_bound(M),
          lambda s, p: solve_unconstrained(q_cm, np.ones(n), labels(s, p))),
         ("llreg", llreg_score_bound(M, m, 1.0, 2.0),
-         lambda s, p: solve_unconstrained(q_llreg, llreg_weights(p), labels(s, p))),
+         # C_l = 2 on S, C_u = 1 on T
+         lambda s, p: solve_unconstrained(q_llreg, p.on_sides(2.0, 1.0), labels(s, p))),
         ("constrained", belkin_score_stability(M, m, 1.0, lam2),
          lambda s, p: solve_constrained(lap, p, s.targets[p.train_idx], 1.0)),
     )

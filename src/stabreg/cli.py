@@ -71,7 +71,6 @@ from .regressors import (
     QuadraticSystem,
     gaussian_kernel,
     graph_quadratic,
-    labels_to_full,
     pseudo_targets,
 )
 from .stability import (
@@ -429,9 +428,8 @@ def _quadratic_fit(system: QuadraticSystem, sample: FullSample, part: Partition,
     """
 
     def solve(s: FullSample, p: Partition) -> np.ndarray:
-        c = np.full(p.n, c_T)
-        c[p.train_idx] = c_S
-        return system.solve(c, labels_to_full(s.targets[p.train_idx], p), center_labels)
+        return system.solve(p.on_sides(c_S, c_T), p.on_sides(s.targets[p.train_idx]),
+                            center_labels)
 
     return solve, lambda: _swaps().quadratic(system, sample, part, c_S, c_T, center_labels)
 
@@ -550,29 +548,17 @@ ALGORITHMS = tuple(_ENTRIES)
 _KERNEL_ALGORITHMS = ("ltr", "krr")
 
 
-def _with_graph(sample: FullSample, cfg: ExperimentConfig) -> FullSample:
-    """The sample with ``cfg.graph_path``'s edge list attached, for a graph algorithm.
-
-    A sample that already has a graph, and any sample of a kernel algorithm,
-    is returned as it is.
-    """
-    if cfg.graph_path is None or sample.graph is not None or cfg.algorithm in _KERNEL_ALGORITHMS:
-        return sample
-    return replace(sample, graph=load_edge_list(cfg.graph_path, n=sample.n))
-
-
 def _setup(sample: FullSample, part: Partition, cfg: ExperimentConfig, sigma: float) -> Fit:
     """Build the partition's kernel or graph and hand it to the algorithm's entry.
 
     A graph algorithm uses the sample's graph when it has one (``--graph``,
-    read once per run), else the Gaussian affinity at the partition's sigma.
+    attached once per run by ``_load``), else the Gaussian affinity at the
+    partition's sigma.
     """
     if cfg.algorithm in _KERNEL_ALGORITHMS:
         base = gaussian_kernel(sample.points, sigma)
     else:
-        base = _with_graph(sample, cfg).graph
-        if base is None:
-            base = gaussian_affinity(sample.points, sigma)
+        base = sample.graph or gaussian_affinity(sample.points, sigma)
     return _ENTRIES[cfg.algorithm](sample, part, cfg, sigma, base)
 
 
@@ -685,26 +671,38 @@ def _labeled_size(cfg: ExperimentConfig, n: int) -> int:
     return min(max(int(round(cfg.m_fraction * n)), 1), n - 1)
 
 
-def run_experiment(cfg: ExperimentConfig, sample: FullSample | None = None) -> dict:
+def _load(cfg: ExperimentConfig) -> tuple[FullSample, list[str]]:
+    """``cfg``'s data, and the messages of its load warnings for the report (not stderr).
+
+    A graph algorithm's sample carries ``cfg.graph_path``'s edge list, read
+    once for every partition.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ZeroVarianceFeature)
+        sample = load_and_normalize(cfg.data_path, cfg.target_scale)
+    if cfg.graph_path is not None and cfg.algorithm not in _KERNEL_ALGORITHMS:
+        sample = replace(sample, graph=load_edge_list(cfg.graph_path, n=sample.n))
+    return sample, [str(w.message) for w in caught]
+
+
+def _partition(sample: FullSample, cfg: ExperimentConfig, index: int) -> Partition:
+    """Partition ``index`` of the configured run."""
+    return sample_partition(sample, _labeled_size(cfg, sample.n), derive_seed(cfg.seed, index))
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run the partitioned protocol and return the (JSON-ready) report.
 
-    The sample may be injected (tests); otherwise it is loaded from
-    ``cfg.data_path``.  Partition i uses the seed derived from the master
-    seed, so reports are byte-identical across reruns of the same config.
+    The data, and the graph, are read once for every partition.  Partition i
+    uses the seed derived from the master seed, so reports are byte-identical
+    across reruns of the same config.
     """
-    load_warnings: list[str] = []
-    if sample is None:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ZeroVarianceFeature)
-            sample = load_and_normalize(cfg.data_path, cfg.target_scale)
-        load_warnings = [str(w.message) for w in caught]
-    sample = _with_graph(sample, cfg)  # one edge-list read serves every partition
+    sample, load_warnings = _load(cfg)
     n = sample.n
     m = _labeled_size(cfg, n)
 
     def one(index: int) -> dict:
-        part = sample_partition(sample, m, derive_seed(cfg.seed, index))
-        return _fit_one(sample, part, cfg)
+        return _fit_one(sample, _partition(sample, cfg, index), cfg)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -1069,24 +1067,19 @@ def _cmd_run(args) -> int:
     return _emit_report(args, report, report["records"])
 
 
-def _first_partition(cfg: ExperimentConfig) -> tuple[FullSample, Partition]:
-    """Load the data and draw partition 0 of the configured run."""
-    sample = load_and_normalize(cfg.data_path, cfg.target_scale)
-    m = _labeled_size(cfg, sample.n)
-    return sample, sample_partition(sample, m, derive_seed(cfg.seed, 0))
-
-
 def _cmd_select_radius(args) -> int:
     cfg = _config_from_args(args, algorithm="ltr")
-    sample, part = _first_partition(cfg)
-    r_star, per_r = select_radius(sample, part, cfg)
-    return _emit_report(args, {"r_star": r_star, "per_r": per_r}, per_r)
+    sample, load_warnings = _load(cfg)
+    r_star, per_r = select_radius(sample, _partition(sample, cfg, 0), cfg)
+    return _emit_report(args, {"r_star": r_star, "per_r": per_r, "warnings": load_warnings},
+                        per_r)
 
 
 def _cmd_stability(args) -> int:
     # ltr on a radius grid evaluates the radius that run selects
     cfg = _config_from_args(args)
-    sample, part = _first_partition(cfg)
+    sample, load_warnings = _load(cfg)
+    part = _partition(sample, cfg, 0)
     sigma = _resolve_sigma(sample, part, cfg)
     fit = _setup(sample, part, cfg, sigma)
     out: dict = {
@@ -1098,6 +1091,7 @@ def _cmd_stability(args) -> int:
         "cost_bound": fit.beta,
         "B": fit.B,
         **fit.stability_fields,
+        "warnings": load_warnings,
     }
     if args.empirical:
         out["empirical"] = asdict(empirical_stability(

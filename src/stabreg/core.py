@@ -139,6 +139,18 @@ class Partition:
     def n(self) -> int:
         return self.m + self.u
 
+    def on_sides(self, on_S, on_T=0.0) -> np.ndarray:
+        """The float vector over all n points holding ``on_S`` on S and ``on_T`` on T.
+
+        Each argument is a scalar or one value per point of its side, in
+        sorted-index order.  A value per point may be a row (shape (m, k) or
+        (u, k), k broadcast between the sides); the result is then (n, k).
+        """
+        out = np.empty((self.n, *np.broadcast_shapes(np.shape(on_S)[1:], np.shape(on_T)[1:])))
+        out[self.train_idx] = on_S
+        out[self.test_idx] = on_T
+        return out
+
 
 def sample_partition(sample: FullSample, m: int, seed: int) -> Partition:
     """Draw S uniformly without replacement; T is the complement.

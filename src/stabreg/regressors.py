@@ -110,9 +110,7 @@ def labels_to_full(labels_on_S, part: Partition) -> np.ndarray:
     y = np.asarray(labels_on_S, dtype=np.float64).ravel()
     if y.size != part.m:
         raise ValueError("labels_on_S must have length m (sorted-S order)")
-    full = np.zeros(part.n)
-    full[part.train_idx] = y
-    return full
+    return part.on_sides(y)
 
 
 def _llreg_quadratic(A_raw: np.ndarray) -> np.ndarray:
@@ -156,6 +154,15 @@ def _solve(a_sys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(a_sys, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from None
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` without overflow: each row is divided by its largest
+    finite magnitude before it is squared, and its norm scaled back (inf past the float range)."""
+    top = np.max(np.abs(x), axis=-1, keepdims=True)
+    top = np.where(np.isfinite(top) & (top > 0), top, 1.0)
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(x / top, axis=-1) * top[..., 0]
 
 
 def _weighted_labels(c: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -231,12 +238,12 @@ class QuadraticSystem:
         """
         u = self.constraint
         if u is None:
-            resid = np.linalg.norm(qh / c + h - y, axis=-1)
-            ok = resid <= _RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(y, axis=-1))
+            resid = _norm(qh / c + h - y)
+            ok = resid <= _RESIDUAL_TOL * np.maximum(1.0, _norm(y))
             return ~ok, "solution residual exceeds tolerance"
         rhs = c * y
-        resid = np.linalg.norm(qh + c * h + multiplier * u - rhs, axis=-1)
-        scale = np.maximum(1.0, np.linalg.norm(rhs, axis=-1))
+        resid = _norm(qh + c * h + multiplier * u - rhs)
+        scale = np.maximum(1.0, _norm(rhs))
         ok = (resid <= _KKT_TOL * scale) & (np.abs(h @ u) <= _KKT_TOL * scale)
         return ~ok, "KKT residual exceeds tolerance"
 
@@ -311,9 +318,8 @@ def solve_constrained(L: np.ndarray, part: Partition, y_S: np.ndarray, C: float,
     """
     system = QuadraticSystem(L, np.ones(part.n) if u is None else u)
     system.check_null_space()
-    c = np.zeros(part.n)
-    c[part.train_idx] = float(C) / part.m
-    return system.solve(c, labels_to_full(y_S, part), center_labels)
+    return system.solve(part.on_sides(float(C) / part.m), labels_to_full(y_S, part),
+                        center_labels)
 
 
 def gaussian_kernel(points: np.ndarray, sigma: float) -> np.ndarray:
@@ -425,28 +431,19 @@ class KernelSystem:
         if y_tilde.shape[0] not in (0, part.u):
             raise ValueError("y_tilde must have length u (or 0 when C_prime = 0)")
         cols = y_tilde.shape[1:]  # () for one problem, (k,) for a block
-        kept_parts = []
-        inv_weights = []
-        targets = []
-        if C > 0:
-            kept_parts.append(part.train_idx)
-            inv_weights.append(np.full(part.m, part.m / C))
-            targets.append(np.tile(y[:, None], cols) if cols else y)
-        if C_prime > 0:
-            kept_parts.append(part.test_idx)
-            inv_weights.append(np.full(part.u, part.u / C_prime))
-            targets.append(y_tilde)
-        if not kept_parts:
-            return np.zeros((0, *cols)), np.zeros(0, dtype=np.int64)
-        kept = np.concatenate(kept_parts)
-        order = np.argsort(kept)
-        kept = kept[order]
-        inv_w = np.concatenate(inv_weights)[order]
-        y_all = np.concatenate(targets)[order]
-        sub = self.K[np.ix_(kept, kept)] + np.diag(inv_w)
+        # Lambda^{-1} on the kept points, 0 on the others
+        inv_w = part.on_sides(part.m / C if C > 0 else 0.0,
+                              part.u / C_prime if C_prime > 0 else 0.0)
+        kept = np.flatnonzero(inv_w)
+        if not kept.size:
+            return np.zeros((0, *cols)), kept
+        y_all = part.on_sides(y[:, None] if cols else y,
+                              y_tilde if y_tilde.shape[0] else np.zeros((part.u, *cols)))[kept]
+        sub = self.K[np.ix_(kept, kept)]
+        sub.flat[:: kept.size + 1] += inv_w[kept]
         alpha = _solve(sub, y_all)
-        resid = np.linalg.norm(sub @ alpha - y_all, axis=0)
-        if not np.all(resid <= _RESIDUAL_TOL * np.maximum(1.0, np.linalg.norm(y_all, axis=0))):
+        resid = _norm((sub @ alpha - y_all).T)
+        if not np.all(resid <= _RESIDUAL_TOL * np.maximum(1.0, _norm(y_all.T))):
             raise SingularSystem("solution residual exceeds tolerance")
         return alpha, kept
 

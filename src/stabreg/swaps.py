@@ -16,10 +16,12 @@ its inverse (Hager, "Updating the inverse of a matrix", SIAM Review 31,
   pseudo-targets come from per-point sums updated per swap.
 
 Each engine is ``evaluate(removed, added)``: index arrays of k swaps in, the
-(k, n) swapped scores out, one row per swap, with every check the matching
-system's ``solve`` makes, in batch.  A block raises the error of its earliest
-failing swap.  The CLI imports this module on first use, so fitting never
-loads it.
+(k, n) swapped scores out, one row per swap, checked in batch: ``quadratic``
+makes every check of ``QuadraticSystem.solve``; ``kernel`` checks each swap's
+2x2 capacitance, pseudo-targets and finite scores, but runs no residual test,
+which ``KernelSystem`` runs on the home partition's solve only.  A block
+raises the error of its earliest failing swap.  The CLI imports this module
+on first use, so fitting never loads it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .regressors import (
     QuadraticSystem,
     _solve,
     _weighted_labels,
-    labels_to_full,
 )
 
 __all__ = ["quadratic", "kernel"]
@@ -143,8 +144,7 @@ def _pseudo_target_swaps(sample: FullSample, part: Partition, cfg: LocalEstimato
     weights_t = np.ascontiguousarray(weights.T)
     member_t = np.ascontiguousarray(member.T, dtype=np.float64)
     del member, weights
-    in_s = np.zeros(part.n)
-    in_s[part.train_idx] = 1.0
+    in_s = part.on_sides(1.0)
     num, den, cnt = (targets * in_s) @ weights_t, in_s @ weights_t, in_s @ member_t
 
     def update(i: np.ndarray, j: np.ndarray, masks: np.ndarray):
@@ -190,11 +190,9 @@ def quadratic(system: QuadraticSystem, sample: FullSample, part: Partition, c_S:
     n = system.Q.shape[0]
     u = system.constraint
     targets = sample.targets
-    c = np.full(n, float(c_T))
-    c[part.train_idx] = c_S
-    mask = np.zeros(n)
-    mask[part.train_idx] = 1.0
-    y = labels_to_full(targets[part.train_idx], part)
+    c = part.on_sides(c_S, c_T)
+    mask = part.on_sides(1.0)
+    y = part.on_sides(targets[part.train_idx])
     a_sys = system.matrix(c)
     inv = _solve(a_sys, np.eye(a_sys.shape[0]))
     inv += inv.T  # symmetric: row i is column i
@@ -268,8 +266,7 @@ def kernel(system: KernelSystem, sample: FullSample, part: Partition, C: float,
         raise ValueError("C_prime > 0 requires pseudo-targets")
     targets = sample.targets
     lam_s, lam_t = C / part.m, C_prime / part.u
-    lam = np.full(part.n, lam_t)
-    lam[part.train_idx] = lam_s
+    lam = part.on_sides(lam_s, lam_t)
     kept = np.flatnonzero(lam > 0)
     k_kept = system.K[:, kept]
     f_mat = system.K - k_kept @ _solve(k_kept[kept] + np.diag(1.0 / lam[kept]), k_kept.T)
@@ -277,10 +274,9 @@ def kernel(system: KernelSystem, sample: FullSample, part: Partition, C: float,
         raise SingularSystem("the home system has no finite inverse")
     f_mat += f_mat.T  # symmetric: row i is column i
     f_mat *= 0.5
-    x_home = f_mat @ (lam * labels_to_full(targets[part.train_idx], part))
+    x_home = f_mat @ (lam * part.on_sides(targets[part.train_idx]))
     update = None if local is None else _pseudo_target_swaps(sample, part, local)
-    in_s = np.zeros(part.n)
-    in_s[part.train_idx] = 1.0
+    in_s = part.on_sides(1.0)
 
     def evaluate(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         checks = []

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -108,6 +109,22 @@ def test_load_drops_constant_column_with_warning(tmp_path):
     with pytest.warns(ZeroVarianceFeature):
         sample = load_and_normalize(str(path))
     assert sample.dimension == 1
+
+
+def test_cli_reports_record_load_warnings_and_print_none(tmp_path, capsys):
+    # stability and select-radius used to print the warning to stderr and
+    # leave it out of the report; run recorded it
+    rows = np.random.default_rng(3).uniform(-1, 1, (30, 3))
+    path = tmp_path / "const.csv"
+    path.write_text("a,b,c,t\n" + "".join(f"{a:.6f},5,{c:.6f},{t:.6f}\n" for a, c, t in rows))
+    for command in (["run"], ["stability"], ["select-radius", "--radius", "1,2"]):
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            assert main([*command, "--data", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert not escaped and captured.err == ""
+        assert json.loads(captured.out)["warnings"] == [
+            "dropping constant feature column 'b' (index 1)"]
 
 
 def test_load_reports_cell_position(tmp_path):

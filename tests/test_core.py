@@ -105,6 +105,17 @@ def test_partition_rejects_empty_side():
         Partition(train_idx=np.array([0, 1]), test_idx=np.array([], dtype=int))
 
 
+def test_partition_lays_values_out_on_its_sides():
+    part = Partition(train_idx=np.array([3, 0]), test_idx=np.array([1, 4, 2]))
+    assert part.on_sides(2.0, 1.0).tolist() == [2.0, 1.0, 1.0, 2.0, 1.0]
+    assert part.on_sides([5, 6]).tolist() == [5.0, 0.0, 0.0, 6.0, 0.0]  # sorted-index order
+    assert part.on_sides([5.0, 6.0], [7.0, 8.0, 9.0]).tolist() == [5.0, 7.0, 8.0, 6.0, 9.0]
+    rows = part.on_sides(np.array([[5.0], [6.0]]), np.arange(6.0).reshape(3, 2))
+    assert rows.tolist() == [[5.0, 5.0], [0.0, 1.0], [2.0, 3.0], [6.0, 6.0], [4.0, 5.0]]
+    with pytest.raises(ValueError):
+        part.on_sides([1.0, 2.0, 3.0])
+
+
 # ---------------------------------------------------------------------------
 # partition sampling
 

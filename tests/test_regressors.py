@@ -518,6 +518,23 @@ def test_constrained_nan_residual_raises():
         system.solve(np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
+def test_residual_tests_do_not_overflow_on_huge_weights_or_labels():
+    # each residual test squared entries of c y, or of y, past the float
+    # range (a RuntimeWarning) although the solve itself stays in range
+    lap = laplacian(random_graph(6, 16))
+    part = random_partition(6, 3, 16)
+    y_s = np.array([0.5, -0.25, 1.0])
+    y = part.on_sides(y_s)
+    h = QuadraticSystem(lap, np.ones(6)).solve(part.on_sides(1e306), y, center_labels=True)
+    assert np.allclose(h[part.train_idx], y_s)
+    system = QuadraticSystem(lap)
+    assert np.allclose(system.solve(np.ones(6), 1e200 * y) / 1e200,
+                       system.solve(np.ones(6), y), rtol=1e-12, atol=0.0)
+    kernel = KernelSystem(gaussian_kernel(np.arange(6.0)[:, None], 1.0))
+    assert np.allclose(kernel.solve(part, 1e200 * y_s, np.zeros(0), 1.0, 0.0) / 1e200,
+                       kernel.solve(part, y_s, np.zeros(0), 1.0, 0.0), rtol=1e-12, atol=0.0)
+
+
 def test_stabilized_nan_weight_raises_in_the_solve_and_the_engine():
     # the solve rejects a NaN weight up front; the engine, which takes its
     # weights as two scalars, fails the KKT residual test on its home solve
