@@ -35,6 +35,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -62,6 +63,7 @@ from .graph import (
     GraphSpec,
     gaussian_affinity,
     load_edge_list,
+    parse_tokens,
     spectrum,
     sq_distances,
 )
@@ -72,6 +74,7 @@ from .regressors import (
     gaussian_kernel,
     graph_quadratic,
     pseudo_targets,
+    pseudo_targets_by_radius,
 )
 from .stability import (
     belkin_cost_stability,
@@ -111,39 +114,48 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
 
     The last column is the target; every other column is a feature.  Features
     are centered to mean 0 and scaled to variance 1 (population convention);
-    constant columns are dropped with a ZeroVarianceFeature warning.
+    constant columns are dropped with a ZeroVarianceFeature warning.  All
+    the cells are converted in one pass; a bad file raises at its first bad
+    record, and there at its first bad cell.
 
     Raises:
         ParseError: non-numeric or non-finite cell, or ragged row (1-based
             row/column; the header is row 1).
+        ValueError: the scaled targets are so large that the square of a
+            difference of two values within the label bound M, (2 M)^2,
+            exceeds the float range.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, 0, "empty file") from None
-        width = len(header)
-        if width < 2:
-            raise ParseError(1, 0, "need at least one feature column and a target")
-        rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(row_no, 0, f"expected {width} fields, got {len(row)}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise _cell_error(row_no, row) from None
-            if not all(map(math.isfinite, values)):
-                raise _cell_error(row_no, row)
-            rows.append(values)
-    if len(rows) < 2:
-        raise ParseError(len(rows) + 1, 0, "need at least 2 data rows")
-    data = np.array(rows, dtype=np.float64)
+        records = list(csv.reader(fh))
+    if not records:
+        raise ParseError(1, 0, "empty file")
+    header = records[0]
+    width = len(header)
+    if width < 2:
+        raise ParseError(1, 0, "need at least one feature column and a target")
+    widths = np.fromiter(map(len, records), np.int64, len(records))
+    ragged = np.flatnonzero((widths != width) & (widths != 0))
+    end = int(ragged[0]) if ragged.size else len(records)  # the records before the first ragged
+    rows = np.flatnonzero(widths[1:end]) + 2  # 1-based row of each data record
+    cells = list(chain.from_iterable(records[1:end]))
+    values, parsed = parse_tokens(cells, float)
+    finite = np.isfinite(values)
+    bad = parsed if finite.all() else int(np.argmin(finite))  # the first bad cell
+    if bad < len(cells):
+        what = "non-numeric" if bad == parsed else "non-finite"
+        raise ParseError(int(rows[bad // width]), bad % width + 1, f"{what} cell {cells[bad]!r}")
+    if end < len(records):
+        raise ParseError(end + 1, 0, f"expected {width} fields, got {widths[end]}")
+    if rows.size < 2:
+        raise ParseError(rows.size + 1, 0, "need at least 2 data rows")
+    data = values.reshape(rows.size, width)
     features = data[:, :-1]
-    target = data[:, -1] * float(target_scale)
+    with np.errstate(over="ignore"):
+        target = data[:, -1] * float(target_scale)
+    m_bound = float(np.max(np.abs(target), initial=0.0))
+    if not math.isfinite(4.0 * m_bound * m_bound):
+        raise ValueError(f"--target-scale {target_scale!r} is too large: the largest scaled "
+                         f"target {m_bound!r} overflows when a residual is squared")
     keep = []
     for j in range(features.shape[1]):
         col = features[:, j]
@@ -159,20 +171,7 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
         raise ValueError("all feature columns are constant")
     feats = features[:, keep]
     feats = (feats - feats.mean(axis=0)) / feats.std(axis=0)
-    m_bound = float(np.max(np.abs(target), initial=0.0))
     return FullSample(points=feats, targets=target, label_bound_M=m_bound or 1.0)
-
-
-def _cell_error(row_no: int, row: list[str]) -> ParseError:
-    """The ParseError for the first bad cell of a row that failed to convert."""
-    for col_no, cell in enumerate(row, start=1):
-        try:
-            value = float(cell)
-        except ValueError:
-            return ParseError(row_no, col_no, f"non-numeric cell {cell!r}")
-        if not math.isfinite(value):
-            return ParseError(row_no, col_no, f"non-finite cell {cell!r}")
-    raise AssertionError(f"row {row_no} has no bad cell")
 
 
 def m_of_r(sample: FullSample, part: Partition, r: float) -> int:
@@ -261,7 +260,7 @@ def derive_seed(master: int, index: int) -> int:
 
 def _median_pairwise_distance(d2: np.ndarray) -> float:
     """Median distance over the pairs of a squared-distance matrix; 1 if it is 0."""
-    upper = d2[np.triu_indices(d2.shape[0], k=1)]
+    upper = d2[~np.tri(d2.shape[0], dtype=bool)]  # above the diagonal, row by row
     med = float(np.sqrt(np.median(upper))) if upper.size else 0.0
     return med if med > 0 else 1.0
 
@@ -286,9 +285,11 @@ def _cv_sigma(sample: FullSample, part: Partition, C: float) -> float:
             splits.append((fold, fit, (fit[:, None] * n + fit).ravel(),
                            (fold[:, None] * n + fit).ravel()))
     best = (math.inf, med)
+    kern = np.empty_like(d2)
     for factor in _SIGMA_GRID:
         sig = factor * med
-        kern = np.exp(-d2 / (2.0 * sig * sig))
+        # exp(-d2 / (2 sig^2)), in one buffer for every sigma
+        np.exp(np.divide(d2, -2.0 * sig * sig, out=kern), out=kern)
         err = 0.0
         count = 0
         for fold, fit, fit_flat, cross_flat in splits:
@@ -556,10 +557,17 @@ def _setup(sample: FullSample, part: Partition, cfg: ExperimentConfig, sigma: fl
     partition's sigma.
     """
     if cfg.algorithm in _KERNEL_ALGORITHMS:
-        base = gaussian_kernel(sample.points, sigma)
+        base = _shared_kernel(sample, sigma)
     else:
         base = sample.graph or gaussian_affinity(sample.points, sigma)
     return _ENTRIES[cfg.algorithm](sample, part, cfg, sigma, base)
+
+
+def _shared_kernel(sample: FullSample, sigma: float) -> np.ndarray:
+    """The sample's Gaussian kernel, read-only: a KernelSystem shares it rather than copying it."""
+    kern = gaussian_kernel(sample.points, sigma)
+    kern.flags.writeable = False
+    return kern
 
 
 def _bound_value(train: float, fit: Fit, part: Partition, cfg: ExperimentConfig) -> float:
@@ -587,8 +595,10 @@ def select_radius(
     the kernel least-squares solution computed, and the objective
     ``train_mse + slack`` evaluated, where slack is the stability bound's
     excess over the training error.  The reported ``test_mse`` is diagnostic
-    only and never enters the selection.  The kernel system does not depend
-    on the radius, so every feasible radius is solved with one factorization.
+    only and never enters the selection.  Neither the kernel system nor the
+    distances behind the pseudo-targets depend on the radius, so every
+    radius's pseudo-targets come from one distance computation and every
+    feasible radius is solved with one factorization.
 
     ``sigma`` and ``system`` default to the partition's resolved sigma and the
     kernel system of its Gaussian kernel.  When ``fits`` is given it receives
@@ -606,12 +616,13 @@ def select_radius(
     if sigma is None:
         sigma = _resolve_sigma(sample, part, cfg)
     if system is None:
-        system = KernelSystem(gaussian_kernel(sample.points, sigma))
+        system = KernelSystem(_shared_kernel(sample, sigma))
     rows: dict[float, dict] = {}
     targets: dict[float, np.ndarray] = {}
+    at = pseudo_targets_by_radius(sample, part, _local_estimator(cfg, sigma, 0.0))  # any radius
     for r in cfg.radius_grid:
         try:
-            targets[r] = pseudo_targets(sample, part, _local_estimator(cfg, sigma, r))
+            targets[r] = at(r)
         except PseudoTargetUnavailable as exc:
             rows[r] = {"r": r, "feasible": False, "reason": str(exc)}
     if not targets:

@@ -13,9 +13,9 @@ each undirected edge listed once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -70,12 +70,13 @@ class GraphSpec:
             raise ValueError("weights must be a square matrix")
         if w.shape[0] == 0:
             raise ValueError("a graph needs at least one vertex")
+        lowest = w.min()
         # before the symmetry test, which a NaN fails with a misleading message
-        if not (np.isfinite(w.max()) and np.isfinite(w.min())):
+        if not (np.isfinite(w.max()) and np.isfinite(lowest)):
             raise NonFiniteMatrix("weights have non-finite (NaN or infinite) entries")
         if not np.array_equal(w, w.T):
             raise NotSymmetric("weights[i][j] must equal weights[j][i] exactly")
-        if np.any(w < 0):
+        if lowest < 0:
             raise ValueError("edge weights must be non-negative")
         if np.any(np.diagonal(w) != 0):
             raise ValueError("the diagonal must be zero (no self-loops)")
@@ -117,9 +118,15 @@ class SpectrumSummary:
 
 
 def laplacian(g: GraphSpec) -> np.ndarray:
-    """Combinatorial Laplacian D - W."""
+    """Combinatorial Laplacian D - W, in one n x n array.
+
+    Off the diagonal it holds ``0.0 - w_ij``: +0.0 where there is no edge,
+    as ``diag(d) - W`` gives, where ``-w`` would give -0.0.
+    """
     w = g.weights
-    return np.diag(w.sum(axis=1)) - w
+    lap = np.subtract(0.0, w)
+    np.fill_diagonal(lap, w.sum(axis=1) - np.diagonal(w))
+    return lap
 
 
 def normalized_laplacian(g: GraphSpec) -> np.ndarray:
@@ -303,98 +310,187 @@ def row_normalize(mat: np.ndarray) -> np.ndarray:
     return mat / sums[:, None]
 
 
+# elements of one row block of sq_distances: 256 KB, which stays in a core's cache
+_BLOCK = 1 << 15
+
+
 def sq_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances ``||a_i - b_j||^2``, clamped at 0.
 
-    Computed as ``||a_i||^2 + ||b_j||^2 - 2 a_i . b_j``.  Without ``b`` the
-    distances are among the rows of ``a``, with an exact zero diagonal.
+    Each entry is ``(||a_i||^2 + ||b_j||^2) - 2 a_i . b_j``, rounded in that
+    order.  The result is the one n x n array the product ``a @ b.T`` is
+    computed into; the rest is done in place, a block of rows at a time.
+
+    Without ``b`` the distances are among the rows of ``a``, and the result
+    is exactly symmetric with an exact zero diagonal, for any layout of
+    ``a``: the entries above the diagonal are computed and each one below is
+    a copy of its mirror image.
     """
-    other = a if b is None else b
-    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(other * other, axis=1)[None, :]
-    d2 -= 2.0 * (a @ other.T)
-    np.maximum(d2, 0.0, out=d2)
-    if b is None:
+    own = b is None
+    other = a if own else b
+    norms_a = np.sum(a * a, axis=1)
+    norms_b = norms_a if own else np.sum(other * other, axis=1)
+    d2 = a @ other.T
+    rows, cols = d2.shape
+    step = max(1, _BLOCK // max(cols, 1))
+    norms = np.empty((min(step, rows), cols))
+    lower = np.tri(min(step, rows), k=-1, dtype=bool)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        first = lo if own else 0  # columns left of the diagonal block are mirrored below
+        block = d2[lo:hi, first:]
+        block *= -2.0  # exact, so the sum below rounds as (|a|^2 + |b|^2) - 2 a.b
+        block += np.add(norms_a[lo:hi, None], norms_b[first:], out=norms[: hi - lo, : cols - first])
+        np.maximum(block, 0.0, out=block)
+        if own:
+            d2[lo:hi, :lo] = d2[:lo, lo:hi].T
+            square = d2[lo:hi, lo:hi]
+            np.copyto(square, square.T, where=lower[: hi - lo, : hi - lo])
+    if own:
         np.fill_diagonal(d2, 0.0)
     return d2
 
 
 def _gaussian_weights(points: np.ndarray, sigma: float) -> np.ndarray:
-    """``exp(-||x_i - x_j||^2 / (2 sigma^2))`` over the rows of ``points`` (1-d: one feature)."""
+    """``exp(-||x_i - x_j||^2 / (2 sigma^2))`` over the rows of ``points`` (1-d: one feature).
+
+    Computed in place in ``sq_distances``'s array: dividing by
+    ``-(2 sigma^2)`` rounds exactly as negating and dividing by ``2 sigma^2``.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim == 1:
         points = points[:, None]
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    return np.exp(-sq_distances(points) / (2.0 * sigma * sigma))
+    w = sq_distances(points)
+    w /= -2.0 * sigma * sigma
+    return np.exp(w, out=w)
 
 
 def gaussian_affinity(points: np.ndarray, sigma: float) -> GraphSpec:
-    """Dense Gaussian affinity W_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), zero diagonal."""
+    """Dense Gaussian affinity W_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), zero diagonal.
+
+    Exactly symmetric, as its squared distances are; the graph keeps the
+    array itself, read-only.
+    """
     w = _gaussian_weights(points, sigma)
     np.fill_diagonal(w, 0.0)
-    w = np.minimum(w, w.T)  # exact symmetry
+    w.flags.writeable = False
     return GraphSpec(weights=w)
+
+
+# lines of an edge list converted at once: the strings of a whole 10-NN list
+# at n = 506, held together, raised the protocol benchmark's peak RSS by 1 MB
+_EDGE_LINES = 1024
 
 
 def load_edge_list(path, n: int | None = None) -> GraphSpec:
     """Read an ``i j w`` edge list (1-based indices, one line per edge).
 
     Blank lines are skipped.  ``n`` fixes the vertex count; when omitted it is
-    the largest index seen.
+    the largest index seen.  The lines are read a block at a time; each
+    block's tokens are converted in one pass and every check runs on all of
+    its rows at once, the repeated-edge check on all the edges read.  A bad
+    file raises at its first bad row, and there at the first check it
+    fails, in the order listed below.
 
     Raises:
         ParseError: on malformed lines, with 1-based row/column positions: a
-            weight that is negative or not finite (column 3), or an edge
-            listed a second time in either orientation (column 0).
+            line without three fields (column 0); a token that is not an
+            integer index or a float weight (its column); an index below 1
+            (column 1) or above n (its column); a self-loop (column 1); a
+            weight that is not finite or negative (column 3); an edge listed
+            a second time in either orientation (column 0).
     """
-    edges: dict[tuple[int, int], tuple[int, float]] = {}  # (i, j), i < j: (row, w)
-    max_idx = 0
+    blocks = []  # (rows, i, j, w) of the good lines of each block
     with open(path, "r", encoding="utf-8") as fh:
-        for row, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise ParseError(row, 0, "expected 'i j w'")
-            try:
-                i = int(parts[0])
-            except ValueError:
-                raise ParseError(row, 1, f"bad vertex index {parts[0]!r}") from None
-            try:
-                j = int(parts[1])
-            except ValueError:
-                raise ParseError(row, 2, f"bad vertex index {parts[1]!r}") from None
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise ParseError(row, 3, f"bad weight {parts[2]!r}") from None
-            if i < 1 or j < 1:
-                raise ParseError(row, 1, "vertex indices are 1-based")
-            if n is not None:
-                if i > n:
-                    raise ParseError(row, 1, f"vertex {i} exceeds n={n}")
-                if j > n:
-                    raise ParseError(row, 2, f"vertex {j} exceeds n={n}")
-            if i == j:
-                raise ParseError(row, 1, "self-loops are not allowed")
-            if not math.isfinite(w):
-                raise ParseError(row, 3, f"non-finite weight {parts[2]!r}")
-            if w < 0:
-                raise ParseError(row, 3, "weights must be non-negative")
-            edge = (min(i, j), max(i, j))
-            if edge in edges:
-                raise ParseError(row, 0, f"edge {edge[0]}-{edge[1]} already listed "
-                                         f"at row {edges[edge][0]}")
-            edges[edge] = (row, w)
-            max_idx = max(max_idx, i, j)
-    size = max_idx if n is None else int(n)
-    if size < max_idx:
-        raise ValueError(f"n={size} smaller than largest index {max_idx}")
+        for start in count(1, _EDGE_LINES):
+            lines = list(islice(fh, _EDGE_LINES))
+            *block, error = _edge_block(lines, start, n)
+            blocks.append(block)
+            if error is not None or len(lines) < _EDGE_LINES:
+                break  # a file is read no further than its first bad line
+    rows, i, j, w = (np.concatenate(parts) for parts in zip(*blocks))
+    _, listed, pair = np.unique(np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1), axis=0,
+                                return_index=True, return_inverse=True)
+    listed = listed[pair.ravel()]  # the edge that first lists each edge's vertex pair
+    repeated = np.flatnonzero(listed != np.arange(i.size))
+    if repeated.size:  # every edge read lies before the bad line, if there is one
+        k = repeated[0]
+        error = ParseError(int(rows[k]), 0, f"edge {min(i[k], j[k])}-{max(i[k], j[k])} "
+                                            f"already listed at row {rows[listed[k]]}")
+    if error is not None:
+        raise error
+    size = int(max(i.max(initial=0), j.max(initial=0))) if n is None else int(n)
     weights = np.zeros((size, size))
-    for (i, j), (_, w) in edges.items():
-        weights[i - 1, j - 1] = weights[j - 1, i - 1] = w
+    weights[i - 1, j - 1] = weights[j - 1, i - 1] = w
+    weights.flags.writeable = False  # the graph keeps it
     return GraphSpec(weights=weights)
+
+
+def _edge_block(lines: list[str], start: int, n: int | None):
+    """``(rows, i, j, w, error)``: the edges of the lines before the block's first bad one.
+
+    ``start`` is the row of the block's first line.  ``error`` is the bad
+    line's ParseError, None when every line passes every check but the
+    repeated-edge one, which ``load_edge_list`` runs over all blocks.
+    """
+    fields = [line.split() for line in lines]
+    width = np.fromiter(map(len, fields), np.int64, len(fields))
+    misshapen = np.flatnonzero((width != 3) & (width != 0))
+    stop = int(misshapen[0]) if misshapen.size else len(fields)  # lines read as edges
+    rows = np.flatnonzero(width[:stop]) + start  # the row of each edge
+    tokens = list(chain.from_iterable(fields[:stop]))
+    columns = [parse_tokens(tokens[col::3], kind) for col, kind in enumerate((int, int, float))]
+    edges = min(parsed for _, parsed in columns)  # the edges before the first bad token
+    i, j, w = (values[:edges] for values, _ in columns)
+    checks = [  # (failed, column, message for edge k), in the order one line is checked
+        ((i < 1) | (j < 1), 1, lambda k: "vertex indices are 1-based"),
+        *([] if n is None else [
+            (i > n, 1, lambda k: f"vertex {int(tokens[3 * k])} exceeds n={n}"),
+            (j > n, 2, lambda k: f"vertex {int(tokens[3 * k + 1])} exceeds n={n}"),
+        ]),
+        (i == j, 1, lambda k: "self-loops are not allowed"),
+        (~np.isfinite(w), 3, lambda k: f"non-finite weight {tokens[3 * k + 2]!r}"),
+        (w < 0, 3, lambda k: "weights must be non-negative"),
+    ]
+    failures = [(int(np.argmax(failed)), col, message) for failed, col, message in checks
+                if failed.any()]
+    if failures:
+        k, col, message = min(failures, key=lambda f: f[0])  # the first check on a tie
+        return rows[:k], i[:k], j[:k], w[:k], ParseError(int(rows[k]), col, message(k))
+    error = None
+    if edges < rows.size:
+        col = 1 + [parsed for _, parsed in columns].index(edges)
+        token = tokens[3 * edges + col - 1]
+        error = ParseError(int(rows[edges]), col, f"bad weight {token!r}" if col == 3
+                           else f"bad vertex index {token!r}")
+    elif stop < len(fields):
+        error = ParseError(start + stop, 0, "expected 'i j w'")
+    return rows[:edges], i, j, w, error
+
+
+def parse_tokens(tokens: list[str], kind: type) -> tuple[np.ndarray, int]:
+    """``kind`` (int or float) of each token up to the first it rejects, and that token's index.
+
+    The index is ``len(tokens)`` when every token parses.  Integers are
+    stored as int64, clipped to +-2^62: the loaders only compare them.
+    Both data loaders, this module's edge lists and the CLI's CSV files,
+    convert their fields here.
+    """
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.fromiter(map(kind, tokens), dtype, len(tokens)), len(tokens)
+    except (ValueError, OverflowError):
+        pass
+    values = []
+    for tok in tokens:
+        try:
+            value = kind(tok)
+        except ValueError:
+            break
+        values.append(min(max(value, -(1 << 62)), 1 << 62) if kind is int else value)
+    return np.array(values, dtype=dtype), len(values)
 
 
 def save_edge_list(g: GraphSpec, path) -> None:

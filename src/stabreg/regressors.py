@@ -69,6 +69,7 @@ __all__ = [
     "solve_constrained",
     "gaussian_kernel",
     "pseudo_targets",
+    "pseudo_targets_by_radius",
     "solve_ltr",
     "solve_krr_induction",
 ]
@@ -323,27 +324,75 @@ def solve_constrained(L: np.ndarray, part: Partition, y_S: np.ndarray, C: float,
 
 
 def gaussian_kernel(points: np.ndarray, sigma: float) -> np.ndarray:
-    """Gram matrix K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), unit diagonal."""
+    """Gram matrix K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), unit diagonal.
+
+    Exactly symmetric, as its squared distances are.
+    """
     k = _gaussian_weights(points, sigma)
-    k = 0.5 * (k + k.T)
     np.fill_diagonal(k, 1.0)
     return k
 
 
-def _neighbour_weights(xt: np.ndarray, xs: np.ndarray, cfg: LocalEstimatorConfig
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Row t, column s: whether ``xs[s]`` is ``xt[t]``'s neighbour, and its weight.
+def _distance_weights(xt: np.ndarray, xs: np.ndarray, cfg: LocalEstimatorConfig
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Row t, column s: the squared distance from ``xt[t]`` to ``xs[s]``, and its weight.
 
-    A neighbour lies within Euclidean distance ``radius_r``; its weight is
-    Gaussian or inverse-distance as ``cfg`` says, and any other point's is 0.
+    The weight is Gaussian or inverse-distance as ``cfg`` says, whatever the
+    radius; ``_ball_means`` keeps the pairs within it.
     """
     d2 = sq_distances(xt, xs)
-    member = d2 <= cfg.radius_r * cfg.radius_r
     if cfg.weighting == "gaussian":
-        weights = np.exp(-d2 / (2.0 * cfg.sigma * cfg.sigma))
+        weights = np.exp(d2 / (-2.0 * cfg.sigma * cfg.sigma))
     else:
         weights = 1.0 / (1.0 + np.sqrt(d2))
-    return member, np.where(member, weights, 0.0)
+    return d2, weights
+
+
+def _ball_means(num: np.ndarray, den: np.ndarray, count: np.ndarray, label_sums,
+                where=True) -> tuple[np.ndarray, np.ndarray]:
+    """The local estimator's rule, applied to the sums over each ball of labeled neighbours.
+
+    ``num`` is a ball's weighted label sum, ``den`` its weight sum and
+    ``count`` its number of points.  A ball's pseudo-target is
+    ``num / den``; when every weight in it underflowed (``den == 0 <
+    count``) it is the plain average of its labels, ``label_sums(*index)``
+    giving the plain sums of the balls at an ``np.nonzero`` index; an empty
+    ball (``count == 0``) gives 0.  Only the balls marked by ``where`` are
+    examined.  Overwrites ``num`` and ``den`` at the underflowed balls.
+    Returns the pseudo-targets and the mask of the examined empty balls.
+    """
+    under = np.nonzero((den == 0.0) & (count > 0) & where)
+    if under[0].size:
+        num[under] = label_sums(*under)
+        den[under] = count[under]
+    empty = (count == 0) & where
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0), empty
+
+
+def pseudo_targets_by_radius(sample: FullSample, part: Partition, cfg: LocalEstimatorConfig):
+    """``at(r)``: ``pseudo_targets`` at radius r, for every r, from one distance computation.
+
+    The distances and weights between the unlabeled and the labeled points
+    do not depend on the radius (``cfg.radius_r`` is not read), so a sweep
+    over a radius grid computes them once.
+    """
+    ys = sample.targets[part.train_idx]
+    d2, weights = _distance_weights(sample.points[part.test_idx],
+                                    sample.points[part.train_idx], cfg)
+
+    def at(r: float) -> np.ndarray:
+        member = d2 <= r * r
+        kept = np.where(member, weights, 0.0)
+        out, empty = _ball_means(kept @ ys, kept.sum(axis=1), member.sum(axis=1),
+                                 lambda rows: member[rows] @ ys)
+        if cfg.fallback == "error" and empty.any():
+            raise PseudoTargetUnavailable(
+                f"unlabeled point {int(part.test_idx[np.argmax(empty)])} has no labeled "
+                f"neighbor within radius {r}"
+            )
+        return out
+
+    return at
 
 
 def pseudo_targets(
@@ -353,7 +402,8 @@ def pseudo_targets(
 
     For unlabeled x', the neighborhood is the labeled points within Euclidean
     distance ``radius_r``; the pseudo-target is the weight-normalized average
-    of their labels, so it always stays within the label bound.
+    of their labels, so it always stays within the label bound.  Where every
+    weight underflows it is the plain average of their labels.
 
     Returns:
         Length-u array aligned with the sorted unlabeled indices.
@@ -361,26 +411,7 @@ def pseudo_targets(
     Raises:
         PseudoTargetUnavailable: an empty neighborhood with fallback="error".
     """
-    ys = sample.targets[part.train_idx]
-    member, weights = _neighbour_weights(sample.points[part.test_idx],
-                                         sample.points[part.train_idx], cfg)
-    totals = weights.sum(axis=1)
-    counts = member.sum(axis=1)
-    out = np.zeros(part.u)
-    for row in range(part.u):
-        if counts[row] == 0:
-            if cfg.fallback == "error":
-                raise PseudoTargetUnavailable(
-                    f"unlabeled point {int(part.test_idx[row])} has no labeled "
-                    f"neighbor within radius {cfg.radius_r}"
-                )
-            out[row] = 0.0
-        elif totals[row] == 0.0:
-            # all weights underflowed; fall back to the unweighted average
-            out[row] = float(ys[member[row]].mean())
-        else:
-            out[row] = float(weights[row] @ ys) / totals[row]
-    return out
+    return pseudo_targets_by_radius(sample, part, cfg)(cfg.radius_r)
 
 
 @dataclass(frozen=True)
@@ -439,7 +470,8 @@ class KernelSystem:
             return np.zeros((0, *cols)), kept
         y_all = part.on_sides(y[:, None] if cols else y,
                               y_tilde if y_tilde.shape[0] else np.zeros((part.u, *cols)))[kept]
-        sub = self.K[np.ix_(kept, kept)]
+        # with every point kept, kept is 0..n-1 and a copy of K is the sub-matrix
+        sub = self.K.copy() if kept.size == part.n else self.K[np.ix_(kept, kept)]
         sub.flat[:: kept.size + 1] += inv_w[kept]
         alpha = _solve(sub, y_all)
         resid = _norm((sub @ alpha - y_all).T)
@@ -449,7 +481,8 @@ class KernelSystem:
 
     def scores(self, alpha: np.ndarray, kept: np.ndarray) -> np.ndarray:
         """``f = sum_kept alpha_i K(., x_i)`` on every point (zero when nothing is kept)."""
-        return self.K[:, kept] @ alpha
+        every = kept.size == self.K.shape[0]  # then kept is 0..n-1: K itself, not a copy
+        return (self.K if every else self.K[:, kept]) @ alpha
 
     def solve(self, part: Partition, y: np.ndarray, y_tilde: np.ndarray,
               C: float, C_prime: float) -> np.ndarray:

@@ -72,19 +72,24 @@ def _rank2(inv: np.ndarray, base_i, base_j, c_i, c_j, i: np.ndarray, j: np.ndarr
     U^T inv U``, solved in closed form.  Returns ``(a_i, a_j, singular)``:
     the swapped solution is ``base_k + a_i[k] inv[:, i] + a_j[k] inv[:, j]``,
     and ``singular`` marks the swaps whose capacitance is singular to working
-    precision.
+    precision or whose coefficients leave the float range; their
+    coefficients are 0.
     """
     p_ii, p_ij, p_ji, p_jj = inv[i, i], inv[i, j], inv[j, i], inv[j, j]
-    r_i = d_i * (base_i + c_i * p_ii + c_j * p_ij)
-    r_j = d_j * (base_j + c_i * p_ji + c_j * p_jj)
-    s00 = 1.0 + d_i * p_ii
-    s01 = d_i * p_ij
-    s10 = d_j * p_ji
-    s11 = 1.0 + d_j * p_jj
-    det = s00 * s11 - s01 * s10
-    singular = ~(np.abs(det) > _CAPACITANCE_TOL * (np.abs(s00 * s11) + np.abs(s01 * s10)))
-    det = np.where(singular, 1.0, det)
-    return c_i - (s11 * r_i - s01 * r_j) / det, c_j - (s00 * r_j - s10 * r_i) / det, singular
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_i = d_i * (base_i + c_i * p_ii + c_j * p_ij)
+        r_j = d_j * (base_j + c_i * p_ji + c_j * p_jj)
+        s00 = 1.0 + d_i * p_ii
+        s01 = d_i * p_ij
+        s10 = d_j * p_ji
+        s11 = 1.0 + d_j * p_jj
+        det = s00 * s11 - s01 * s10
+        singular = ~(np.abs(det) > _CAPACITANCE_TOL * (np.abs(s00 * s11) + np.abs(s01 * s10)))
+        det = np.where(singular, 1.0, det)
+        a_i = c_i - (s11 * r_i - s01 * r_j) / det
+        a_j = c_j - (s00 * r_j - s10 * r_i) / det
+    singular |= ~(np.isfinite(a_i) & np.isfinite(a_j))
+    return np.where(singular, 0.0, a_i), np.where(singular, 0.0, a_j), singular
 
 
 def _combine(base: np.ndarray, a_i: np.ndarray, rows_i: np.ndarray, a_j: np.ndarray,
@@ -139,11 +144,12 @@ def _pseudo_target_swaps(sample: FullSample, part: Partition, cfg: LocalEstimato
     swapped T) and the mask of entries with an empty neighbourhood there.
     """
     targets = sample.targets
-    member, weights = regressors._neighbour_weights(sample.points, sample.points, cfg)
+    d2, weights = regressors._distance_weights(sample.points, sample.points, cfg)
+    member = d2 <= cfg.radius_r * cfg.radius_r
     # row s, column t: the weight (membership) of s as t's neighbour
-    weights_t = np.ascontiguousarray(weights.T)
+    weights_t = np.ascontiguousarray(np.where(member, weights, 0.0).T)
     member_t = np.ascontiguousarray(member.T, dtype=np.float64)
-    del member, weights
+    del d2, member, weights
     in_s = part.on_sides(1.0)
     num, den, cnt = (targets * in_s) @ weights_t, in_s @ weights_t, in_s @ member_t
 
@@ -159,12 +165,9 @@ def _pseudo_target_swaps(sample: FullSample, part: Partition, cfg: LocalEstimato
             kept = weights_t[:, cols].T * masks[rows]
             num_k[rows, cols] = kept @ targets
             den_k[rows, cols] = kept.sum(axis=1)
-            under = den_k[rows, cols] == 0.0
-            rows, cols = rows[under], cols[under]
-            num_k[rows, cols] = (member_t[:, cols].T * masks[rows]) @ targets
-            den_k[rows, cols] = cnt_k[rows, cols]
-        empty = (cnt_k == 0.0) & unlabeled
-        return np.divide(num_k, den_k, out=np.zeros_like(num_k), where=den_k > 0.0), empty
+        return regressors._ball_means(
+            num_k, den_k, cnt_k,
+            lambda rows, cols: (member_t[:, cols].T * masks[rows]) @ targets, unlabeled)
 
     return update
 

@@ -151,6 +151,66 @@ def test_load_rejects_single_column(tmp_path):
         load_and_normalize(str(path))
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("", (1, 0), "empty file"),
+    ("t\n1\n2\n", (1, 0), "need at least one feature column and a target"),
+    ("a,b,t\n1,2,0.5\n1,2\n", (3, 0), "expected 3 fields, got 2"),
+    ("a,t\n1,0.5\n1,2,3\n", (3, 0), "expected 2 fields, got 3"),
+    ("a,t\n1,0.5\n2,oops\n", (3, 2), "non-numeric cell 'oops'"),
+    ("a,t\n1,\n2,0.5\n", (2, 2), "non-numeric cell ''"),
+    ("a,t\n1,0.5\n-inf,0.2\n", (3, 1), "non-finite cell '-inf'"),
+    ("a,t\n", (1, 0), "need at least 2 data rows"),
+    ("a,t\n\n1,0.5\n\n", (2, 0), "need at least 2 data rows"),
+    ("a,t\n\n1,0.5\n\n2,x\n", (5, 2), "non-numeric cell 'x'"),
+    ("a,t\n1,x\n1\n", (2, 2), "non-numeric cell 'x'"),
+    ("a,t\n1\n1,x\n", (2, 0), "expected 2 fields, got 1"),
+    ('"a","t"\n"1","0.5"\n"2","x"\n', (3, 2), "non-numeric cell 'x'"),
+    ("a,t\r\n1,0.5\r\n2,nan\r\n", (3, 2), "non-finite cell 'nan'"),
+    ("a,t\r1,0.5\r2,x\r", (3, 2), "non-numeric cell 'x'"),
+], ids=["empty-file", "one-column", "short-row", "long-row", "non-numeric", "empty-cell",
+        "non-finite", "header-only", "one-data-row", "blank-lines-keep-row-numbers",
+        "bad-cell-before-ragged-row", "ragged-row-before-bad-cell", "quoted", "crlf", "cr"])
+def test_load_and_normalize_parse_errors(tmp_path, text, where, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ParseError) as exc_info:
+        load_and_normalize(str(path))
+    assert (exc_info.value.row, exc_info.value.column) == where
+    assert str(exc_info.value) == f"row {where[0]}, column {where[1]}: {message}"
+
+
+@pytest.mark.parametrize("text", [
+    "a,t\n1,0.5\n2,0.25\n3,-1\n",
+    '"a","t"\n"1","0.5"\n2,0.25\n"3",-1\n',
+    "a,t\r\n1,0.5\r\n2,0.25\r\n3,-1\r\n",
+    "a,t\n 1 ,0.5\n\n2,2.5e-1\n3,-1",
+], ids=["plain", "quoted", "crlf", "spaces-blank-line-no-final-newline"])
+def test_load_and_normalize_reads_every_layout_alike(tmp_path, text):
+    path = tmp_path / "ok.csv"
+    path.write_bytes(text.encode("utf-8"))
+    sample = load_and_normalize(str(path))
+    assert np.array_equal(sample.targets, [0.5, 0.25, -1.0])
+    assert np.allclose(sample.points[:, 0], np.array([-1.0, 0.0, 1.0]) * math.sqrt(1.5))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--algorithm", "laplacian", "--sigma", "3"],
+    ["run", "--algorithm", "krr"],
+    ["stability", "--algorithm", "gmf"],
+    ["select-radius", "--radius", "1,2"],
+])
+@pytest.mark.parametrize("scale", ["1e200", "1e308", "1e154"])
+def test_cli_rejects_a_target_scale_whose_squared_residuals_overflow(toy_csv, capsys, argv,
+                                                                    scale):
+    # the squared residuals used to overflow (a RuntimeWarning, an error under
+    # the test policy) and the report printed null errors; the toy labels
+    # reach |y| = 1.04, so at 1e154 M^2 is finite and (2 M)^2 is not
+    assert main([*argv, "--data", toy_csv, "--target-scale", scale]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"stabreg: --target-scale {float(scale)!r} is too large")
+    assert err.count("\n") == 1
+
+
 def test_load_zero_targets_fall_back_to_unit_bound(tmp_path):
     path = tmp_path / "zeros.csv"
     path.write_text("a,t\n1,0\n2,0\n3,0\n")
@@ -1118,6 +1178,17 @@ def test_cli_overflowing_weighted_labels_raise_singular_system(toy_csv, capsys, 
                  "--mu", "1e308"]) == 1
     assert capsys.readouterr().err == (
         "stabreg: SingularSystem: weighted labels c * y exceed the float range\n")
+
+
+@pytest.mark.parametrize("algorithm", ["krr", "ltr"])
+def test_cli_overflowing_woodbury_coefficients_raise_singular_system(toy_csv, capsys,
+                                                                     algorithm):
+    # the 2x2 capacitance solve of a swap used to overflow (a RuntimeWarning,
+    # an error under the test policy) at a huge trade-off
+    extra = ["--radius", "1.5", "--C-prime", "1"] if algorithm == "ltr" else []
+    assert main(["stability", "--empirical", "--data", toy_csv, "--algorithm", algorithm,
+                 "--C", "1e306", "--sigma", "3", *extra]) == 1
+    assert capsys.readouterr().err == "stabreg: SingularSystem: swapped system is singular\n"
 
 
 def test_cli_gaussian_beta_loc_overflow_prints_null(toy_csv, capsys):

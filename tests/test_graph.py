@@ -24,7 +24,7 @@ from stabreg import (
     save_edge_list,
     spectrum,
 )
-from stabreg.graph import _bfs_levels, _check_symmetric
+from stabreg.graph import _bfs_levels, _check_symmetric, sq_distances
 
 
 def path_graph(n):
@@ -386,6 +386,44 @@ def test_gaussian_affinity_values_and_shape():
     assert np.array_equal(g.weights, g.weights.T)
 
 
+def _sq_distances_formula(a, b=None):
+    """The expression sq_distances rounds like: (|a_i|^2 + |b_j|^2) - 2 a_i . b_j, clamped."""
+    other = a if b is None else b
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(other * other, axis=1)[None, :]
+    d2 -= 2.0 * (a @ other.T)
+    np.maximum(d2, 0.0, out=d2)
+    if b is None:
+        np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+_LAYOUTS = {  # a (rows, 13) view of a (2 rows, 26) array
+    "c-ordered": lambda base, rows: np.ascontiguousarray(base[:rows, :13]),
+    "fortran-ordered": lambda base, rows: np.asfortranarray(base[:rows, :13]),
+    "row-strided": lambda base, rows: base[::2, :13][:rows],
+    "column-strided": lambda base, rows: base[:rows, ::2],
+}
+
+
+@pytest.mark.parametrize("rows", [1, 7, 300])  # 300 rows span three row blocks
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_sq_distances_is_exactly_symmetric_and_rounds_as_the_formula(layout, rows):
+    base = np.random.default_rng(rows).normal(size=(2 * rows, 26)) * 3.0
+    a = _LAYOUTS[layout](base, rows)
+    d2 = sq_distances(a)
+    assert np.array_equal(d2, d2.T)  # GraphSpec requires this of an affinity
+    assert np.all(np.diagonal(d2) == 0.0) and np.all(d2 >= 0.0)
+    want = _sq_distances_formula(a)
+    upper = np.triu_indices(rows, 1)
+    # BLAS forms a column-strided a @ a.T with a general product, whose two
+    # triangles can differ in the last bit; sq_distances mirrors the upper one
+    assert np.array_equal(d2[upper], want[upper])
+    if layout != "column-strided":
+        assert np.array_equal(d2, want)
+    other = _LAYOUTS[layout](base[::-1], max(rows // 2, 1))
+    assert np.array_equal(sq_distances(other, a), _sq_distances_formula(other, a))
+
+
 def test_gaussian_affinity_rejects_bad_sigma():
     with pytest.raises(ValueError):
         gaussian_affinity(np.zeros((3, 2)), sigma=0.0)
@@ -436,25 +474,70 @@ def test_load_edge_list_reports_bad_token_position(tmp_path):
     assert exc_info.value.column == 2
 
 
-def test_load_edge_list_rejects_self_loop(tmp_path):
+_EDGE_LIST_ERRORS = {  # id: (text, n, (row, column), message)
+    "two-fields": ("1 2 1.0\n1 2\n", None, (2, 0), "expected 'i j w'"),
+    "four-fields": ("1 2 1.0\n\n1 2 3 4\n", None, (3, 0), "expected 'i j w'"),
+    "bad-i": ("x 2 1.0\n", None, (1, 1), "bad vertex index 'x'"),
+    "bad-j": ("1 2.5 1.0\n", None, (1, 2), "bad vertex index '2.5'"),
+    "bad-w": ("1 2 w\n", None, (1, 3), "bad weight 'w'"),
+    "zero-i": ("0 2 1.0\n", None, (1, 1), "vertex indices are 1-based"),
+    "zero-j": ("2 0 1.0\n", None, (1, 1), "vertex indices are 1-based"),
+    "i-above-n": ("1 2 1.0\n7 1 1.0\n", 3, (2, 1), "vertex 7 exceeds n=3"),
+    "j-above-n": ("1 7 1.0\n", 3, (1, 2), "vertex 7 exceeds n=3"),
+    "self-loop": ("1 1 1.0\n", None, (1, 1), "self-loops are not allowed"),
+    "non-finite-weight": ("1 2 inf\n", None, (1, 3), "non-finite weight 'inf'"),
+    "negative-weight": ("1 2 -1.0\n", None, (1, 3), "weights must be non-negative"),
+    "repeated-edge": ("1 2 1.0\n2 3 1.0\n1 2 5.0\n", None, (3, 0),
+                      "edge 1-2 already listed at row 1"),
+    "repeated-reversed-edge": ("1 2 1.0\n2 3 1.0\n3 2 5.0\n", None, (3, 0),
+                               "edge 2-3 already listed at row 2"),
+    # the first bad row decides, and within it the first check in line order
+    "first-check-of-first-bad-row": ("1 2 1.0\n1 1 -1.0\n0 x\n", None, (2, 1),
+                                     "self-loops are not allowed"),
+    "earlier-row-first": ("1 2 -1.0\n3 x 1.0\n", None, (1, 3), "weights must be non-negative"),
+    "token-before-later-rows": ("1 2 1.0\n3 x y\n0 2 1.0\n", None, (2, 2),
+                                "bad vertex index 'x'"),
+    "field-count-before-later-rows": ("1 2 1.0\n0 2\n1 1 1.0\n", None, (2, 0),
+                                      "expected 'i j w'"),
+    "range-before-self-loop": ("2 3 1.0\n9 9 nan\n", 4, (2, 1), "vertex 9 exceeds n=4"),
+    "repeat-before-later-bad-row": ("1 2 1.0\n\n2 3 1.0\n2 1 1.0\n1 1 1.0\n", None, (4, 0),
+                                    "edge 1-2 already listed at row 1"),
+    "bad-row-before-later-repeat": ("1 2 1.0\n\n1 1 1.0\n2 1 1.0\n", None, (3, 1),
+                                    "self-loops are not allowed"),
+}
+
+
+@pytest.mark.parametrize("text, n, where, message", list(_EDGE_LIST_ERRORS.values()),
+                         ids=list(_EDGE_LIST_ERRORS))
+def test_load_edge_list_parse_errors(tmp_path, text, n, where, message):
     path = tmp_path / "g.txt"
-    path.write_text("1 1 1.0\n")
-    with pytest.raises(ParseError):
-        load_edge_list(path)
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc_info:
+        load_edge_list(path, n=n)
+    assert (exc_info.value.row, exc_info.value.column) == where
+    assert str(exc_info.value) == f"row {where[0]}, column {where[1]}: {message}"
 
 
-def test_load_edge_list_rejects_negative_weight(tmp_path):
+@pytest.mark.parametrize("lines", [1, 2, 3])
+def test_load_edge_list_reads_blocks_of_any_size_alike(tmp_path, monkeypatch, lines):
+    # the loader reads a block of lines at a time; an error, a repeated edge
+    # or a graph must not depend on where the blocks end
+    from stabreg import graph as graph_module
+
     path = tmp_path / "g.txt"
-    path.write_text("1 2 -1.0\n")
-    with pytest.raises(ParseError):
-        load_edge_list(path)
-
-
-def test_load_edge_list_rejects_out_of_range_vertex(tmp_path):
-    path = tmp_path / "g.txt"
-    path.write_text("1 7 1.0\n")
-    with pytest.raises(ParseError):
-        load_edge_list(path, n=3)
+    rng = np.random.default_rng(lines)
+    g = random_connected(7, rng)
+    save_edge_list(g, path)
+    text = path.read_text().replace("\n", "\n\n", 3)  # blank lines shift the rows
+    path.write_text(text)
+    whole = load_edge_list(path)
+    monkeypatch.setattr(graph_module, "_EDGE_LINES", lines)
+    assert np.array_equal(load_edge_list(path).weights, whole.weights)
+    for text, n, where, message in _EDGE_LIST_ERRORS.values():
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc_info:
+            load_edge_list(path, n=n)
+        assert str(exc_info.value) == f"row {where[0]}, column {where[1]}: {message}"
 
 
 @pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])

@@ -24,6 +24,7 @@ from stabreg import (
     laplacian,
     normalized_laplacian,
     pseudo_targets,
+    pseudo_targets_by_radius,
     row_normalize,
     sample_partition,
     solve_constrained,
@@ -34,6 +35,7 @@ from stabreg import (
 )
 from stabreg import checks, swaps
 from stabreg.errors import SingularSystem, ZeroConstraintVector
+from stabreg.graph import sq_distances
 from stabreg.regressors import graph_quadratic, labels_to_full
 
 
@@ -325,6 +327,70 @@ def test_pseudo_targets_error_fallback():
     cfg = LocalEstimatorConfig(radius_r=1.5, weighting="gaussian", sigma=1.0, fallback="error")
     with pytest.raises(PseudoTargetUnavailable):
         pseudo_targets(s, part, cfg)
+
+
+def _pseudo_targets_per_row(sample, part, cfg):
+    """The estimator one unlabeled point at a time: the reference for the vectorized rule."""
+    ys = sample.targets[part.train_idx]
+    d2 = sq_distances(sample.points[part.test_idx], sample.points[part.train_idx])
+    out = np.zeros(part.u)
+    for row in range(part.u):
+        member = d2[row] <= cfg.radius_r * cfg.radius_r
+        if cfg.weighting == "gaussian":
+            weights = np.exp(-d2[row] / (2.0 * cfg.sigma * cfg.sigma))
+        else:
+            weights = 1.0 / (1.0 + np.sqrt(d2[row]))
+        weights = np.where(member, weights, 0.0)
+        if not member.any():
+            if cfg.fallback == "error":
+                raise PseudoTargetUnavailable(
+                    f"unlabeled point {int(part.test_idx[row])} has no labeled "
+                    f"neighbor within radius {cfg.radius_r}")
+        elif weights.sum() == 0.0:  # every weight underflowed: the plain average
+            out[row] = ys[member].mean()
+        else:
+            out[row] = float(weights @ ys) / weights.sum()
+    return out
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the PseudoTargetUnavailable it raises."""
+    try:
+        return fn(*args)
+    except PseudoTargetUnavailable as exc:
+        return str(exc)
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(3, 24), dim=st.integers(1, 3),
+       weighting=st.sampled_from(["gaussian", "inverse-distance"]),
+       fallback=st.sampled_from(["zero", "error"]),
+       sigma=st.sampled_from([1e-3, 0.3, 1.0, 5.0]),
+       radii=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 10.0]),
+                      min_size=1, max_size=5, unique=True))
+@settings(max_examples=150, deadline=None)
+def test_pseudo_targets_of_a_radius_grid_match_each_radius_and_the_per_row_rule(
+        seed, n, dim, weighting, fallback, sigma, radii):
+    # sigma 1e-3 underflows every weight between distinct points (the plain
+    # average then applies); radius 0 empties every ball without a duplicate point
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, dim))
+    points[rng.integers(0, n, size=n // 4)] = points[0]  # some duplicates: zero distances
+    sample = FullSample(points=points, targets=rng.uniform(-2.0, 2.0, n), label_bound_M=2.0)
+    part = sample_partition(sample, int(rng.integers(1, n)), seed)
+    at = pseudo_targets_by_radius(
+        sample, part, LocalEstimatorConfig(radius_r=0.0, weighting=weighting, sigma=sigma,
+                                           fallback=fallback))
+    for r in sorted(radii):
+        cfg = LocalEstimatorConfig(radius_r=r, weighting=weighting, sigma=sigma,
+                                   fallback=fallback)
+        swept, single = _outcome(at, r), _outcome(pseudo_targets, sample, part, cfg)
+        reference = _outcome(_pseudo_targets_per_row, sample, part, cfg)
+        if isinstance(reference, str):
+            assert swept == single == reference
+        else:
+            assert np.array_equal(swept, single)
+            # the vectorized sums add in another order: a few ulps of M
+            np.testing.assert_allclose(swept, reference, rtol=1e-12, atol=1e-12 * 2.0)
 
 
 @given(st.integers(0, 5000))
