@@ -42,7 +42,6 @@ largest |value|); for integer-valued populations the sums are exact.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -250,6 +249,8 @@ def sample_means_without_replacement(
     if workers == 1:
         work(0)
     elif workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool pays for the import
+
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(work, range(workers)))
     out /= m

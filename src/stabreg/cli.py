@@ -33,7 +33,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 from typing import Callable
@@ -71,7 +70,6 @@ from .regressors import (
     KernelSystem,
     LocalEstimatorConfig,
     QuadraticSystem,
-    gaussian_kernel,
     graph_quadratic,
     pseudo_targets,
     pseudo_targets_by_radius,
@@ -321,10 +319,10 @@ def _resolve_sigma(sample: FullSample, part: Partition, cfg: ExperimentConfig) -
 # algorithm table
 #
 # One entry per algorithm.  An entry sets the algorithm up on one partition,
-# given the partition's resolved sigma and its Gaussian kernel (ltr, krr) or
-# graph (every other algorithm), and returns a Fit.  ``run``, ``stability``
-# and ``select-radius`` all read this table, so each algorithm's solver,
-# stability coefficient and residual bound are written once.
+# given the partition's resolved sigma and the kernel system of its Gaussian
+# kernel (ltr, krr) or its graph (every other algorithm), and returns a Fit.
+# ``run``, ``stability`` and ``select-radius`` all read this table, so each
+# algorithm's solver, stability coefficient and residual bound are written once.
 
 
 @dataclass(frozen=True)
@@ -368,9 +366,8 @@ def _kernel_fit(solve, swap_engine, part: Partition, cfg: ExperimentConfig, M: f
 
 
 def _krr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
-         sigma: float, kern: np.ndarray) -> Fit:
+         sigma: float, system: KernelSystem) -> Fit:
     """Kernel ridge regression on the labeled points (LTR with C' = 0)."""
-    system = KernelSystem(kern)
 
     def solve(s: FullSample, p: Partition) -> np.ndarray:
         return system.solve(p, s.targets[p.train_idx], np.zeros(0), cfg.C, 0.0)
@@ -410,9 +407,8 @@ def _ltr_at(sample: FullSample, part: Partition, cfg: ExperimentConfig,
 
 
 def _ltr(sample: FullSample, part: Partition, cfg: ExperimentConfig,
-         sigma: float, kern: np.ndarray) -> Fit:
+         sigma: float, system: KernelSystem) -> Fit:
     """LTR at the single radius given, or at the radius select_radius picks."""
-    system = KernelSystem(kern)
     if len(cfg.radius_grid) == 1:
         return _ltr_at(sample, part, cfg, sigma, system, cfg.radius_grid[0])
     fits: dict = {}
@@ -550,24 +546,17 @@ _KERNEL_ALGORITHMS = ("ltr", "krr")
 
 
 def _setup(sample: FullSample, part: Partition, cfg: ExperimentConfig, sigma: float) -> Fit:
-    """Build the partition's kernel or graph and hand it to the algorithm's entry.
+    """Build the partition's kernel system or graph and hand it to the algorithm's entry.
 
     A graph algorithm uses the sample's graph when it has one (``--graph``,
     attached once per run by ``_load``), else the Gaussian affinity at the
     partition's sigma.
     """
     if cfg.algorithm in _KERNEL_ALGORITHMS:
-        base = _shared_kernel(sample, sigma)
+        base = KernelSystem.gaussian(sample.points, sigma)
     else:
         base = sample.graph or gaussian_affinity(sample.points, sigma)
     return _ENTRIES[cfg.algorithm](sample, part, cfg, sigma, base)
-
-
-def _shared_kernel(sample: FullSample, sigma: float) -> np.ndarray:
-    """The sample's Gaussian kernel, read-only: a KernelSystem shares it rather than copying it."""
-    kern = gaussian_kernel(sample.points, sigma)
-    kern.flags.writeable = False
-    return kern
 
 
 def _bound_value(train: float, fit: Fit, part: Partition, cfg: ExperimentConfig) -> float:
@@ -616,7 +605,7 @@ def select_radius(
     if sigma is None:
         sigma = _resolve_sigma(sample, part, cfg)
     if system is None:
-        system = KernelSystem(_shared_kernel(sample, sigma))
+        system = KernelSystem.gaussian(sample.points, sigma)
     rows: dict[float, dict] = {}
     targets: dict[float, np.ndarray] = {}
     at = pseudo_targets_by_radius(sample, part, _local_estimator(cfg, sigma, 0.0))  # any radius
@@ -625,6 +614,7 @@ def select_radius(
             targets[r] = at(r)
         except PseudoTargetUnavailable as exc:
             rows[r] = {"r": r, "feasible": False, "reason": str(exc)}
+    del at  # its u x m distances and weights, before the solve's n x n matrices
     if not targets:
         raise NoFeasibleRadius("no radius in the grid was solvable")
     block = np.column_stack(list(targets.values()))
@@ -716,6 +706,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         return _fit_one(sample, _partition(sample, cfg, index), cfg)
 
     if cfg.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a pool pays for the import
+
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             records = list(pool.map(one, range(cfg.partitions)))
     else:

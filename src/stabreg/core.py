@@ -113,16 +113,11 @@ class Partition:
     seed: int = 0
 
     def __post_init__(self):
-        s = np.sort(np.asarray(self.train_idx, dtype=np.int64).ravel())
-        t = np.sort(np.asarray(self.test_idx, dtype=np.int64).ravel())
+        s, t = _index_side(self.train_idx), _index_side(self.test_idx)
         if s.size == 0 or t.size == 0:
             raise InvalidPartitionSize("both sides of the split must be non-empty")
-        merged = np.concatenate([s, t])
-        n = merged.size
-        union = np.sort(merged)
-        if not np.array_equal(union, np.arange(n, dtype=np.int64)):
+        if not _covers(s, t):
             raise ValueError("train and test indices must partition 0..n-1")
-        s.flags.writeable = t.flags.writeable = False  # np.sort's own copies: no need to copy
         object.__setattr__(self, "train_idx", s)
         object.__setattr__(self, "test_idx", t)
         object.__setattr__(self, "seed", int(self.seed))
@@ -150,6 +145,35 @@ class Partition:
         out[self.train_idx] = on_S
         out[self.test_idx] = on_T
         return out
+
+
+def _index_side(idx) -> np.ndarray:
+    """One side's indices as a sorted, flat, read-only int64 array.
+
+    An already sorted input is not sorted again; it is shared when it is a
+    read-only array of its own, else copied.
+    """
+    a = np.asarray(idx, dtype=np.int64).ravel()
+    if not np.count_nonzero(a[1:] < a[:-1]):
+        return _readonly(a)
+    a = np.sort(a)
+    a.flags.writeable = False
+    return a
+
+
+def _covers(s: np.ndarray, t: np.ndarray) -> bool:
+    """Whether the sorted index arrays s and t hold each of 0..n-1 once, n = |s| + |t|.
+
+    Sorted, they lie in 0..n-1 when their ends do, and their n indices then
+    cover 0..n-1 exactly when none of them repeats: one boolean mask tells.
+    """
+    n = s.size + t.size
+    if not (s[0] >= 0 and t[0] >= 0 and s[-1] < n and t[-1] < n):
+        return False
+    covered = np.zeros(n, dtype=bool)
+    covered[s] = True
+    covered[t] = True
+    return np.count_nonzero(covered) == n
 
 
 def sample_partition(sample: FullSample, m: int, seed: int) -> Partition:
@@ -240,13 +264,30 @@ def apply_swap(part: Partition, removed: int, added: int) -> Partition:
     j = _sorted_position(part.test_idx, added)
     if j is None:
         raise ValueError(f"index {added} is not in the unlabeled set")
-    new_s, new_t = part.train_idx.copy(), part.test_idx.copy()
-    new_s[i], new_t[j] = added, removed
-    return Partition(train_idx=new_s, test_idx=new_t, seed=part.seed)  # Partition sorts
+    return Partition(train_idx=_replaced(part.train_idx, i, added),
+                     test_idx=_replaced(part.test_idx, j, removed), seed=part.seed)
+
+
+def _replaced(a: np.ndarray, i: int, value: int) -> np.ndarray:
+    """The sorted ``a`` with ``a[i]`` replaced by ``value`` (not in ``a``), kept sorted.
+
+    The entries between the old and the new place of the value move by one;
+    the result is a new read-only array, which ``Partition`` shares.
+    """
+    k = int(a.searchsorted(value))
+    out = a.copy()
+    if k > i:
+        out[i:k - 1] = a[i + 1:k]
+        out[k - 1] = value
+    else:
+        out[k + 1:i + 1] = a[k:i]
+        out[k] = value
+    out.flags.writeable = False
+    return out
 
 
 def _sorted_position(a: np.ndarray, value: int) -> int | None:
     """Index of ``value`` in the sorted array ``a``, or None when absent."""
-    i = int(np.searchsorted(a, value))
+    i = int(a.searchsorted(value))
     return i if i < a.size and a[i] == value else None
 

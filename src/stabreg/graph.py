@@ -1,11 +1,11 @@
 """Weighted graphs, Laplacians, spectra and related linear algebra.
 
-Graphs are dense symmetric weight matrices with zero diagonal and
-non-negative entries.  The module provides the combinatorial and normalized
-Laplacians, a spectrum summary (extremal eigenvalues and the second-smallest
-eigenvalue), Moore-Penrose pseudo-inversion with a PSD clamping rule,
-BFS connectivity/diameter, row normalization, and Gaussian affinities from
-squared distances.
+A graph is given by a dense symmetric weight matrix with zero diagonal and
+non-negative entries, and kept as its combinatorial Laplacian.  The module
+provides the combinatorial and normalized Laplacians, a spectrum summary
+(extremal eigenvalues and the second-smallest eigenvalue), Moore-Penrose
+pseudo-inversion with a PSD clamping rule, BFS connectivity/diameter, row
+normalization, and Gaussian affinities from squared distances.
 
 Edge-list files use one ``i j w`` triple per line with 1-based indices and
 each undirected edge listed once.
@@ -19,7 +19,6 @@ from itertools import chain, count, islice
 
 import numpy as np
 
-from .core import _readonly
 from .errors import (
     GraphDisconnected,
     NonFiniteMatrix,
@@ -52,20 +51,26 @@ PSD_CLAMP = 1e-9
 ZERO_CUTOFF = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GraphSpec:
-    """Symmetric non-negative weight matrix with zero diagonal.
+    """A weighted graph on n vertices, stored as its combinatorial Laplacian.
 
-    ``L``, ``L_eigenvalues`` and ``hop_diameter`` depend on the weights
-    alone, so each is computed on first use and then kept with the graph:
-    a graph fixed for a whole run (an edge list) pays for them once, not
-    once per partition.
+    ``GraphSpec(weights=W)`` takes a symmetric non-negative weight matrix
+    with zero diagonal and keeps only ``L = D - W``, read-only, with
+    ``L_ij = 0.0 - w_ij`` off the diagonal.  Negation is exact, so
+    ``weights`` rebuilds W from L bit for bit (a weight of -0.0 reads back
+    as +0.0), and an edge is an off-diagonal ``L_ij < 0``.
+
+    ``L_eigenvalues`` and ``hop_diameter`` depend on the graph alone, so
+    each is computed on first use and then kept with the graph: a graph
+    fixed for a whole run (an edge list) pays for them once, not once per
+    partition.
     """
 
-    weights: np.ndarray
+    L: np.ndarray
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+    def __init__(self, weights):
+        w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weights must be a square matrix")
         if w.shape[0] == 0:
@@ -80,18 +85,23 @@ class GraphSpec:
             raise ValueError("edge weights must be non-negative")
         if np.any(np.diagonal(w) != 0):
             raise ValueError("the diagonal must be zero (no self-loops)")
-        object.__setattr__(self, "weights", _readonly(w))
+        # +0.0 where there is no edge, as diag(d) - W gives, where -w would give -0.0
+        lap = np.subtract(0.0, w)
+        with np.errstate(over="ignore"):  # a degree past the float range is inf; solvers reject it
+            np.fill_diagonal(lap, w.sum(axis=1) - np.diagonal(w))
+        lap.flags.writeable = False
+        object.__setattr__(self, "L", lap)
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.L.shape[0]
 
-    @cached_property
-    def L(self) -> np.ndarray:
-        """The combinatorial Laplacian ``laplacian(self)``, read-only."""
-        lap = laplacian(self)
-        lap.flags.writeable = False
-        return lap
+    @property
+    def weights(self) -> np.ndarray:
+        """W, rebuilt from ``L`` on each call as a new read-only n x n array."""
+        w = _weights(self.L)
+        w.flags.writeable = False
+        return w
 
     @cached_property
     def L_eigenvalues(self) -> SpectrumSummary:
@@ -102,6 +112,13 @@ class GraphSpec:
     def hop_diameter(self) -> int:
         """``diameter(self)``; raises GraphDisconnected on a disconnected graph."""
         return diameter(self)
+
+
+def _weights(lap: np.ndarray) -> np.ndarray:
+    """The weight matrix ``0.0 - L`` with a zero diagonal, as a new writeable C-ordered array."""
+    w = np.subtract(0.0, lap, order="C")
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 @dataclass(frozen=True)
@@ -118,15 +135,12 @@ class SpectrumSummary:
 
 
 def laplacian(g: GraphSpec) -> np.ndarray:
-    """Combinatorial Laplacian D - W, in one n x n array.
+    """Combinatorial Laplacian D - W: a new writeable copy of ``g.L``.
 
     Off the diagonal it holds ``0.0 - w_ij``: +0.0 where there is no edge,
     as ``diag(d) - W`` gives, where ``-w`` would give -0.0.
     """
-    w = g.weights
-    lap = np.subtract(0.0, w)
-    np.fill_diagonal(lap, w.sum(axis=1) - np.diagonal(w))
-    return lap
+    return g.L.copy()
 
 
 def normalized_laplacian(g: GraphSpec) -> np.ndarray:
@@ -135,16 +149,20 @@ def normalized_laplacian(g: GraphSpec) -> np.ndarray:
     Raises:
         ZeroDegreeVertex: if some vertex has zero weighted degree.
     """
-    w = g.weights
-    deg = w.sum(axis=1)
+    deg = np.diagonal(g.L)  # the row sums of W
     if np.any(deg <= 0):
         bad = int(np.argmax(deg <= 0))
         raise ZeroDegreeVertex(f"vertex {bad} has zero weighted degree")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    lap = -(inv_sqrt[:, None] * w * inv_sqrt[None, :])
+    lap = _weights(g.L)  # scaled and negated in place, as -(inv_sqrt_i * w_ij * inv_sqrt_j)
+    lap *= inv_sqrt[:, None]
+    lap *= inv_sqrt[None, :]
+    np.negative(lap, out=lap)
     np.fill_diagonal(lap, 1.0)
     # exact symmetry regardless of float rounding in the scaling
-    return 0.5 * (lap + lap.T)
+    sym = np.add(lap, lap.T)
+    sym *= 0.5
+    return sym
 
 
 def _check_symmetric(mat: np.ndarray) -> np.ndarray:
@@ -228,7 +246,7 @@ def is_connected(g: GraphSpec) -> bool:
     """True when every vertex is reachable through positive-weight edges."""
     if g.n == 1:
         return True
-    adj = g.weights > 0
+    adj = g.L < 0  # the edges: 0.0 - w_ij < 0 exactly when w_ij > 0
     return bool((_bfs_levels(adj, 0) >= 0).all())
 
 
@@ -256,7 +274,7 @@ def diameter(g: GraphSpec) -> int:
     n = g.n
     if n == 1:
         return 0
-    adj = g.weights > 0
+    adj = g.L < 0  # the edges, and False on the diagonal, where L holds the degrees
     deg = np.count_nonzero(adj, axis=1)
     if not deg.all():
         raise GraphDisconnected("diameter undefined: graph is disconnected")
@@ -303,11 +321,15 @@ def row_normalize(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("expected a matrix")
-    sums = mat.sum(axis=1)
+    return mat / _nonzero_rows(mat.sum(axis=1))[:, None]
+
+
+def _nonzero_rows(sums: np.ndarray) -> np.ndarray:
+    """``sums``, the row sums of a matrix; ZeroRowSum if one of them is zero."""
     if np.any(sums == 0):
         bad = int(np.argmax(sums == 0))
         raise ZeroRowSum(f"row {bad} sums to zero")
-    return mat / sums[:, None]
+    return sums
 
 
 # elements of one row block of sq_distances: 256 KB, which stays in a core's cache
@@ -370,12 +392,10 @@ def _gaussian_weights(points: np.ndarray, sigma: float) -> np.ndarray:
 def gaussian_affinity(points: np.ndarray, sigma: float) -> GraphSpec:
     """Dense Gaussian affinity W_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)), zero diagonal.
 
-    Exactly symmetric, as its squared distances are; the graph keeps the
-    array itself, read-only.
+    Exactly symmetric, as its squared distances are.
     """
     w = _gaussian_weights(points, sigma)
     np.fill_diagonal(w, 0.0)
-    w.flags.writeable = False
     return GraphSpec(weights=w)
 
 
@@ -424,7 +444,6 @@ def load_edge_list(path, n: int | None = None) -> GraphSpec:
     size = int(max(i.max(initial=0), j.max(initial=0))) if n is None else int(n)
     weights = np.zeros((size, size))
     weights[i - 1, j - 1] = weights[j - 1, i - 1] = w
-    weights.flags.writeable = False  # the graph keeps it
     return GraphSpec(weights=weights)
 
 
@@ -495,7 +514,8 @@ def parse_tokens(tokens: list[str], kind: type) -> tuple[np.ndarray, int]:
 
 def save_edge_list(g: GraphSpec, path) -> None:
     """Write the positive-weight edges as 1-based ``i j w`` lines."""
+    w = g.weights
     with open(path, "w", encoding="utf-8") as fh:
-        rows, cols = np.nonzero(np.triu(g.weights, k=1))
+        rows, cols = np.nonzero(np.triu(w, k=1))
         for i, j in zip(rows, cols):
-            fh.write(f"{i + 1} {j + 1} {float(g.weights[i, j])!r}\n")
+            fh.write(f"{i + 1} {j + 1} {float(w[i, j])!r}\n")

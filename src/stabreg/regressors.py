@@ -52,8 +52,9 @@ from .graph import (
     SpectrumSummary,
     _check_symmetric,
     _gaussian_weights,
+    _nonzero_rows,
+    _weights,
     normalized_laplacian,
-    row_normalize,
     spectrum,
     sq_distances,
 )
@@ -114,12 +115,23 @@ def labels_to_full(labels_on_S, part: Partition) -> np.ndarray:
     return part.on_sides(y)
 
 
-def _llreg_quadratic(A_raw: np.ndarray) -> np.ndarray:
-    """Q = (I - A)^T (I - A) for the row-normalized A."""
-    a = row_normalize(A_raw)
-    m_mat = np.eye(a.shape[0]) - a
+def _llreg_quadratic(g: GraphSpec) -> np.ndarray:
+    """Q = (I - A)^T (I - A) for the row-normalized weights A of g.
+
+    W, A and I - A share one buffer, each computed in place with the
+    rounding of ``np.eye(n) - row_normalize(W)``, so Q needs two n x n
+    arrays next to g's Laplacian.
+    """
+    m_mat = _weights(g.L)
+    m_mat /= _nonzero_rows(np.diagonal(g.L))[:, None]  # L's diagonal: W's row sums
+    np.subtract(0.0, m_mat, out=m_mat)  # 0.0 - a_ij, as the zero off the diagonal of I gives
+    m_mat.flat[:: g.n + 1] += 1.0  # a_ii = 0: the diagonal is 1.0 - a_ii
     q = m_mat.T @ m_mat
-    return 0.5 * (q + q.T)
+    del m_mat
+    sym = np.add(q, q.T)
+    del q
+    sym *= 0.5
+    return sym
 
 
 def graph_quadratic(family: str, g: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -139,11 +151,11 @@ def graph_quadratic(family: str, g: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
     eigenvector up to sign; on a disconnected one it is one of several.
     """
     if family == "cm":
-        root = np.sqrt(g.weights.sum(axis=1))
+        root = np.sqrt(np.diagonal(g.L))  # D^{1/2} 1: L's diagonal holds W's row sums
         return normalized_laplacian(g), root / np.linalg.norm(root)
     flat = np.full(g.n, 1.0 / np.sqrt(g.n))
     if family == "llreg":
-        return _llreg_quadratic(g.weights), flat
+        return _llreg_quadratic(g), flat
     if family == "gmf":
         return g.L, flat
     raise ValueError(f"unknown unconstrained family {family!r}")
@@ -414,25 +426,55 @@ def pseudo_targets(
     return pseudo_targets_by_radius(sample, part, cfg)(cfg.radius_r)
 
 
+def _check_psd(k: np.ndarray) -> None:
+    """NotPSDKernel when ``k + 1e-10 max(1, max diag k) I`` has no Cholesky factor.
+
+    The shift goes onto ``k``'s own diagonal, and the saved diagonal is
+    written back afterwards, also when the check fails; so ``k`` must be
+    an array that nobody else reads meanwhile.
+    """
+    diagonal = np.diagonal(k).copy()
+    shift = 1e-10 * max(1.0, float(np.max(diagonal, initial=0.0)))
+    k.flat[:: k.shape[0] + 1] += shift
+    try:
+        np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        raise NotPSDKernel("Gram matrix is not positive semidefinite") from None
+    finally:
+        np.fill_diagonal(k, diagonal)
+
+
 @dataclass(frozen=True)
 class KernelSystem:
     """A Gram matrix K, checked once: symmetric and PSD.
 
     NotPSDKernel when K + 1e-10 max(1, max diag K) I has no Cholesky factor.
+    ``KernelSystem(K)`` never writes to the caller's K: it checks a shifted
+    copy.  ``KernelSystem.gaussian(points, sigma)`` builds the Gaussian
+    kernel itself and checks that buffer in place, which saves the copy.
     """
 
     K: np.ndarray
 
     def __post_init__(self):
         k = _check_symmetric(self.K)
-        shift = 1e-10 * max(1.0, float(np.max(np.diagonal(k), initial=0.0)))
-        shifted = k.copy()  # the shift goes onto the diagonal in place: one n x n temporary
-        shifted.flat[:: k.shape[0] + 1] += shift
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            raise NotPSDKernel("Gram matrix is not positive semidefinite") from None
+        _check_psd(k.copy())  # one n x n temporary, so the caller's K is never written
         object.__setattr__(self, "K", _readonly(k))
+
+    @classmethod
+    def gaussian(cls, points: np.ndarray, sigma: float) -> KernelSystem:
+        """The system of ``gaussian_kernel(points, sigma)``, which it owns and keeps read-only.
+
+        The PSD check shifts the kernel's own diagonal and then restores
+        it, so the kept K is ``gaussian_kernel(points, sigma)`` bit for bit,
+        and the check needs no n x n copy of it.
+        """
+        k = _check_symmetric(gaussian_kernel(points, sigma))  # exactly symmetric: no copy
+        _check_psd(k)
+        k.flags.writeable = False
+        system = object.__new__(cls)
+        object.__setattr__(system, "K", k)
+        return system
 
     def dual(self, part: Partition, y: np.ndarray, y_tilde: np.ndarray,
              C: float, C_prime: float) -> tuple[np.ndarray, np.ndarray]:

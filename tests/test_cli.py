@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -1284,3 +1287,13 @@ def test_cli_kernel_algorithm_does_not_read_the_graph(toy_csv, tmp_path, command
     assert main([*command, "--data", toy_csv, "--algorithm", "krr", "--graph", str(unread)]) == 0
     capsys.readouterr()
     assert "load_edge_list" not in calls
+
+
+def test_importing_the_cli_starts_no_thread_pool_machinery():
+    # run starts no pool by default; concurrent.futures is imported only where a pool starts
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, stabreg.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.strip() == "False"

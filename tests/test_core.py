@@ -105,6 +105,71 @@ def test_partition_rejects_empty_side():
         Partition(train_idx=np.array([0, 1]), test_idx=np.array([], dtype=int))
 
 
+def _partition_by_the_sorting_rule(train_idx, test_idx):
+    """Reference: the validation that sorts both sides and their union and compares with 0..n-1."""
+    s = np.sort(np.asarray(train_idx, dtype=np.int64).ravel())
+    t = np.sort(np.asarray(test_idx, dtype=np.int64).ravel())
+    if s.size == 0 or t.size == 0:
+        raise InvalidPartitionSize("both sides of the split must be non-empty")
+    union = np.sort(np.concatenate([s, t]))
+    if not np.array_equal(union, np.arange(union.size, dtype=np.int64)):
+        raise ValueError("train and test indices must partition 0..n-1")
+    return s, t
+
+
+def _outcome(build, train_idx, test_idx):
+    try:
+        s, t = build(train_idx, test_idx)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return s.dtype, s.tolist(), t.tolist()
+
+
+_SPLITS = [  # (train_idx, test_idx): accepted, sorted or not, and each way to fail
+    ([0, 1], [2, 3]),
+    ([3, 0], [2, 1]),
+    ([1, 3], [0, 2, 4]),
+    ([[2], [0]], [[1]]),
+    ((0,), (1,)),
+    (np.arange(0, 40, 2), np.arange(1, 40, 2)),
+    (np.arange(39, -1, -2), np.arange(38, -1, -2)),
+    ([0, 1.0], [2]),
+    ([], [0, 1]),
+    ([0, 1], []),
+    ([], []),
+    ([0, 0], [1, 2]),
+    ([1, 0, 1], [2, 3]),
+    ([0, 1], [1, 2]),
+    ([0], [2]),
+    ([0, 2], [3, 4]),
+    ([-1, 1], [0, 2]),
+    ([-1, 0], [1, 2]),
+    ([0, 1], [2, 2 ** 40]),
+    ([0, 1], [-(2 ** 40), 2]),
+    ([2, 1], [0, 1]),
+]
+
+
+@pytest.mark.parametrize("train_idx, test_idx", _SPLITS, ids=[str(i) for i in range(len(_SPLITS))])
+def test_partition_accepts_and_rejects_as_the_sorting_rule(train_idx, test_idx):
+    # the O(n) check keeps the sorting rule's accept/reject decision, error type and message
+    def build(s, t):
+        part = Partition(train_idx=s, test_idx=t)
+        assert not (part.train_idx.flags.writeable or part.test_idx.flags.writeable)
+        return part.train_idx, part.test_idx
+
+    want = _outcome(_partition_by_the_sorting_rule, train_idx, test_idx)
+    assert _outcome(build, train_idx, test_idx) == want
+
+
+def test_partition_does_not_alias_a_writeable_caller_array():
+    train, test = np.array([0, 2]), np.array([1, 3])  # already sorted, so not sorted again
+    part = Partition(train_idx=train, test_idx=test)
+    train[0], test[0] = 3, 2
+    assert part.train_idx.tolist() == [0, 2] and part.test_idx.tolist() == [1, 3]
+    assert train.flags.writeable  # the caller's array is left as it was
+
+
 def test_partition_lays_values_out_on_its_sides():
     part = Partition(train_idx=np.array([3, 0]), test_idx=np.array([1, 4, 2]))
     assert part.on_sides(2.0, 1.0).tolist() == [2.0, 1.0, 1.0, 2.0, 1.0]

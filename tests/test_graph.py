@@ -574,9 +574,101 @@ def test_graph_keeps_its_laplacian_eigenvalues_and_diameter(monkeypatch):
     for name in ("laplacian", "spectrum", "diameter"):
         monkeypatch.setattr(graph_module, name, counted(name))
     g = path_graph(6)
+    lap = g.L  # built with the graph, which stores nothing else
     for _ in range(2):
+        assert g.L is lap
         assert np.array_equal(g.L, laplacian(path_graph(6)))
         assert g.L_eigenvalues == spectrum(laplacian(path_graph(6)))
         assert g.hop_diameter == 5
-    assert sorted(calls) == ["diameter", "laplacian", "spectrum"]
+    assert sorted(calls) == ["diameter", "spectrum"]
     assert not g.L.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# a graph stores only its Laplacian, and gives the rest back bit for bit
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _laplacian_of_weights(w):
+    """Reference: D - W computed from the weights, as the graph did when it kept them."""
+    lap = np.subtract(0.0, w)
+    with np.errstate(over="ignore"):
+        np.fill_diagonal(lap, w.sum(axis=1) - np.diagonal(w))
+    return lap
+
+
+def _per_source_levels(w):
+    """Reference: (connected, diameter or "disconnected") from one BFS per source over w > 0."""
+    n = w.shape[0]
+    levels = [_bfs_levels(w > 0, source) for source in range(n)]
+    connected = bool((levels[0] >= 0).all())
+    if n == 1:
+        return connected, 0
+    if any((dist < 0).any() for dist in levels):
+        return connected, "disconnected"
+    return connected, max(int(dist.max()) for dist in levels)
+
+
+_WEIGHT = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=5e-324, max_value=1e-300),  # subnormal and tiny
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e300, max_value=1.7976931348623157e308),  # degrees may overflow
+)
+
+
+@st.composite
+def _symmetric_weights(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = n * (n - 1) // 2
+    upper = np.zeros((n, n))
+    upper[np.triu_indices(n, 1)] = draw(st.lists(_WEIGHT, min_size=pairs, max_size=pairs))
+    w = upper + upper.T  # x + 0.0 is x, and 0.0 + 0.0 is +0.0
+    return w
+
+
+@given(_symmetric_weights())
+@settings(max_examples=200, deadline=None)
+def test_graph_gives_its_weights_and_laplacian_back_bit_for_bit(w):
+    g = GraphSpec(weights=w)
+    assert np.array_equal(_bits(g.weights), _bits(w))
+    assert np.array_equal(_bits(g.L), _bits(_laplacian_of_weights(w)))
+    assert not (g.weights.flags.writeable or g.L.flags.writeable)
+
+
+@given(_symmetric_weights())
+@settings(max_examples=200, deadline=None)
+def test_connectivity_and_diameter_read_the_same_edges_from_the_laplacian(w):
+    g = GraphSpec(weights=w)
+    connected, hops = _per_source_levels(w)
+    assert is_connected(g) == connected
+    assert _diameter_or_disconnected(diameter, g) == hops
+
+
+@pytest.mark.parametrize("weights", [
+    np.zeros((1, 1)),
+    np.zeros((3, 3)),
+    path_graph(5).weights,
+    _isolated_vertex(6),  # a vertex of degree zero
+    np.kron(np.eye(2), np.ones((3, 3)) - np.eye(3)),  # two triangles
+    _star(6),
+    _complete_minus_one_edge(5),
+], ids=["one-vertex", "no-edges", "path", "zero-degree", "two-components", "star",
+        "complete-minus-edge"])
+def test_laplacian_storage_keeps_connectivity_and_diameter(weights):
+    g = GraphSpec(weights=weights)
+    connected, hops = _per_source_levels(weights)
+    assert np.array_equal(_bits(g.L), _bits(_laplacian_of_weights(weights)))
+    assert np.array_equal(_bits(laplacian(g)), _bits(g.L)) and laplacian(g).flags.writeable
+    assert is_connected(g) == connected
+    assert _diameter_or_disconnected(diameter, g) == hops
+
+
+def test_a_negative_zero_weight_reads_back_as_positive_zero():
+    w = np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, 2.0], [1.0, 2.0, 0.0]])
+    back = GraphSpec(weights=w).weights
+    assert np.array_equal(back, w)
+    assert not np.signbit(back).any()

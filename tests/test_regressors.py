@@ -1,5 +1,7 @@
 """Exact solvers: closed forms, optimality oracles, and input validation."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -841,3 +843,86 @@ def test_laplacian_system_takes_the_eigenvalues_it_is_given(monkeypatch):
     assert system.Q is g.L  # shared, not copied
     with pytest.raises(ConstraintSpansNullSpace):
         QuadraticSystem(disconnected.L, np.ones(4)).check_null_space(disconnected_spectrum)
+
+
+# ---------------------------------------------------------------------------
+# the kernel system that builds its own Gaussian kernel
+
+
+@pytest.mark.parametrize("points, sigma", [
+    (np.random.default_rng(40).normal(size=(9, 3)), 1.3),
+    (np.random.default_rng(41).normal(size=(7, 2)), 0.05),  # nearly the identity
+    (np.repeat(np.random.default_rng(42).normal(size=(3, 2)), 3, axis=0), 50.0),  # repeated points
+    (np.arange(6.0), 2.0),  # one feature
+])
+def test_owned_kernel_is_the_gaussian_kernel_bit_for_bit(points, sigma):
+    system = KernelSystem.gaussian(points, sigma)
+    want = gaussian_kernel(points, sigma)
+    assert np.array_equal(system.K.view(np.uint64), want.view(np.uint64))
+    assert not system.K.flags.writeable
+    y = np.linspace(-1.0, 1.0, 3)
+    part = Partition(train_idx=[0, 2, 4], test_idx=[1, 3, *range(5, len(want))])
+    assert np.array_equal(system.solve(part, y, np.zeros(0), 1.5, 0.0),
+                          KernelSystem(want).solve(part, y, np.zeros(0), 1.5, 0.0))
+
+
+_PSD_CASES = [  # (matrix, raises NotPSDKernel): shift 1e-10 max(1, max diag) on the diagonal
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), True),  # eigenvalues 3 and -1
+    (np.ones((3, 3)), False),  # singular PSD: the shift makes it definite
+    (np.diag([1.0, -1e-11]), False),  # negative within the shift
+    (np.diag([1.0, -1e-9]), True),  # negative beyond it
+    (np.diag([1e4, -1e-7]), False),  # the shift scales with the largest diagonal entry
+    (np.diag([1e4, -1e-5]), True),
+    (np.zeros((2, 2)), False),
+]
+
+
+def _shifted_cholesky_fails(k):
+    """Reference: the PSD rule, on a shifted copy."""
+    shifted = k + 1e-10 * max(1.0, float(np.max(np.diagonal(k)))) * np.eye(k.shape[0])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("k, raises", _PSD_CASES)
+def test_psd_check_raises_where_the_shifted_cholesky_fails(monkeypatch, k, raises):
+    from stabreg import regressors
+
+    assert _shifted_cholesky_fails(k) == raises
+    given = k.copy()
+    outcome = pytest.raises(NotPSDKernel) if raises else contextlib.nullcontext()
+    with outcome:
+        KernelSystem(given)
+    assert np.array_equal(given, k) and given.flags.writeable  # the caller's K is not written
+    owned = []
+
+    def kernel(points, sigma):  # the kernel the owned path builds, kept to inspect
+        owned.append(k.copy())
+        return owned[-1]
+
+    monkeypatch.setattr(regressors, "gaussian_kernel", kernel)
+    with outcome:
+        KernelSystem.gaussian(np.zeros((k.shape[0], 1)), 1.0)
+    assert np.array_equal(owned[0].view(np.uint64), k.view(np.uint64))  # diagonal written back
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_graph_quadratics_round_as_their_formulas_on_the_weights(layout):
+    # llreg and cm rebuild W from the graph's Laplacian and work in place; Q
+    # stays bit for bit what the formulas give on the weights themselves
+    w = np.asarray(random_graph(9, 5).weights, order=layout)
+    g = GraphSpec(weights=w)
+    m_mat = np.eye(9) - w / w.sum(axis=1)[:, None]
+    q = m_mat.T @ m_mat
+    inv = 1.0 / np.sqrt(w.sum(axis=1))
+    lap = -(inv[:, None] * w * inv[None, :])
+    np.fill_diagonal(lap, 1.0)
+    root = np.sqrt(w.sum(axis=1))
+    for family, want, null in (("llreg", 0.5 * (q + q.T), np.full(9, 1.0 / 3.0)),
+                               ("cm", 0.5 * (lap + lap.T), root / np.linalg.norm(root))):
+        got, got_null = graph_quadratic(family, g)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), family
+        assert np.array_equal(got_null, null), family
