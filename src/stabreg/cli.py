@@ -62,6 +62,7 @@ from .graph import (
     GraphSpec,
     gaussian_affinity,
     load_edge_list,
+    parse_text,
     parse_tokens,
     spectrum,
     sq_distances,
@@ -112,9 +113,12 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
 
     The last column is the target; every other column is a feature.  Features
     are centered to mean 0 and scaled to variance 1 (population convention);
-    constant columns are dropped with a ZeroVarianceFeature warning.  All
-    the cells are converted in one pass; a bad file raises at its first bad
-    record, and there at its first bad cell.
+    constant columns are dropped with a ZeroVarianceFeature warning.  A
+    UTF-8 byte-order mark is skipped.  numpy's C reader (``parse_text``)
+    reads the cells first; a file it rejects, or one that would fail a
+    check, is read again cell by cell (``parse_tokens``), so every cell
+    Python's ``float`` accepts loads, and a bad file raises at its first
+    bad record, and there at its first bad cell.
 
     Raises:
         ParseError: non-numeric or non-finite cell, or ragged row (1-based
@@ -123,30 +127,12 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
             difference of two values within the label bound M, (2 M)^2,
             exceeds the float range.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        records = list(csv.reader(fh))
-    if not records:
-        raise ParseError(1, 0, "empty file")
-    header = records[0]
-    width = len(header)
-    if width < 2:
-        raise ParseError(1, 0, "need at least one feature column and a target")
-    widths = np.fromiter(map(len, records), np.int64, len(records))
-    ragged = np.flatnonzero((widths != width) & (widths != 0))
-    end = int(ragged[0]) if ragged.size else len(records)  # the records before the first ragged
-    rows = np.flatnonzero(widths[1:end]) + 2  # 1-based row of each data record
-    cells = list(chain.from_iterable(records[1:end]))
-    values, parsed = parse_tokens(cells, float)
-    finite = np.isfinite(values)
-    bad = parsed if finite.all() else int(np.argmin(finite))  # the first bad cell
-    if bad < len(cells):
-        what = "non-numeric" if bad == parsed else "non-finite"
-        raise ParseError(int(rows[bad // width]), bad % width + 1, f"{what} cell {cells[bad]!r}")
-    if end < len(records):
-        raise ParseError(end + 1, 0, f"expected {width} fields, got {widths[end]}")
-    if rows.size < 2:
-        raise ParseError(rows.size + 1, 0, "need at least 2 data rows")
-    data = values.reshape(rows.size, width)
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header = next(csv.reader(fh), [])
+        data = parse_text(fh, np.float64, ",")
+    if not (len(header) >= 2 and data is not None and data.shape[0] >= 2
+            and data.shape[1] == len(header) and np.isfinite(data).all()):
+        header, data = _read_cells(path)
     features = data[:, :-1]
     with np.errstate(over="ignore"):
         target = data[:, -1] * float(target_scale)
@@ -170,6 +156,37 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
     feats = features[:, keep]
     feats = (feats - feats.mean(axis=0)) / feats.std(axis=0)
     return FullSample(points=feats, targets=target, label_bound_M=m_bound or 1.0)
+
+
+def _read_cells(path) -> tuple[list[str], np.ndarray]:
+    """The header and the (rows, columns) cells of a CSV, converted cell by cell.
+
+    All the cells are converted in one pass; ParseError at the first bad record.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        records = list(csv.reader(fh))
+    if not records:
+        raise ParseError(1, 0, "empty file")
+    header = records[0]
+    width = len(header)
+    if width < 2:
+        raise ParseError(1, 0, "need at least one feature column and a target")
+    widths = np.fromiter(map(len, records), np.int64, len(records))
+    ragged = np.flatnonzero((widths != width) & (widths != 0))
+    end = int(ragged[0]) if ragged.size else len(records)  # the records before the first ragged
+    rows = np.flatnonzero(widths[1:end]) + 2  # 1-based row of each data record
+    cells = list(chain.from_iterable(records[1:end]))
+    values, parsed = parse_tokens(cells, float)
+    finite = np.isfinite(values)
+    bad = parsed if finite.all() else int(np.argmin(finite))  # the first bad cell
+    if bad < len(cells):
+        what = "non-numeric" if bad == parsed else "non-finite"
+        raise ParseError(int(rows[bad // width]), bad % width + 1, f"{what} cell {cells[bad]!r}")
+    if end < len(records):
+        raise ParseError(end + 1, 0, f"expected {width} fields, got {widths[end]}")
+    if rows.size < 2:
+        raise ParseError(rows.size + 1, 0, "need at least 2 data rows")
+    return header, values.reshape(rows.size, width)
 
 
 def m_of_r(sample: FullSample, part: Partition, r: float) -> int:
@@ -266,42 +283,46 @@ def _median_pairwise_distance(d2: np.ndarray) -> float:
 def _cv_sigma(sample: FullSample, part: Partition, C: float) -> float:
     """Pick sigma by 5-fold ridge cross-validation on the labeled points.
 
-    The labeled squared distances are computed once; each fold's kernel and
-    cross-kernel are slices of the labeled Gaussian kernel at that sigma.
+    The labeled squared distances are computed once.  The folds are
+    contiguous, so each fold's kernel and cross-kernel are slices of the
+    labeled Gaussian kernel at that sigma, and the folds that leave the same
+    number of points to fit are solved together, in one stacked solve.
     """
     xs = sample.points[part.train_idx]
     ys = sample.targets[part.train_idx]
     d2 = sq_distances(xs)
     med = _median_pairwise_distance(d2)
     n = xs.shape[0]
-    # per fold: its held-out and fit indices, and the flat indices of the
-    # fit-by-fit and fold-by-fit blocks of an (n, n) matrix
-    splits = []
-    for fold in np.array_split(np.arange(n), min(_CV_FOLDS, n)):
-        if 0 < fold.size < n:
-            fit = np.setdiff1d(np.arange(n), fold, assume_unique=True)
-            splits.append((fold, fit, (fit[:, None] * n + fit).ravel(),
-                           (fold[:, None] * n + fit).ravel()))
+    folds = [(int(f[0]), int(f[-1]) + 1)  # [start, end) of each fold
+             for f in np.array_split(np.arange(n), min(_CV_FOLDS, n)) if 0 < f.size < n]
+    groups: dict[int, list] = {}  # fit size: the folds that leave it
+    for lo, hi in folds:
+        groups.setdefault(n - (hi - lo), []).append((lo, hi))
+    # per fit size: its folds, their fit-by-fit blocks (filled per sigma) and fit labels
+    stacks = [(group, np.empty((len(group), size, size)),
+               np.stack([np.delete(ys, np.s_[lo:hi]) for lo, hi in group])[..., None])
+              for size, group in groups.items()]
     best = (math.inf, med)
     kern = np.empty_like(d2)
     for factor in _SIGMA_GRID:
         sig = factor * med
         # exp(-d2 / (2 sig^2)), in one buffer for every sigma
         np.exp(np.divide(d2, -2.0 * sig * sig, out=kern), out=kern)
+        coefs = {}
+        try:
+            for group, reg, rhs in stacks:
+                for block, (lo, hi) in zip(reg, group):  # kern without the fold's rows and columns
+                    block[:lo, :lo], block[:lo, lo:] = kern[:lo, :lo], kern[:lo, hi:]
+                    block[lo:, :lo], block[lo:, lo:] = kern[hi:, :lo], kern[hi:, hi:]
+                    block.flat[:: len(block) + 1] += len(block) / max(C, 1e-12)
+                coefs.update(zip(group, np.linalg.solve(reg, rhs)[..., 0]))
+        except np.linalg.LinAlgError:
+            continue  # a singular fold: this sigma's error is infinite
         err = 0.0
-        count = 0
-        for fold, fit, fit_flat, cross_flat in splits:
-            reg = kern.take(fit_flat).reshape(fit.size, fit.size)
-            reg.flat[::fit.size + 1] += fit.size / max(C, 1e-12)
-            try:
-                coef = np.linalg.solve(reg, ys[fit])
-            except np.linalg.LinAlgError:
-                err = math.inf
-                break
-            pred = kern.take(cross_flat).reshape(fold.size, fit.size) @ coef
-            err += float(np.sum((pred - ys[fold]) ** 2))
-            count += fold.size
-        score = err / count if count else math.inf
+        for lo, hi in folds:
+            pred = np.delete(kern[lo:hi], np.s_[lo:hi], axis=1) @ coefs[lo, hi]
+            err += float(np.sum((pred - ys[lo:hi]) ** 2))
+        score = err / n if folds else math.inf  # the folds cover all n points
         if score < best[0]:
             best = (score, sig)
     return best[1]
@@ -477,7 +498,9 @@ def _unconstrained(sample: FullSample, part: Partition, cfg: ExperimentConfig,
             math.sqrt(m) * M,
             math.sqrt(2.0) * (1.0 / c_min - 1.0 / c_max),
         )
-    solve, swap_engine = _quadratic_fit(QuadraticSystem(q, constraint), sample, part, c_S, c_T)
+    # gmf's Q is the graph's own Laplacian, which the system need not check again
+    system = QuadraticSystem(graph if family == "gmf" else q, constraint)
+    solve, swap_engine = _quadratic_fit(system, sample, part, c_S, c_T)
     stability_fields = {"score_bound": score_beta}
     if family == "llreg":
         stability_fields["score_bound_spectral"] = llreg_score_bound_spectral(
@@ -522,7 +545,7 @@ def _laplacian(sample: FullSample, part: Partition, cfg: ExperimentConfig,
     if not float(cfg.C) > 0:  # before a bound divides by C
         raise ValueError("C must be positive")
     rho = graph.hop_diameter  # a disconnected graph fails here, before the null-space check
-    system = QuadraticSystem(graph.L, np.ones(graph.n))
+    system = QuadraticSystem(graph, np.ones(graph.n))
     system.check_null_space(graph.L_eigenvalues)
     solve, swap_engine = _quadratic_fit(system, sample, part, cfg.C / m, 0.0, center_labels=True)
     lam2 = graph.L_eigenvalues.lambda2

@@ -13,6 +13,7 @@ each undirected edge listed once.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, count, islice
@@ -70,27 +71,18 @@ class GraphSpec:
     L: np.ndarray
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weights must be a square matrix")
-        if w.shape[0] == 0:
-            raise ValueError("a graph needs at least one vertex")
-        lowest = w.min()
-        # before the symmetry test, which a NaN fails with a misleading message
-        if not (np.isfinite(w.max()) and np.isfinite(lowest)):
-            raise NonFiniteMatrix("weights have non-finite (NaN or infinite) entries")
-        if not np.array_equal(w, w.T):
-            raise NotSymmetric("weights[i][j] must equal weights[j][i] exactly")
-        if lowest < 0:
-            raise ValueError("edge weights must be non-negative")
-        if np.any(np.diagonal(w) != 0):
-            raise ValueError("the diagonal must be zero (no self-loops)")
-        # +0.0 where there is no edge, as diag(d) - W gives, where -w would give -0.0
-        lap = np.subtract(0.0, w)
-        with np.errstate(over="ignore"):  # a degree past the float range is inf; solvers reject it
-            np.fill_diagonal(lap, w.sum(axis=1) - np.diagonal(w))
-        lap.flags.writeable = False
-        object.__setattr__(self, "L", lap)
+        object.__setattr__(self, "L", _laplacian_of(np.asarray(weights, dtype=np.float64)))
+
+    @classmethod
+    def _own(cls, w: np.ndarray) -> GraphSpec:
+        """The graph of a fresh weight matrix ``w`` that nobody else holds.
+
+        L is formed in ``w``'s buffer, so the graph costs one n x n array,
+        not two; ``w`` must not be used afterwards.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "L", _laplacian_of(w, out=w))
+        return g
 
     @property
     def n(self) -> int:
@@ -106,12 +98,51 @@ class GraphSpec:
     @cached_property
     def L_eigenvalues(self) -> SpectrumSummary:
         """Eigenvalue summary of ``L``."""
-        return spectrum(self.L)
+        return spectrum(self)
 
     @cached_property
     def hop_diameter(self) -> int:
         """``diameter(self)``; raises GraphDisconnected on a disconnected graph."""
         return diameter(self)
+
+
+def _laplacian_of(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The read-only Laplacian of the float64 weight matrix ``w``, formed in ``out``.
+
+    ``out`` is ``w`` itself or None, for a new array.
+    """
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError("weights must be a square matrix")
+    if w.shape[0] == 0:
+        raise ValueError("a graph needs at least one vertex")
+    lowest = w.min()
+    # before the symmetry test, which a NaN fails with a misleading message
+    if not (np.isfinite(w.max()) and np.isfinite(lowest)):
+        raise NonFiniteMatrix("weights have non-finite (NaN or infinite) entries")
+    if not np.array_equal(w, w.T):
+        raise NotSymmetric("weights[i][j] must equal weights[j][i] exactly")
+    if lowest < 0:
+        raise ValueError("edge weights must be non-negative")
+    if np.any(np.diagonal(w) != 0):
+        raise ValueError("the diagonal must be zero (no self-loops)")
+    with np.errstate(over="ignore"):  # a degree past the float range is inf; solvers reject it
+        degrees = w.sum(axis=1) - np.diagonal(w)
+    # +0.0 where there is no edge, as diag(d) - W gives, where -w would give -0.0
+    lap = np.subtract(0.0, w, out=out)
+    np.fill_diagonal(lap, degrees)
+    lap.flags.writeable = False
+    return lap
+
+
+def _checked_laplacian(g: GraphSpec) -> np.ndarray:
+    """``g.L`` for a solver: NonFiniteMatrix if a degree overflowed to infinity.
+
+    ``GraphSpec`` built L exactly symmetric from finite weights, so only its
+    diagonal, the degrees, can hold a non-finite entry: this O(n) check
+    stands in for ``_check_symmetric``'s O(n^2) one.
+    """
+    _check_finite(np.diagonal(g.L))
+    return g.L
 
 
 def _weights(lap: np.ndarray) -> np.ndarray:
@@ -181,10 +212,8 @@ def _check_symmetric(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
-    # NaN would pass the tolerance test below; max and min find it (and any
-    # infinity) without an n x n temporary
-    if mat.size and not (np.isfinite(mat.max()) and np.isfinite(mat.min())):
-        raise NonFiniteMatrix("matrix has non-finite (NaN or infinite) entries")
+    # NaN would pass the tolerance test below
+    _check_finite(mat)
     if np.array_equal(mat, mat.T):
         return mat
     scale = np.max(np.abs(mat), initial=0.0)
@@ -193,9 +222,26 @@ def _check_symmetric(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def spectrum(mat: np.ndarray) -> SpectrumSummary:
-    """Eigenvalue summary of a symmetric matrix, from ``eigvalsh`` (ascending order)."""
-    vals = np.linalg.eigvalsh(_check_symmetric(mat))
+def _check_finite(mat: np.ndarray) -> np.ndarray:
+    """``mat`` (an array of any shape); NonFiniteMatrix if an entry is NaN or infinite.
+
+    max and min find such an entry without an n x n temporary.
+    """
+    if mat.size and not (np.isfinite(mat.max()) and np.isfinite(mat.min())):
+        raise NonFiniteMatrix("matrix has non-finite (NaN or infinite) entries")
+    return mat
+
+
+def spectrum(mat: np.ndarray | GraphSpec) -> SpectrumSummary:
+    """Eigenvalue summary of a symmetric matrix, from ``eigvalsh`` (ascending order).
+
+    A GraphSpec stands for its Laplacian, whose symmetry the graph checked
+    when it was built: only its diagonal is checked (``_checked_laplacian``).
+    """
+    if isinstance(mat, GraphSpec):
+        vals = np.linalg.eigvalsh(_checked_laplacian(mat))
+    else:
+        vals = np.linalg.eigvalsh(_check_symmetric(mat))
     lam2 = vals[1] if vals.size > 1 else vals[0]
     return SpectrumSummary(
         lambda_min=float(vals[0]),
@@ -396,7 +442,7 @@ def gaussian_affinity(points: np.ndarray, sigma: float) -> GraphSpec:
     """
     w = _gaussian_weights(points, sigma)
     np.fill_diagonal(w, 0.0)
-    return GraphSpec(weights=w)
+    return GraphSpec._own(w)
 
 
 # lines of an edge list converted at once: the strings of a whole 10-NN list
@@ -407,12 +453,15 @@ _EDGE_LINES = 1024
 def load_edge_list(path, n: int | None = None) -> GraphSpec:
     """Read an ``i j w`` edge list (1-based indices, one line per edge).
 
-    Blank lines are skipped.  ``n`` fixes the vertex count; when omitted it is
-    the largest index seen.  The lines are read a block at a time; each
-    block's tokens are converted in one pass and every check runs on all of
-    its rows at once, the repeated-edge check on all the edges read.  A bad
-    file raises at its first bad row, and there at the first check it
-    fails, in the order listed below.
+    Blank lines are skipped, and so is a UTF-8 byte-order mark.  ``n``
+    fixes the vertex count; when omitted it is the largest index seen.
+    numpy's C reader (``parse_text``) reads the file first.  A file it
+    rejects, or whose edges fail a check, is read again a block of lines at
+    a time: each block's tokens are converted in one pass by
+    ``parse_tokens`` and every check runs on all of its rows at once, the
+    repeated-edge check on all the edges read.  A bad file raises at its
+    first bad row, and there at the first check it fails, in the order
+    listed below.
 
     Raises:
         ParseError: on malformed lines, with 1-based row/column positions: a
@@ -422,8 +471,44 @@ def load_edge_list(path, n: int | None = None) -> GraphSpec:
             weight that is not finite or negative (column 3); an edge listed
             a second time in either orientation (column 0).
     """
+    i, j, w = _edges_by_c_reader(path, n) or _edges_by_block(path, n)
+    size = int(max(i.max(initial=0), j.max(initial=0))) if n is None else int(n)
+    weights = np.zeros((size, size))
+    weights[i - 1, j - 1] = weights[j - 1, i - 1] = w
+    return GraphSpec._own(weights)
+
+
+_EDGE_FIELDS = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
+
+
+def _edges_by_c_reader(path, n: int | None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(i, j, w)`` of every edge, read by ``parse_text``; None if it rejects the file
+    or an edge fails a check of ``_edges_by_block``, the repeat check included.
+
+    A repeated edge is a repeated int64 key: the flat index of the edge's
+    entry above the diagonal of the weight matrix.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        edges = parse_text(fh, _EDGE_FIELDS)
+    if edges is None:
+        return None
+    i, j, w = (edges[name].ravel() for name in _EDGE_FIELDS.names)
+    size = int(max(i.max(), j.max()) if n is None else n)
+    if size * size >= 1 << 63:  # no such weight matrix; the checks by block say so
+        return None
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    if not ((lo >= 1) & (hi <= size) & (lo != hi) & (w >= 0) & (w < np.inf)).all():
+        return None
+    key = (lo - 1) * size + (hi - 1)
+    key.sort()
+    return None if (key[1:] == key[:-1]).any() else (i, j, w)
+
+
+def _edges_by_block(path, n: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, w)`` of every edge, read a block of lines at a time; ParseError on a bad file."""
     blocks = []  # (rows, i, j, w) of the good lines of each block
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for start in count(1, _EDGE_LINES):
             lines = list(islice(fh, _EDGE_LINES))
             *block, error = _edge_block(lines, start, n)
@@ -441,10 +526,7 @@ def load_edge_list(path, n: int | None = None) -> GraphSpec:
                                             f"already listed at row {rows[listed[k]]}")
     if error is not None:
         raise error
-    size = int(max(i.max(initial=0), j.max(initial=0))) if n is None else int(n)
-    weights = np.zeros((size, size))
-    weights[i - 1, j - 1] = weights[j - 1, i - 1] = w
-    return GraphSpec(weights=weights)
+    return i, j, w
 
 
 def _edge_block(lines: list[str], start: int, n: int | None):
@@ -489,13 +571,34 @@ def _edge_block(lines: list[str], start: int, n: int | None):
     return rows[:edges], i, j, w, error
 
 
+def parse_text(fh, dtype, delimiter: str | None = None) -> np.ndarray | None:
+    """The rest of the text file ``fh`` as read by numpy's C reader; None if it rejects it.
+
+    ``np.loadtxt`` reads ``fh`` in chunks, one row per line that is not
+    blank, into a 2-d array; ``delimiter`` None splits fields on whitespace.
+    A text with no such line gives None as well: loadtxt warns about it,
+    and any warning it gives is turned into that None.  The C reader
+    accepts a subset of what ``parse_tokens`` accepts: not ``1_0``, quoted
+    cells, non-ASCII digits or a float token for an integer; where both
+    accept a token they convert it alike.  So a loader reads the file again
+    with ``parse_tokens`` when this gives None, and then either loads it or
+    says where it is bad.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+
+
 def parse_tokens(tokens: list[str], kind: type) -> tuple[np.ndarray, int]:
     """``kind`` (int or float) of each token up to the first it rejects, and that token's index.
 
     The index is ``len(tokens)`` when every token parses.  Integers are
     stored as int64, clipped to +-2^62: the loaders only compare them.
     Both data loaders, this module's edge lists and the CLI's CSV files,
-    convert their fields here.
+    convert their fields here when ``parse_text`` rejects a file.
     """
     dtype = np.int64 if kind is int else np.float64
     try:

@@ -50,7 +50,9 @@ from .errors import (
 from .graph import (
     GraphSpec,
     SpectrumSummary,
+    _check_finite,
     _check_symmetric,
+    _checked_laplacian,
     _gaussian_weights,
     _nonzero_rows,
     _weights,
@@ -149,16 +151,20 @@ def graph_quadratic(family: str, g: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
 
     On a connected graph v spans Q's null space, so it is the bottom
     eigenvector up to sign; on a disconnected one it is one of several.
+    Q is read-only, so a ``QuadraticSystem`` of it shares it.
     """
-    if family == "cm":
-        root = np.sqrt(np.diagonal(g.L))  # D^{1/2} 1: L's diagonal holds W's row sums
-        return normalized_laplacian(g), root / np.linalg.norm(root)
     flat = np.full(g.n, 1.0 / np.sqrt(g.n))
-    if family == "llreg":
-        return _llreg_quadratic(g), flat
     if family == "gmf":
         return g.L, flat
-    raise ValueError(f"unknown unconstrained family {family!r}")
+    if family == "cm":
+        root = np.sqrt(np.diagonal(g.L))  # D^{1/2} 1: L's diagonal holds W's row sums
+        q, null = normalized_laplacian(g), root / np.linalg.norm(root)
+    elif family == "llreg":
+        q, null = _llreg_quadratic(g), flat
+    else:
+        raise ValueError(f"unknown unconstrained family {family!r}")
+    q.flags.writeable = False  # nobody else holds it, so a QuadraticSystem shares it
+    return q, null
 
 
 def _solve(a_sys: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -192,7 +198,10 @@ class QuadraticSystem:
     """A symmetric matrix Q and an optional constraint direction u, checked once.
 
     ``constraint`` is Q's bottom eigenvector for the stabilized variants and
-    the direction u of the constrained Laplacian, else None.
+    the direction u of the constrained Laplacian, else None.  Q may be given
+    as a GraphSpec: the system then keeps the graph's Laplacian, whose
+    symmetry the graph checked when it was built, and checks only its
+    diagonal (``_checked_laplacian``).
 
     Raises:
         ZeroConstraintVector: u has (near-)zero norm.
@@ -202,8 +211,11 @@ class QuadraticSystem:
     constraint: np.ndarray | None = None
 
     def __post_init__(self):
-        q = _check_symmetric(self.Q)
-        object.__setattr__(self, "Q", _readonly(q))
+        if isinstance(self.Q, GraphSpec):
+            q = _checked_laplacian(self.Q)
+        else:
+            q = _readonly(_check_symmetric(self.Q))
+        object.__setattr__(self, "Q", q)
         if self.constraint is not None:
             u = np.asarray(self.constraint, dtype=np.float64).ravel()
             if u.size != q.shape[0]:
@@ -469,7 +481,7 @@ class KernelSystem:
         it, so the kept K is ``gaussian_kernel(points, sigma)`` bit for bit,
         and the check needs no n x n copy of it.
         """
-        k = _check_symmetric(gaussian_kernel(points, sigma))  # exactly symmetric: no copy
+        k = _check_finite(gaussian_kernel(points, sigma))  # exactly symmetric by construction
         _check_psd(k)
         k.flags.writeable = False
         system = object.__new__(cls)

@@ -196,6 +196,68 @@ def test_load_and_normalize_reads_every_layout_alike(tmp_path, text):
     assert np.allclose(sample.points[:, 0], np.array([-1.0, 0.0, 1.0]) * math.sqrt(1.5))
 
 
+def test_load_and_normalize_skips_a_byte_order_mark(tmp_path):
+    # the mark used to become part of the first header name: 'a' was reported as '\ufeffa'
+    path = tmp_path / "bom.csv"
+    path.write_bytes("a,b,t\n5,1,0.5\n5,2,0.25\n5,3,-1\n".encode("utf-8-sig"))
+    with pytest.warns(ZeroVarianceFeature, match=r"column 'a' \(index 0\)"):
+        sample = load_and_normalize(str(path))
+    assert np.array_equal(sample.targets, [0.5, 0.25, -1.0])
+
+
+_CSV_TOKENIZER_CASES = {  # id: (text, what reads it)
+    "plain": ("a,b,t\n1,2,0.5\n2,3,0.25\n3,5,-1\n", "c reader"),
+    "crlf": ("a,b,t\r\n1,2,0.5\r\n2,3,0.25\r\n", "c reader"),
+    "cr": ("a,b,t\r1,2,0.5\r2,3,0.25\r", "c reader"),
+    "spaces-tabs-blank-lines": ("a,b,t\n 1 ,\t2,0.5 \n\n2,3,0.25\n\n", "c reader"),
+    "signs-exponents": ("a,b,t\n+1.5e-3,-.5,5.\n2E2,3,0.25\n", "c reader"),
+    "no-final-newline": ("a,b,t\n1,2,0.5\n2,3,0.25", "c reader"),
+    "byte-order-mark": ("\ufeffa,b,t\n1,2,0.5\n2,3,0.25\n", "c reader"),
+    "no-break-space": ("a,b,t\n\xa01,2,0.5\n2,3,0.25\n", "c reader"),
+    # tokens only Python's float accepts
+    "underscore": ("a,b,t\n1_0,2,0.5\n2,3,0.25\n", "per cell"),
+    "quoted-cell": ('a,b,t\n"4",2,0.5\n2,3,0.25\n', "per cell"),
+    "arabic-digit": ("a,b,t\n\u0663,2,0.5\n2,3,0.25\n", "per cell"),
+    "byte-order-mark-underscore": ("\ufeffa,b,t\n1_0,2,0.5\n2,3,0.25\n", "per cell"),
+    # files both reject, with one ParseError
+    "trailing-comma": ("a,b,t\n1,2,0.5,\n2,3,0.25\n", "ParseError"),
+    "whitespace-row": ("a,b,t\n1,2,0.5\n  \n2,3,0.25\n", "ParseError"),
+    "non-finite": ("a,b,t\n1,2,0.5\n2,inf,0.25\n", "ParseError"),
+    "overflowing": ("a,b,t\n1,2,0.5\n2,1e999,0.25\n", "ParseError"),
+    "one-data-row": ("a,b,t\n1,2,0.5\n", "ParseError"),
+    "header-only": ("a,b,t\n", "ParseError"),
+    "blank-body": ("a,b,t\n\n \n", "ParseError"),
+    "empty": ("", "ParseError"),
+    "one-column": ("t\n1\n2\n", "ParseError"),
+    "short-header": ("a,t\n1,2,0.5\n2,3,0.25\n", "ParseError"),
+}
+
+
+def _load_outcome(path):
+    """The loaded arrays and label bound, or the ParseError's text and position."""
+    try:
+        sample = load_and_normalize(str(path))
+    except ParseError as exc:
+        return str(exc), exc.row, exc.column
+    return sample.points.tobytes(), sample.targets.tobytes(), sample.label_bound_M
+
+
+@pytest.mark.parametrize("text, reader", list(_CSV_TOKENIZER_CASES.values()),
+                         ids=list(_CSV_TOKENIZER_CASES))
+def test_load_and_normalize_reads_alike_with_either_tokenizer(tmp_path, monkeypatch, text, reader):
+    # numpy's C reader and the per-cell path give bit-identical arrays or the same ParseError
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    by_cell = []
+    read_cells = cli._read_cells
+    monkeypatch.setattr(cli, "_read_cells", lambda p: by_cell.append(p) or read_cells(p))
+    either = _load_outcome(path)
+    rejected = isinstance(either[0], str)
+    assert reader == ("ParseError" if rejected else "per cell" if by_cell else "c reader")
+    monkeypatch.setattr(cli, "parse_text", lambda *args, **kwargs: None)
+    assert _load_outcome(path) == either
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--algorithm", "laplacian", "--sigma", "3"],
     ["run", "--algorithm", "krr"],

@@ -524,6 +524,7 @@ def test_load_edge_list_reads_blocks_of_any_size_alike(tmp_path, monkeypatch, li
     # or a graph must not depend on where the blocks end
     from stabreg import graph as graph_module
 
+    monkeypatch.setattr(graph_module, "parse_text", lambda *args, **kwargs: None)  # by block
     path = tmp_path / "g.txt"
     rng = np.random.default_rng(lines)
     g = random_connected(7, rng)
@@ -538,6 +539,75 @@ def test_load_edge_list_reads_blocks_of_any_size_alike(tmp_path, monkeypatch, li
         with pytest.raises(ParseError) as exc_info:
             load_edge_list(path, n=n)
         assert str(exc_info.value) == f"row {where[0]}, column {where[1]}: {message}"
+
+
+def test_load_edge_list_skips_a_byte_order_mark(tmp_path):
+    # the mark used to be read as part of the first index: "bad vertex index '\ufeff1'"
+    path = tmp_path / "g.txt"
+    path.write_bytes("1 2 0.5\n2 3 1.5\n".encode("utf-8-sig"))
+    g = load_edge_list(path)
+    assert g.weights[0, 1] == 0.5 and g.weights[1, 2] == 1.5
+
+
+_EDGE_TOKENIZER_CASES = {  # id: (text, n, what reads it)
+    "plain": ("1 2 0.5\n2 3 1.5\n", None, "c reader"),
+    "explicit-n": ("1 2 0.5\n2 3 1.5\n", 5, "c reader"),
+    "crlf": ("1 2 0.5\r\n2 3 1.5\r\n", None, "c reader"),
+    "tabs": ("1\t2\t0.5\n2 \t3\t 1.5\n", None, "c reader"),
+    "whitespace-only-lines": ("1 2 0.5\n   \n\t\n\n2 3 1.5\n", None, "c reader"),
+    "plus-sign": ("+2 1 0.5\n2 3 1.5\n", None, "c reader"),
+    "leading-zero": ("01 2 0.5\n2 3 1.5\n", None, "c reader"),
+    "zero-weight-exponent": ("1 2 0\n2 3 1.5e-3\n", None, "c reader"),
+    "byte-order-mark": ("\ufeff1 2 0.5\n2 3 1.5\n", None, "c reader"),
+    # tokens only Python's int and float accept
+    "underscore": ("1_0 2 0.5\n2 3 1.5\n", None, "per cell"),
+    "arabic-digit": ("\u0663 2 0.5\n2 1 1.5\n", None, "per cell"),
+    "byte-order-mark-underscore": ("\ufeff1 2 0.5\n2 3 1_5\n", None, "per cell"),
+    "empty": ("", 3, "per cell"),
+    "blank-only": ("\n  \n", 3, "per cell"),
+    # files both reject, with one ParseError
+    "float-index": ("2.0 1 0.5\n", None, "ParseError"),
+    "two-fields": ("1 2 0.5\n2 3\n", None, "ParseError"),
+    "comma-separated": ("1,2,0.5\n", None, "ParseError"),
+    "index-above-n": ("1 2 0.5\n2 7 1.5\n", 3, "ParseError"),
+    "index-past-int64": ("99999999999999999999 2 0.5\n", 3, "ParseError"),
+    "zero-index": ("0 2 0.5\n", None, "ParseError"),
+    "self-loop": ("1 2 0.5\n2 2 1.5\n", None, "ParseError"),
+    "negative-weight": ("1 2 -0.5\n", None, "ParseError"),
+    "nan-weight": ("1 2 nan\n", None, "ParseError"),
+    "overflowing-weight": ("1 2 1e999\n", None, "ParseError"),
+    "repeated-edge": ("1 2 0.5\n\n2 3 1.5\n2 1 0.5\n", None, "ParseError"),
+    "empty-without-n": ("", None, "ValueError"),
+}
+
+
+def _edge_outcome(path, n):
+    """The Laplacian's bytes, or the error's type and text (with a ParseError's position)."""
+    try:
+        return load_edge_list(path, n=n).L.tobytes()
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.row, exc.column
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@pytest.mark.parametrize("text, n, reader", list(_EDGE_TOKENIZER_CASES.values()),
+                         ids=list(_EDGE_TOKENIZER_CASES))
+def test_load_edge_list_reads_alike_with_either_tokenizer(tmp_path, monkeypatch, text, n, reader):
+    # numpy's C reader and the per-cell path give bit-identical graphs or the same ParseError
+    from stabreg import graph as graph_module
+
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    by_block = []
+    edges_by_block = graph_module._edges_by_block
+    monkeypatch.setattr(graph_module, "_edges_by_block",
+                        lambda *args: by_block.append(args) or edges_by_block(*args))
+    either = _edge_outcome(path, n)
+    failed = isinstance(either, tuple)
+    assert reader == (either[0] if failed else "per cell" if by_block else "c reader")
+    monkeypatch.setattr(graph_module, "parse_text", lambda *args, **kwargs: None)
+    assert _edge_outcome(path, n) == either
 
 
 @pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])

@@ -784,6 +784,22 @@ def test_systems_share_a_read_only_matrix():
     assert QuadraticSystem(lap, np.ones(5)).Q is lap
 
 
+@pytest.mark.parametrize("family", ["cm", "llreg", "gmf"])
+def test_a_system_shares_graph_quadratics_q(family):
+    # cm's and llreg's fresh Q used to be copied: 30.5 MiB for llreg at n = 2000
+    g = random_graph(6, 26)
+    q, null = graph_quadratic(family, g)
+    assert not q.flags.writeable
+    for constraint in (None, null):
+        assert np.shares_memory(QuadraticSystem(q, constraint).Q, q)
+
+
+def test_a_system_of_a_graph_keeps_its_laplacian():
+    g = random_graph(5, 27)
+    assert QuadraticSystem(g).Q is g.L
+    assert QuadraticSystem(g, np.ones(5)).Q is g.L
+
+
 def test_krr_at_zero_tradeoff_returns_zeros():
     rng = np.random.default_rng(25)
     kern = gaussian_kernel(rng.normal(size=(6, 2)), 1.0)
