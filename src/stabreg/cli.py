@@ -48,6 +48,7 @@ from .core import (
     empirical_error,
     sample_partition,
     score_to_cost_stability,
+    stat_without_overflow,
     test_error,
 )
 from .errors import (
@@ -287,14 +288,31 @@ def _cv_sigma(sample: FullSample, part: Partition, C: float) -> float:
     contiguous, so each fold's kernel and cross-kernel are slices of the
     labeled Gaussian kernel at that sigma, and the folds that leave the same
     number of points to fit are solved together, in one stacked solve.
+
+    The labels are first scaled by the power of two 2^-e that brings the
+    largest into [0.5, 1).  Every rounded operation of a score commutes with
+    that scaling, so each score is exactly 4^-e times the unscaled one (short
+    of subnormal labels) and the argmin is the same, but no sum of squares
+    overflows at a target scale the loader accepts.
+
+    The grid is walked from the largest sigma down.  Before a point's folds
+    are factored, ``_cv_score_floor`` gives a certified lower bound on the
+    score its factored folds would produce; a point whose bound exceeds the
+    best score computed so far could not win and is skipped.  Every other
+    point is scored exactly as before, ties go to the smaller sigma, and a
+    singular fold rules its sigma out, so the chosen sigma is bit for bit
+    the one of the full grid.
     """
     xs = sample.points[part.train_idx]
     ys = sample.targets[part.train_idx]
+    ys = np.ldexp(ys, -int(np.frexp(np.max(np.abs(ys), initial=0.0))[1]))
     d2 = sq_distances(xs)
     med = _median_pairwise_distance(d2)
     n = xs.shape[0]
     folds = [(int(f[0]), int(f[-1]) + 1)  # [start, end) of each fold
              for f in np.array_split(np.arange(n), min(_CV_FOLDS, n)) if 0 < f.size < n]
+    if not folds:
+        return med  # fewer than two points: nothing to validate on
     groups: dict[int, list] = {}  # fit size: the folds that leave it
     for lo, hi in folds:
         groups.setdefault(n - (hi - lo), []).append((lo, hi))
@@ -302,12 +320,15 @@ def _cv_sigma(sample: FullSample, part: Partition, C: float) -> float:
     stacks = [(group, np.empty((len(group), size, size)),
                np.stack([np.delete(ys, np.s_[lo:hi]) for lo, hi in group])[..., None])
               for size, group in groups.items()]
+    floor = _cv_score_floor(xs, ys, folds, C)
     best = (math.inf, med)
     kern = np.empty_like(d2)
-    for factor in _SIGMA_GRID:
+    for factor in reversed(_SIGMA_GRID):
         sig = factor * med
         # exp(-d2 / (2 sig^2)), in one buffer for every sigma
         np.exp(np.divide(d2, -2.0 * sig * sig, out=kern), out=kern)
+        if best[0] < math.inf and floor(kern, sig, best[0]) > best[0]:
+            continue  # certified to score above the best: it cannot win
         coefs = {}
         try:
             for group, reg, rhs in stacks:
@@ -322,10 +343,136 @@ def _cv_sigma(sample: FullSample, part: Partition, C: float) -> float:
         for lo, hi in folds:
             pred = np.delete(kern[lo:hi], np.s_[lo:hi], axis=1) @ coefs[lo, hi]
             err += float(np.sum((pred - ys[lo:hi]) ** 2))
-        score = err / n if folds else math.inf  # the folds cover all n points
-        if score < best[0]:
+        score = err / n  # the folds cover all n points
+        if score < best[0] or score == best[0] != math.inf:  # a tie goes to the smaller sigma
             best = (score, sig)
     return best[1]
+
+
+# Neumann terms the CV score floor tries at most per grid point
+_CV_TERMS = 8
+
+
+def _cv_score_floor(xs: np.ndarray, ys: np.ndarray, folds: list, C: float):
+    """``floor(kern, sig, best)``: a certified lower bound on ``_cv_sigma``'s score at sigma.
+
+    ``kern`` is the labeled kernel at ``sig``.  The bound covers every fold
+    at once, as products of ``kern`` with n x F arrays whose column f is
+    zero on fold f's rows.  For fold f, with fit points r (s of them) and
+    ridge lam = s / max(C, 1e-12), the exact coefficients solve
+    (K_rr + lam I) a = y_r, and the fold's squared error is
+    sum_i (y_i - K_ir a)^2 over its points i.
+
+    Assumptions.  The Gaussian kernel K of the points is PSD.  The computed
+    one differs from it by at most mu = n eps (2.1 (d + 4) max|x|^2 /
+    (2 sig^2) + 6) in 2-norm (eps = 2^-52, twice the unit roundoff of
+    Higham's bounds; d features): a squared distance
+    is off by at most 2.02 (d + 2) eps max|x|^2, which moves an entry by
+    that over 2 sig^2, plus a few ulps of rounding in the division and in
+    exp, summed over a row.  So the spectrum of the computed K_rr lies in
+    [-mu, rho], with rho = min(largest row sum, Frobenius norm) of the block
+    (its entries are non-negative and it is symmetric), and
+    ||(K_rr + lam I)^-1|| <= 1/(lam - mu).
+
+    Bound.  With k Neumann terms a_k = sum_{j<k} t_j, t_j = (-K_rr/lam)^j y_r
+    / lam, the error a - a_k = (-K_rr/lam)^k a has norm at most
+    ||y_r|| ((rho/lam)^k / (rho + lam) + (mu/lam)^k / (lam - mu)) (maximize
+    |t/lam|^k / (t + lam) over the spectrum; k = 0 gives ||y_r|| / (lam -
+    mu)), and at most lam ||t_k|| / (lam - mu), since the residual
+    y_r - (K_rr + lam I) a_k is lam t_k.  Call the smaller e.  Then
+    |y_i - K_ir a| >= |y_i - K_ir a_k| - ||K_ir|| e, and the fold's error is
+    at least sum_i max(0, |y_i - K_ir a_k| - ||K_ir|| e)^2.  k = 0 (a_k = 0)
+    is tried first; terms are added only while rho < lam for every fold, up
+    to ``_CV_TERMS``, and each fold keeps its best k.  They stop once the
+    floor exceeds ``best``, or once the ceiling sum_i (|y_i - K_ir a_k| +
+    ||K_ir|| e)^2 / n, less the margin below, shows that it cannot.
+
+    Rounding.  The computed a_k, t_k and K_ir a_k are within
+    3 (k + 1)^2 (n + 3) eps ||y_r|| / (lam - mu) of their exact values, which
+    is added to e; norms are rounded up and sums down.  The score that the
+    factored folds would give differs from the exact one as follows.  When
+    K_rr + lam I is diagonally dominant (max row sum of K_rr <= 2 + lam, as
+    K_ii = 1), LU with partial pivoting makes no interchange and has growth
+    factor at most 2, so the solve is backward stable with ||dA|| <= c ||A||,
+    c = 4 s^3 eps (Higham, Thm. 9.4).  With kappa = (rho + lam) / (lam - mu)
+    and c kappa <= 1/4, each prediction is then off by at most tau ||K_ir||
+    ||y_r|| / (lam - mu), tau = 2 c kappa + 2 s eps, and its squared residual
+    by at most 3 tau b_i^2, b_i = |y_i| + ||K_ir|| ||y_r|| / (lam - mu).
+    The floor is the bound, shrunk by 4 (n + 4) eps for the rounding of the
+    sums, less sum_i 3 tau b_i^2 / n.  Without dominance, or with lam <= 2 mu,
+    no floor is certified and the floor is -inf.
+    """
+    n, eps = ys.size, np.finfo(np.float64).eps
+    fit = np.ones((n, len(folds)))
+    for f, (lo, hi) in enumerate(folds):
+        fit[lo:hi, f] = 0.0
+    fold_of = np.repeat(np.arange(len(folds)), [hi - lo for lo, hi in folds])
+    own = (np.arange(n), fold_of)  # each point's entry in its own fold's column
+    s = fit.sum(axis=0)
+    lam = s / max(C, 1e-12)
+    y_fit = ys[:, None] * fit
+    y_norm = np.sqrt(np.sum(y_fit * y_fit, axis=0)) * (1 + (n + 2) * eps)
+    x_sq = float(np.max(np.sum(xs * xs, axis=1), initial=0.0))
+    c = 4.0 * s ** 3 * eps
+    up, down = 1 + 4 * (n + 4) * eps, 1 - 4 * (n + 4) * eps
+
+    def fold_errors(pred, e: np.ndarray, row_norm: np.ndarray) -> tuple[np.ndarray, float]:
+        """Each fold's error floor, and (unrounded) the score's ceiling."""
+        miss, slack = np.abs(ys - pred), row_norm * (e * up)[fold_of]
+        gap = np.maximum(miss - slack, 0.0)
+        ceiling = float(np.sum((miss + slack) ** 2)) / n
+        return np.bincount(fold_of, weights=gap * gap, minlength=len(folds)), ceiling
+
+    def floor(kern: np.ndarray, sig: float, best: float) -> float:
+        two_sq = 2.0 * sig * sig
+        spread = n * eps * (2.1 * (xs.shape[1] + 4) * x_sq + 6.0 * two_sq)  # mu 2 sig^2
+        if not np.all(lam * two_sq > 2.0 * spread):
+            return -math.inf
+        mu = spread / two_sq
+        row_max = np.max((kern @ fit) * fit, axis=0) * up  # each block's largest row sum
+        if not np.all(row_max < (2.0 + lam) * (1 - 4 * eps)):
+            return -math.inf
+        # squared row norms over all columns and over the row's own fold; the
+        # fit block of fold f sums to (its rows' full sums) - (fold f's rows'
+        # sums off the fold), by symmetry; each rounding error is added back
+        full = np.einsum("ij,ij->i", kern, kern)
+        inner = np.empty(n)
+        for lo, hi in folds:
+            inner[lo:hi] = np.einsum("ij,ij->i", kern[lo:hi, lo:hi], kern[lo:hi, lo:hi])
+        slop = 4.0 * (n + 4) * eps
+        row_norm = np.sqrt(full - inner + slop * full) * up  # ||K_ir|| against the point's fit set
+        frob_sq = (full @ fit - np.bincount(fold_of, weights=full - inner, minlength=len(folds))
+                   + slop * float(np.sum(full)))
+        rho = np.minimum(row_max, np.sqrt(frob_sq) * up)
+        lam_mu = lam - mu
+        kappa = (rho + lam) / lam_mu
+        if np.any(c * kappa > 0.25):
+            return -math.inf
+        reach = y_norm / lam_mu  # >= ||a||
+        tau = 2.0 * c * kappa + 2.0 * s * eps
+        b = np.abs(ys) + row_norm * reach[fold_of]
+        margin = 3.0 * float(np.sum(tau[fold_of] * b * b)) / n
+
+        lower, ceiling = fold_errors(0.0, reach, row_norm)  # k = 0
+        value = float(np.sum(lower)) / n * down - margin
+        if value > best or ceiling - margin <= best or np.max(rho / lam) >= 1.0:
+            return value
+        t, pred = y_fit / lam, np.zeros(n)
+        for k in range(1, _CV_TERMS + 1):
+            prod = kern @ t
+            pred += prod[own]
+            t = prod / -lam * fit
+            a_priori = y_norm * ((rho / lam) ** k / (rho + lam) + (mu / lam) ** k / lam_mu)
+            a_posteriori = lam * np.sqrt(np.sum(t * t, axis=0)) / lam_mu
+            e = np.minimum(a_priori, a_posteriori) + 3 * (k + 1) ** 2 * (n + 3) * eps * reach
+            errors, ceiling = fold_errors(pred, e, row_norm)
+            lower = np.maximum(lower, errors)
+            value = float(np.sum(lower)) / n * down - margin
+            if value > best or ceiling - margin <= best:
+                break
+        return value
+
+    return floor
 
 
 def _resolve_sigma(sample: FullSample, part: Partition, cfg: ExperimentConfig) -> float:
@@ -740,10 +887,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for key in ("train_mse", "test_mse", "bound_value", "beta_used"):
         vals = [r[key] for r in records if math.isfinite(r.get(key, math.inf))]
         if vals:
-            arr = np.asarray(vals)
             aggregates[key] = {
-                "mean": float(arr.mean()),
-                "std": float(arr.std()),
+                "mean": stat_without_overflow(np.mean, vals),
+                "std": stat_without_overflow(np.std, vals),
                 "count": len(vals),
             }
     report = {
@@ -809,8 +955,8 @@ def emit_plot_data(report: dict, kind: str, plot_scale: float = 1.0) -> list[dic
                 by_r.setdefault(r, []).append(value)
     rows = []
     for r in sorted(by_r):
-        arr = np.asarray(by_r[r])
-        rows.append({"r": r, "mean": float(arr.mean()), "std": float(arr.std())})
+        rows.append({"r": r, "mean": stat_without_overflow(np.mean, by_r[r]),
+                     "std": stat_without_overflow(np.std, by_r[r])})
     if not rows:
         raise NoSweepData("no finite sweep values to aggregate")
     return rows
@@ -988,7 +1134,11 @@ def build_parser() -> argparse.ArgumentParser:
     data_opts.add_argument("--data", required=True, help="CSV: features then target")
     data_opts.add_argument("--target-scale", type=float)
     data_opts.add_argument("--m-fraction", type=float)
-    data_opts.add_argument("--sigma", type=_sigma_arg)
+    data_opts.add_argument(
+        "--sigma", type=_sigma_arg,
+        help="Gaussian width: a positive number; 'median', the median distance between the "
+             "labeled points; or 'cv' (default): for krr and ltr, 5-fold ridge cross-validation "
+             "over {0.1, 0.3, 1, 3, 10} x that median, for graph algorithms the median")
 
     model_opts = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     model_opts.add_argument("--C", type=float)

@@ -14,6 +14,7 @@ the seed alone on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -203,16 +204,37 @@ def _scores(h, sample: FullSample) -> np.ndarray:
     return scores
 
 
+def stat_without_overflow(stat, x, power: int = 1) -> float:
+    """``stat(x)`` for a statistic ``stat`` homogeneous of degree ``power`` in ``x``.
+
+    Where the plain value is not finite, ``x`` is scaled by the power of two
+    2^-e that brings its largest magnitude into [0.5, 1), and the statistic
+    of the scaled values is scaled back by 2^(power e).  So a mean of squares
+    whose every term is finite but whose sum overflows comes out finite,
+    without a RuntimeWarning; a value that does not overflow is the plain
+    one, bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(stat(x))
+        if not math.isfinite(value) and x.size:
+            shift = int(np.frexp(np.max(np.abs(x)))[1])
+            value = float(np.ldexp(stat(np.ldexp(x, -shift)), power * shift))
+    return value
+
+
+def _mean_square(d: np.ndarray) -> float:
+    return stat_without_overflow(lambda v: np.mean(v * v), d, power=2)
+
+
 def empirical_error(h, sample: FullSample, part: Partition) -> float:
     """Mean squared residual over the labeled set S."""
-    d = _scores(h, sample)[part.train_idx] - sample.targets[part.train_idx]
-    return float(np.mean(d * d))
+    return _mean_square(_scores(h, sample)[part.train_idx] - sample.targets[part.train_idx])
 
 
 def test_error(h, sample: FullSample, part: Partition) -> float:
     """Mean squared residual over the unlabeled set T."""
-    d = _scores(h, sample)[part.test_idx] - sample.targets[part.test_idx]
-    return float(np.mean(d * d))
+    return _mean_square(_scores(h, sample)[part.test_idx] - sample.targets[part.test_idx])
 
 
 # keep pytest from collecting this library function as a test case
@@ -225,8 +247,7 @@ def overall_error(h, sample: FullSample) -> float:
     Satisfies the exact decomposition
     ``test_error = ((m+u)/u) * overall_error - (m/u) * empirical_error``.
     """
-    d = _scores(h, sample) - sample.targets
-    return float(np.mean(d * d))
+    return _mean_square(_scores(h, sample) - sample.targets)
 
 
 def score_to_cost_stability(beta_score: float, B: float) -> float:

@@ -164,9 +164,9 @@ def _write_csv(path, points, targets):
             writer.writerow([f"{v:.10f}" for v in row] + [f"{t:.10f}"])
 
 
-def _housing_like_csv(path, n=506):
+def _housing_like_csv(path, n=506, seed=20):
     """n x 13 stand-in with the benchmark's shape (real file is user-supplied)."""
-    rng = np.random.default_rng(20)
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 13))
     x[:, 3] = (x[:, 3] > 0.8).astype(float)
     x[:, 7] = np.abs(x[:, 7]) * 3.0 + 1.0

@@ -61,6 +61,7 @@ from stabreg.cli import (
     select_radius,
     verify_suite,
 )
+from test_acceptance import _housing_like_csv
 
 
 @pytest.fixture()
@@ -505,8 +506,11 @@ def test_select_radius_matches_one_solve_per_radius(toy_csv, C_prime, fallback):
         assert row["beta"] == fit.beta
 
 
-def _cv_sigma_per_fold(sample, part, C):
-    """Sigma selection with a Gaussian kernel built per fold and a broadcast cross-kernel."""
+def _cv_scores_per_fold(sample, part, C):
+    """Each grid sigma's CV score, with a Gaussian kernel built per fold and a broadcast cross-kernel.
+
+    Returns the median distance and the (sigma, score) pairs, smallest sigma first.
+    """
     xs = sample.points[part.train_idx]
     ys = sample.targets[part.train_idx]
     sq = np.sum(xs * xs, axis=1)
@@ -516,7 +520,7 @@ def _cv_sigma_per_fold(sample, part, C):
     med = float(np.sqrt(np.median(upper))) if upper.size else 0.0
     med = med if med > 0 else 1.0
     folds = np.array_split(np.arange(xs.shape[0]), min(5, xs.shape[0]))
-    best = (math.inf, med)
+    scores = []
     for factor in (0.1, 0.3, 1.0, 3.0, 10.0):
         sig = factor * med
         err = 0.0
@@ -535,18 +539,123 @@ def _cv_sigma_per_fold(sample, part, C):
             cross = np.exp(-np.sum(diff * diff, axis=2) / (2.0 * sig * sig))
             err += float(np.sum((cross @ coef - ys[fold]) ** 2))
             count += fold.size
-        score = err / count if count else math.inf
+        scores.append((sig, err / count if count else math.inf))
+    return med, scores
+
+
+def _cv_sigma_per_fold(sample, part, C):
+    """Sigma selection over the full grid: the smallest sigma of least score."""
+    med, scores = _cv_scores_per_fold(sample, part, C)
+    best = (math.inf, med)
+    for sig, score in scores:
         if score < best[0]:
             best = (score, sig)
     return best[1]
 
 
+def _housing_like_samples(tmp_path):
+    """Housing-like samples at n = 40 and 120: distinct or duplicated points, offset or centered targets."""
+    for n in (40, 120):
+        path = tmp_path / f"housing_like_{n}.csv"
+        _housing_like_csv(path, n)
+        base = load_and_normalize(str(path))
+        for layout in ("distinct", "duplicated"):
+            keep = np.arange(n) if layout == "distinct" else np.tile(np.arange(n // 2), 2)
+            for targets in ("offset", "centered"):
+                y = base.targets[keep]
+                y = y - y.mean() if targets == "centered" else y
+                yield (f"n={n} {layout} {targets}",
+                       FullSample(points=base.points[keep], targets=y,
+                                  label_bound_M=float(np.max(np.abs(y)))))
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_cv_sigma_matches_the_per_fold_loop(toy_csv, seed):
+def test_cv_sigma_matches_the_per_fold_loop(toy_csv, tmp_path, monkeypatch, seed):
     sample = load_and_normalize(toy_csv)
     part = sample_partition(sample, 12, derive_seed(seed, 0))
     for C in (0.1, 1.0, 10.0):
         assert _cv_sigma(sample, part, C) == _cv_sigma_per_fold(sample, part, C)
+    # the grid points _cv_sigma factors; the bound skips the rest
+    solved = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a.shape) or solve(a, b))
+    reached = set()
+    for label, sample in _housing_like_samples(tmp_path):
+        part = sample_partition(sample, sample.n // 2, derive_seed(seed, 0))
+        for C in (0.0, 1e-3, 1.0, 100.0, 1e306):
+            solved.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                sigma = _cv_sigma(sample, part, C)
+            reached.add(len(solved))  # one fit size per sample here: one call per grid point
+            assert sigma == _cv_sigma_per_fold(sample, part, C), (label, C)
+    assert 1 in reached and 5 in reached  # inputs the bound prunes and inputs it does not
+
+
+def test_cv_sigma_factors_one_grid_point_at_c_1(tmp_path, monkeypatch):
+    # on this input the certified bound rules out four of the five grid
+    # points; a looser bound factors more and fails here
+    path = tmp_path / "housing_like_120.csv"
+    _housing_like_csv(path, 120)
+    sample = load_and_normalize(str(path))
+    part = cli._partition(sample, ExperimentConfig(data_path=str(path)), 0)
+    solved = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(a.shape) or solve(a, b))
+    sigma = _cv_sigma(sample, part, 1.0)
+    assert solved == [(5, 48, 48)]  # the five folds of one grid point, in one stacked solve
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert sigma == _cv_sigma_per_fold(sample, part, 1.0)
+
+
+@pytest.mark.parametrize("C", [1e-3, 1.0, 100.0])
+def test_cv_score_floor_stays_below_the_score_it_bounds(tmp_path, monkeypatch, C):
+    # each floor _cv_sigma computes is asked to exceed that grid point's own
+    # score, the hardest threshold (a tie): a sound floor never does
+    floor_of = cli._cv_score_floor
+    checked = []
+
+    def checking(xs, ys, folds, C):
+        floor = floor_of(xs, ys, folds, C)
+        shift = int(np.frexp(np.max(np.abs(ys_unscaled)))[1])  # _cv_sigma's label scaling
+
+        def checked_floor(kern, sig, best):
+            score = min(scores, key=lambda pair: abs(pair[0] - sig))[1] * 4.0 ** -shift
+            value = floor(kern, sig, score)
+            checked.append(value / score)
+            assert value <= score * (1 + 1e-9), (label, sig)
+            return floor(kern, sig, best)
+
+        return checked_floor
+
+    monkeypatch.setattr(cli, "_cv_score_floor", checking)
+    for label, sample in _housing_like_samples(tmp_path):
+        part = sample_partition(sample, sample.n // 2, derive_seed(0, 0))
+        ys_unscaled = sample.targets[part.train_idx]
+        _, scores = _cv_scores_per_fold(sample, part, C)
+        _cv_sigma(sample, part, C)
+    assert max(checked) > 0.99  # some floors come within 1% of their score
+
+
+def test_run_at_a_target_scale_near_the_load_limit_keeps_sigma(tmp_path, capsys):
+    # at 1.7e152, (2 M)^2 is finite, so the data loads, but the CV fold
+    # errors and the mean squared errors used to overflow in their sums (a
+    # RuntimeWarning), and CV picked a tenth of the sigma of scale 1
+    path = tmp_path / "housing_like_80.csv"
+    _housing_like_csv(path, 80, seed=5)
+    reports = {}
+    for scale in ("1", "1.7e152"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--algorithm", "krr", "--partitions", "3", "--data", str(path),
+                         "--target-scale", scale]) == 0
+        assert caught == []
+        reports[scale] = json.loads(capsys.readouterr().out)
+    assert ([r["sigma"] for r in reports["1.7e152"]["records"]]
+            == [r["sigma"] for r in reports["1"]["records"]])
+    for key in ("train_mse", "test_mse"):
+        assert all(math.isfinite(r[key]) for r in reports["1.7e152"]["records"])
+        assert math.isfinite(reports["1.7e152"]["aggregates"][key]["std"])
 
 
 # ---------------------------------------------------------------------------

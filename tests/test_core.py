@@ -21,6 +21,7 @@ from stabreg import (
     score_to_cost_stability,
     test_error,
 )
+from stabreg.core import stat_without_overflow
 
 
 def make_sample(n, seed=0, m_bound=2.0):
@@ -267,6 +268,25 @@ def test_error_functionals_hand_example():
     assert empirical_error(h, s, p) == pytest.approx(0.5)  # (0 + 1)/2
     assert test_error(h, s, p) == pytest.approx(0.5)  # (1 + 0)/2
     assert overall_error(h, s) == pytest.approx(0.5)
+
+
+def test_error_functionals_do_not_overflow_where_each_square_is_finite():
+    # each squared residual is 6.4e307; a sum of three overflows, so the plain
+    # mean raised a RuntimeWarning (an error under this suite's filter)
+    s = FullSample(points=np.arange(6.0)[:, None], targets=np.full(6, 8e153), label_bound_M=8e153)
+    p = Partition(train_idx=np.array([0, 1, 2]), test_idx=np.array([3, 4, 5]))
+    h = np.zeros(6)
+    for value in (empirical_error(h, s, p), test_error(h, s, p), overall_error(h, s)):
+        assert value == pytest.approx(6.4e307)
+    assert stat_without_overflow(np.mean, [1.5e308, 1.5e308]) == 1.5e308
+    assert stat_without_overflow(np.std, [1.5e308, -1.5e308]) == 1.5e308
+    # a statistic that does not overflow is the plain one, bit for bit
+    x = np.random.default_rng(0).normal(size=50)
+    assert stat_without_overflow(np.mean, x) == float(np.mean(x))
+    assert stat_without_overflow(np.std, x) == float(np.std(x))
+    small = make_sample(6)
+    d = x[:3] - small.targets[:3]
+    assert empirical_error(x[:6], small, p) == float(np.mean(d * d))
 
 
 def test_error_accepts_plain_arrays():
