@@ -34,7 +34,6 @@ import math
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -64,7 +63,6 @@ from .graph import (
     gaussian_affinity,
     load_edge_list,
     parse_text,
-    parse_tokens,
     spectrum,
     sq_distances,
 )
@@ -115,25 +113,27 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
     The last column is the target; every other column is a feature.  Features
     are centered to mean 0 and scaled to variance 1 (population convention);
     constant columns are dropped with a ZeroVarianceFeature warning.  A
-    UTF-8 byte-order mark is skipped.  numpy's C reader (``parse_text``)
-    reads the cells first; a file it rejects, or one that would fail a
-    check, is read again cell by cell (``parse_tokens``), so every cell
-    Python's ``float`` accepts loads, and a bad file raises at its first
-    bad record, and there at its first bad cell.
+    UTF-8 byte-order mark is skipped.  The cells are read by numpy's C
+    reader (``parse_text``), ``"``-quoted or not, in its grammar only: no
+    ``_`` digit separators or non-ASCII digits.  A file it rejects, or one
+    that fails a check, is walked record by record to name its first bad
+    record, and there its first bad cell.
 
     Raises:
         ParseError: non-numeric or non-finite cell, or ragged row (1-based
-            row/column; the header is row 1).
-        ValueError: the scaled targets are so large that the square of a
-            difference of two values within the label bound M, (2 M)^2,
-            exceeds the float range.
+            row/column; the header is row 1, and blank lines count).
+        ValueError: a non-finite ``target_scale``, or scaled targets so large
+            that the square of a difference of two values within the label
+            bound M, (2 M)^2, exceeds the float range.
     """
+    if not math.isfinite(target_scale):
+        raise ValueError(f"--target-scale {target_scale!r} must be finite")
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = next(csv.reader(fh), [])
-        data = parse_text(fh, np.float64, ",")
+        data = parse_text(fh, np.float64, ",", '"')
     if not (len(header) >= 2 and data is not None and data.shape[0] >= 2
             and data.shape[1] == len(header) and np.isfinite(data).all()):
-        header, data = _read_cells(path)
+        raise _csv_error(path)
     features = data[:, :-1]
     with np.errstate(over="ignore"):
         target = data[:, -1] * float(target_scale)
@@ -141,53 +141,42 @@ def load_and_normalize(path, target_scale: float = 1.0) -> FullSample:
     if not math.isfinite(4.0 * m_bound * m_bound):
         raise ValueError(f"--target-scale {target_scale!r} is too large: the largest scaled "
                          f"target {m_bound!r} overflows when a residual is squared")
-    keep = []
-    for j in range(features.shape[1]):
-        col = features[:, j]
-        if np.all(col == col[0]):
-            warnings.warn(
-                f"dropping constant feature column {header[j]!r} (index {j})",
-                ZeroVarianceFeature,
-                stacklevel=2,
-            )
-        else:
-            keep.append(j)
-    if not keep:
+    constant = (features == features[0]).all(axis=0)
+    for j in np.flatnonzero(constant):
+        warnings.warn(f"dropping constant feature column {header[j]!r} (index {j})",
+                      ZeroVarianceFeature, stacklevel=2)
+    if constant.all():
         raise ValueError("all feature columns are constant")
-    feats = features[:, keep]
+    feats = features[:, ~constant]
     feats = (feats - feats.mean(axis=0)) / feats.std(axis=0)
     return FullSample(points=feats, targets=target, label_bound_M=m_bound or 1.0)
 
 
-def _read_cells(path) -> tuple[list[str], np.ndarray]:
-    """The header and the (rows, columns) cells of a CSV, converted cell by cell.
+def _csv_error(path) -> ParseError:
+    """The ParseError of the first bad record of a CSV that ``load_and_normalize`` rejects.
 
-    All the cells are converted in one pass; ParseError at the first bad record.
+    Each cell is read by ``parse_text`` on its own; a blank record counts as
+    a row and holds no data.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        records = list(csv.reader(fh))
-    if not records:
-        raise ParseError(1, 0, "empty file")
-    header = records[0]
-    width = len(header)
-    if width < 2:
-        raise ParseError(1, 0, "need at least one feature column and a target")
-    widths = np.fromiter(map(len, records), np.int64, len(records))
-    ragged = np.flatnonzero((widths != width) & (widths != 0))
-    end = int(ragged[0]) if ragged.size else len(records)  # the records before the first ragged
-    rows = np.flatnonzero(widths[1:end]) + 2  # 1-based row of each data record
-    cells = list(chain.from_iterable(records[1:end]))
-    values, parsed = parse_tokens(cells, float)
-    finite = np.isfinite(values)
-    bad = parsed if finite.all() else int(np.argmin(finite))  # the first bad cell
-    if bad < len(cells):
-        what = "non-numeric" if bad == parsed else "non-finite"
-        raise ParseError(int(rows[bad // width]), bad % width + 1, f"{what} cell {cells[bad]!r}")
-    if end < len(records):
-        raise ParseError(end + 1, 0, f"expected {width} fields, got {widths[end]}")
-    if rows.size < 2:
-        raise ParseError(rows.size + 1, 0, "need at least 2 data rows")
-    return header, values.reshape(rows.size, width)
+        records = csv.reader(fh)
+        header = next(records, None)
+        if header is None:
+            return ParseError(1, 0, "empty file")
+        if len(header) < 2:
+            return ParseError(1, 0, "need at least one feature column and a target")
+        rows = 0
+        for row, cells in enumerate(records, 2):
+            if cells and len(cells) != len(header):
+                return ParseError(row, 0, f"expected {len(header)} fields, got {len(cells)}")
+            for col, cell in enumerate(cells, 1):
+                value = parse_text([cell], np.float64)
+                if value is None or value.shape != (1, 1):
+                    return ParseError(row, col, f"non-numeric cell {cell!r}")
+                if not np.isfinite(value).all():
+                    return ParseError(row, col, f"non-finite cell {cell!r}")
+            rows += bool(cells)
+    return ParseError(rows + 1, 0, "need at least 2 data rows")
 
 
 def m_of_r(sample: FullSample, part: Partition, r: float) -> int:
@@ -250,15 +239,15 @@ class ExperimentConfig:
         grid = tuple(float(r) for r in self.radius_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("radius_grid must be strictly increasing")
-        if any(r < 0 for r in grid):
-            raise ValueError("radii must be non-negative")
+        if not all(0.0 <= r < math.inf for r in grid):
+            raise ValueError("radii must be finite and non-negative")
         if self.algorithm == "ltr" and not grid:
             raise ValueError("algorithm 'ltr' needs at least one radius")
         if isinstance(self.sigma, str):
             if self.sigma not in ("cv", "median"):
                 raise ValueError("sigma must be a positive number, 'cv' or 'median'")
-        elif not float(self.sigma) > 0:
-            raise ValueError("sigma must be positive")
+        elif not 0.0 < float(self.sigma) < math.inf:
+            raise ValueError("sigma must be positive and finite")
         object.__setattr__(self, "radius_grid", grid)
 
     def as_dict(self) -> dict:
@@ -1088,8 +1077,8 @@ def _sigma_arg(text: str):
         raise argparse.ArgumentTypeError(
             f"sigma must be a positive number, 'cv' or 'median' (got {text!r})"
         ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("sigma must be positive")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("sigma must be positive and finite")
     return value
 
 

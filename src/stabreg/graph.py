@@ -16,7 +16,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, islice
 
 import numpy as np
 
@@ -445,34 +444,39 @@ def gaussian_affinity(points: np.ndarray, sigma: float) -> GraphSpec:
     return GraphSpec._own(w)
 
 
-# lines of an edge list converted at once: the strings of a whole 10-NN list
-# at n = 506, held together, raised the protocol benchmark's peak RSS by 1 MB
-_EDGE_LINES = 1024
-
-
 def load_edge_list(path, n: int | None = None) -> GraphSpec:
     """Read an ``i j w`` edge list (1-based indices, one line per edge).
 
     Blank lines are skipped, and so is a UTF-8 byte-order mark.  ``n``
-    fixes the vertex count; when omitted it is the largest index seen.
-    numpy's C reader (``parse_text``) reads the file first.  A file it
-    rejects, or whose edges fail a check, is read again a block of lines at
-    a time: each block's tokens are converted in one pass by
-    ``parse_tokens`` and every check runs on all of its rows at once, the
-    repeated-edge check on all the edges read.  A bad file raises at its
-    first bad row, and there at the first check it fails, in the order
-    listed below.
+    fixes the vertex count; when omitted it is the largest index seen.  An
+    empty file with ``n`` given is an edgeless graph.  numpy's C reader
+    (``parse_text``) is the one grammar: an index is a decimal int64, a
+    weight a float64.  A file it rejects, or whose edges fail a check, is
+    walked line by line to name its first bad row, and there the first
+    check it fails, in the order listed below.
 
     Raises:
         ParseError: on malformed lines, with 1-based row/column positions: a
             line without three fields (column 0); a token that is not an
-            integer index or a float weight (its column); an index below 1
+            int64 index or a float weight (its column); an index below 1
             (column 1) or above n (its column); a self-loop (column 1); a
             weight that is not finite or negative (column 3); an edge listed
             a second time in either orientation (column 0).
     """
-    i, j, w = _edges_by_c_reader(path, n) or _edges_by_block(path, n)
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        edges = parse_text(fh, _EDGE_FIELDS)
+    if edges is None:
+        raise _edge_list_error(path, n)
+    i, j, w = (edges[name].ravel() for name in _EDGE_FIELDS.names)
     size = int(max(i.max(initial=0), j.max(initial=0))) if n is None else int(n)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    bad = not ((lo >= 1) & (hi <= size) & (lo != hi) & (w >= 0) & (w < np.inf)).all()
+    if not bad and size * size < 1 << 63:  # else np.zeros below says no such matrix exists
+        key = (lo - 1) * size + (hi - 1)  # the flat index of the edge above the diagonal
+        key.sort()
+        bad = (key[1:] == key[:-1]).any()
+    if bad:
+        raise _edge_list_error(path, n)
     weights = np.zeros((size, size))
     weights[i - 1, j - 1] = weights[j - 1, i - 1] = w
     return GraphSpec._own(weights)
@@ -481,138 +485,64 @@ def load_edge_list(path, n: int | None = None) -> GraphSpec:
 _EDGE_FIELDS = np.dtype([("i", np.int64), ("j", np.int64), ("w", np.float64)])
 
 
-def _edges_by_c_reader(path, n: int | None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``(i, j, w)`` of every edge, read by ``parse_text``; None if it rejects the file
-    or an edge fails a check of ``_edges_by_block``, the repeat check included.
+def _edge_list_error(path, n: int | None) -> ParseError:
+    """The ParseError of the first bad row of an edge list that ``load_edge_list`` rejects.
 
-    A repeated edge is a repeated int64 key: the flat index of the edge's
-    entry above the diagonal of the weight matrix.
+    Each line is read by ``parse_text`` on its own and checked in row order;
+    a repeated edge is a vertex pair already in ``seen``.
     """
+    seen = {}  # (lo, hi) -> the row that first lists it
     with open(path, "r", encoding="utf-8-sig") as fh:
-        edges = parse_text(fh, _EDGE_FIELDS)
-    if edges is None:
-        return None
-    i, j, w = (edges[name].ravel() for name in _EDGE_FIELDS.names)
-    size = int(max(i.max(), j.max()) if n is None else n)
-    if size * size >= 1 << 63:  # no such weight matrix; the checks by block say so
-        return None
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    if not ((lo >= 1) & (hi <= size) & (lo != hi) & (w >= 0) & (w < np.inf)).all():
-        return None
-    key = (lo - 1) * size + (hi - 1)
-    key.sort()
-    return None if (key[1:] == key[:-1]).any() else (i, j, w)
+        for row, line in enumerate(fh, 1):
+            edge = parse_text([line], _EDGE_FIELDS)
+            if edge is None:
+                return _bad_edge_line(row, line)
+            for i, j, w in edge.ravel().tolist():  # none on a blank line
+                pair = (min(i, j), max(i, j))
+                for failed, col, message in (
+                        (pair[0] < 1, 1, "vertex indices are 1-based"),
+                        (n is not None and i > n, 1, f"vertex {i} exceeds n={n}"),
+                        (n is not None and j > n, 2, f"vertex {j} exceeds n={n}"),
+                        (i == j, 1, "self-loops are not allowed"),
+                        (not np.isfinite(w), 3, f"non-finite weight {line.split()[2]!r}"),
+                        (w < 0, 3, "weights must be non-negative"),
+                        (pair in seen, 0, f"edge {pair[0]}-{pair[1]} already listed at row "
+                                          f"{seen.get(pair)}")):
+                    if failed:
+                        return ParseError(row, col, message)
+                seen[pair] = row
 
 
-def _edges_by_block(path, n: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(i, j, w)`` of every edge, read a block of lines at a time; ParseError on a bad file."""
-    blocks = []  # (rows, i, j, w) of the good lines of each block
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for start in count(1, _EDGE_LINES):
-            lines = list(islice(fh, _EDGE_LINES))
-            *block, error = _edge_block(lines, start, n)
-            blocks.append(block)
-            if error is not None or len(lines) < _EDGE_LINES:
-                break  # a file is read no further than its first bad line
-    rows, i, j, w = (np.concatenate(parts) for parts in zip(*blocks))
-    _, listed, pair = np.unique(np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1), axis=0,
-                                return_index=True, return_inverse=True)
-    listed = listed[pair.ravel()]  # the edge that first lists each edge's vertex pair
-    repeated = np.flatnonzero(listed != np.arange(i.size))
-    if repeated.size:  # every edge read lies before the bad line, if there is one
-        k = repeated[0]
-        error = ParseError(int(rows[k]), 0, f"edge {min(i[k], j[k])}-{max(i[k], j[k])} "
-                                            f"already listed at row {rows[listed[k]]}")
-    if error is not None:
-        raise error
-    return i, j, w
+def _bad_edge_line(row: int, line: str) -> ParseError:
+    """The ParseError of a line that ``parse_text`` does not read as one edge."""
+    tokens = line.split()
+    if len(tokens) == 3:
+        for col, token in enumerate(tokens, 1):
+            if parse_text([token], _EDGE_FIELDS[col - 1]) is None:
+                return ParseError(row, col, f"bad weight {token!r}" if col == 3
+                                  else f"bad vertex index {token!r}")
+    return ParseError(row, 0, "expected 'i j w'")
 
 
-def _edge_block(lines: list[str], start: int, n: int | None):
-    """``(rows, i, j, w, error)``: the edges of the lines before the block's first bad one.
+def parse_text(lines, dtype, delimiter: str | None = None,
+               quotechar: str | None = None) -> np.ndarray | None:
+    """``lines`` (a text file or a list of lines) read by numpy's C reader; None if rejected.
 
-    ``start`` is the row of the block's first line.  ``error`` is the bad
-    line's ParseError, None when every line passes every check but the
-    repeated-edge one, which ``load_edge_list`` runs over all blocks.
-    """
-    fields = [line.split() for line in lines]
-    width = np.fromiter(map(len, fields), np.int64, len(fields))
-    misshapen = np.flatnonzero((width != 3) & (width != 0))
-    stop = int(misshapen[0]) if misshapen.size else len(fields)  # lines read as edges
-    rows = np.flatnonzero(width[:stop]) + start  # the row of each edge
-    tokens = list(chain.from_iterable(fields[:stop]))
-    columns = [parse_tokens(tokens[col::3], kind) for col, kind in enumerate((int, int, float))]
-    edges = min(parsed for _, parsed in columns)  # the edges before the first bad token
-    i, j, w = (values[:edges] for values, _ in columns)
-    checks = [  # (failed, column, message for edge k), in the order one line is checked
-        ((i < 1) | (j < 1), 1, lambda k: "vertex indices are 1-based"),
-        *([] if n is None else [
-            (i > n, 1, lambda k: f"vertex {int(tokens[3 * k])} exceeds n={n}"),
-            (j > n, 2, lambda k: f"vertex {int(tokens[3 * k + 1])} exceeds n={n}"),
-        ]),
-        (i == j, 1, lambda k: "self-loops are not allowed"),
-        (~np.isfinite(w), 3, lambda k: f"non-finite weight {tokens[3 * k + 2]!r}"),
-        (w < 0, 3, lambda k: "weights must be non-negative"),
-    ]
-    failures = [(int(np.argmax(failed)), col, message) for failed, col, message in checks
-                if failed.any()]
-    if failures:
-        k, col, message = min(failures, key=lambda f: f[0])  # the first check on a tie
-        return rows[:k], i[:k], j[:k], w[:k], ParseError(int(rows[k]), col, message(k))
-    error = None
-    if edges < rows.size:
-        col = 1 + [parsed for _, parsed in columns].index(edges)
-        token = tokens[3 * edges + col - 1]
-        error = ParseError(int(rows[edges]), col, f"bad weight {token!r}" if col == 3
-                           else f"bad vertex index {token!r}")
-    elif stop < len(fields):
-        error = ParseError(start + stop, 0, "expected 'i j w'")
-    return rows[:edges], i, j, w, error
-
-
-def parse_text(fh, dtype, delimiter: str | None = None) -> np.ndarray | None:
-    """The rest of the text file ``fh`` as read by numpy's C reader; None if it rejects it.
-
-    ``np.loadtxt`` reads ``fh`` in chunks, one row per line that is not
-    blank, into a 2-d array; ``delimiter`` None splits fields on whitespace.
-    A text with no such line gives None as well: loadtxt warns about it,
-    and any warning it gives is turned into that None.  The C reader
-    accepts a subset of what ``parse_tokens`` accepts: not ``1_0``, quoted
-    cells, non-ASCII digits or a float token for an integer; where both
-    accept a token they convert it alike.  So a loader reads the file again
-    with ``parse_tokens`` when this gives None, and then either loads it or
-    says where it is bad.
+    One row per line that is not blank, ``delimiter`` None splitting on
+    whitespace; no such line gives an empty array.  This is the loaders' one
+    grammar: fields may carry surrounding whitespace (a no-break space too),
+    quotes (``quotechar``), a sign and leading zeros, and floats an exponent
+    or ``inf``/``nan``; not ``_`` separators, non-ASCII digits, or a float
+    token for an integer.  Any other warning of loadtxt is a rejection.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+            return np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None,
+                              ndmin=2, quotechar=quotechar)
         except (ValueError, Warning):
             return None
-
-
-def parse_tokens(tokens: list[str], kind: type) -> tuple[np.ndarray, int]:
-    """``kind`` (int or float) of each token up to the first it rejects, and that token's index.
-
-    The index is ``len(tokens)`` when every token parses.  Integers are
-    stored as int64, clipped to +-2^62: the loaders only compare them.
-    Both data loaders, this module's edge lists and the CLI's CSV files,
-    convert their fields here when ``parse_text`` rejects a file.
-    """
-    dtype = np.int64 if kind is int else np.float64
-    try:
-        return np.fromiter(map(kind, tokens), dtype, len(tokens)), len(tokens)
-    except (ValueError, OverflowError):
-        pass
-    values = []
-    for tok in tokens:
-        try:
-            value = kind(tok)
-        except ValueError:
-            break
-        values.append(min(max(value, -(1 << 62)), 1 << 62) if kind is int else value)
-    return np.array(values, dtype=dtype), len(values)
 
 
 def save_edge_list(g: GraphSpec, path) -> None:

@@ -62,6 +62,7 @@ from stabreg.cli import (
     verify_suite,
 )
 from test_acceptance import _housing_like_csv
+from test_graph import count_reads
 
 
 @pytest.fixture()
@@ -206,57 +207,57 @@ def test_load_and_normalize_skips_a_byte_order_mark(tmp_path):
     assert np.array_equal(sample.targets, [0.5, 0.25, -1.0])
 
 
-_CSV_TOKENIZER_CASES = {  # id: (text, what reads it)
-    "plain": ("a,b,t\n1,2,0.5\n2,3,0.25\n3,5,-1\n", "c reader"),
-    "crlf": ("a,b,t\r\n1,2,0.5\r\n2,3,0.25\r\n", "c reader"),
-    "cr": ("a,b,t\r1,2,0.5\r2,3,0.25\r", "c reader"),
-    "spaces-tabs-blank-lines": ("a,b,t\n 1 ,\t2,0.5 \n\n2,3,0.25\n\n", "c reader"),
-    "signs-exponents": ("a,b,t\n+1.5e-3,-.5,5.\n2E2,3,0.25\n", "c reader"),
-    "no-final-newline": ("a,b,t\n1,2,0.5\n2,3,0.25", "c reader"),
-    "byte-order-mark": ("\ufeffa,b,t\n1,2,0.5\n2,3,0.25\n", "c reader"),
-    "no-break-space": ("a,b,t\n\xa01,2,0.5\n2,3,0.25\n", "c reader"),
-    # tokens only Python's float accepts
-    "underscore": ("a,b,t\n1_0,2,0.5\n2,3,0.25\n", "per cell"),
-    "quoted-cell": ('a,b,t\n"4",2,0.5\n2,3,0.25\n', "per cell"),
-    "arabic-digit": ("a,b,t\n\u0663,2,0.5\n2,3,0.25\n", "per cell"),
-    "byte-order-mark-underscore": ("\ufeffa,b,t\n1_0,2,0.5\n2,3,0.25\n", "per cell"),
-    # files both reject, with one ParseError
-    "trailing-comma": ("a,b,t\n1,2,0.5,\n2,3,0.25\n", "ParseError"),
-    "whitespace-row": ("a,b,t\n1,2,0.5\n  \n2,3,0.25\n", "ParseError"),
-    "non-finite": ("a,b,t\n1,2,0.5\n2,inf,0.25\n", "ParseError"),
-    "overflowing": ("a,b,t\n1,2,0.5\n2,1e999,0.25\n", "ParseError"),
-    "one-data-row": ("a,b,t\n1,2,0.5\n", "ParseError"),
-    "header-only": ("a,b,t\n", "ParseError"),
-    "blank-body": ("a,b,t\n\n \n", "ParseError"),
-    "empty": ("", "ParseError"),
-    "one-column": ("t\n1\n2\n", "ParseError"),
-    "short-header": ("a,t\n1,2,0.5\n2,3,0.25\n", "ParseError"),
+_PLAIN = [[1, 2, 0.5], [2, 3, 0.25]]
+_CSV_TOKENIZER_CASES = {  # id: (text, the cells it loads, or its ParseError's (row, column, text))
+    "plain": ("a,b,t\n1,2,0.5\n2,3,0.25\n3,5,-1\n", [*_PLAIN, [3, 5, -1]]),
+    "crlf": ("a,b,t\r\n1,2,0.5\r\n2,3,0.25\r\n", _PLAIN),
+    "cr": ("a,b,t\r1,2,0.5\r2,3,0.25\r", _PLAIN),
+    "spaces-tabs-blank-lines": ("a,b,t\n 1 ,\t2,0.5 \n\n2,3,0.25\n\n", _PLAIN),
+    "signs-exponents": ("a,b,t\n+1.5e-3,-.5,5.\n2E2,3,0.25\n", [[1.5e-3, -0.5, 5], [200, 3, 0.25]]),
+    "no-final-newline": ("a,b,t\n1,2,0.5\n2,3,0.25", _PLAIN),
+    "byte-order-mark": ("\ufeffa,b,t\n1,2,0.5\n2,3,0.25\n", _PLAIN),
+    "no-break-space": ("a,b,t\n\xa01,2,0.5\n2,3,0.25\n", _PLAIN),
+    "quoted-cell": ('a,b,t\n"4",2,0.5\n2,3,0.25\n', [[4, 2, 0.5], [2, 3, 0.25]]),
+    # spellings only Python's float accepts; they loaded before numpy's grammar was the only one
+    "underscore": ("a,b,t\n1_0,2,0.5\n2,3,0.25\n", (2, 1, "non-numeric cell '1_0'")),
+    "arabic-digit": ("a,b,t\n\u0663,2,0.5\n2,3,0.25\n", (2, 1, "non-numeric cell '\u0663'")),
+    "byte-order-mark-underscore": ("\ufeffa,b,t\n1_0,2,0.5\n2,3,0.25\n",
+                                   (2, 1, "non-numeric cell '1_0'")),
+    "trailing-comma": ("a,b,t\n1,2,0.5,\n2,3,0.25\n", (2, 0, "expected 3 fields, got 4")),
+    "whitespace-row": ("a,b,t\n1,2,0.5\n  \n2,3,0.25\n", (3, 0, "expected 3 fields, got 1")),
+    "non-finite": ("a,b,t\n1,2,0.5\n2,inf,0.25\n", (3, 2, "non-finite cell 'inf'")),
+    "overflowing": ("a,b,t\n1,2,0.5\n2,1e999,0.25\n", (3, 2, "non-finite cell '1e999'")),
+    "one-data-row": ("a,b,t\n1,2,0.5\n", (2, 0, "need at least 2 data rows")),
+    "header-only": ("a,b,t\n", (1, 0, "need at least 2 data rows")),
+    "blank-body": ("a,b,t\n\n \n", (3, 0, "expected 3 fields, got 1")),
+    "empty": ("", (1, 0, "empty file")),
+    "one-column": ("t\n1\n2\n", (1, 0, "need at least one feature column and a target")),
+    "short-header": ("a,t\n1,2,0.5\n2,3,0.25\n", (2, 0, "expected 2 fields, got 3")),
 }
 
 
-def _load_outcome(path):
-    """The loaded arrays and label bound, or the ParseError's text and position."""
-    try:
-        sample = load_and_normalize(str(path))
-    except ParseError as exc:
-        return str(exc), exc.row, exc.column
-    return sample.points.tobytes(), sample.targets.tobytes(), sample.label_bound_M
-
-
-@pytest.mark.parametrize("text, reader", list(_CSV_TOKENIZER_CASES.values()),
+@pytest.mark.parametrize("text, outcome", list(_CSV_TOKENIZER_CASES.values()),
                          ids=list(_CSV_TOKENIZER_CASES))
-def test_load_and_normalize_reads_alike_with_either_tokenizer(tmp_path, monkeypatch, text, reader):
-    # numpy's C reader and the per-cell path give bit-identical arrays or the same ParseError
+def test_load_and_normalize_reads_alike_with_either_tokenizer(tmp_path, monkeypatch, text,
+                                                              outcome):
+    # numpy's C reader is the one tokenizer: a file loads its cells, read by one
+    # np.loadtxt call and opened once, or raises at its first bad record
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    by_cell = []
-    read_cells = cli._read_cells
-    monkeypatch.setattr(cli, "_read_cells", lambda p: by_cell.append(p) or read_cells(p))
-    either = _load_outcome(path)
-    rejected = isinstance(either[0], str)
-    assert reader == ("ParseError" if rejected else "per cell" if by_cell else "c reader")
-    monkeypatch.setattr(cli, "parse_text", lambda *args, **kwargs: None)
-    assert _load_outcome(path) == either
+    if isinstance(outcome, tuple):
+        with pytest.raises(ParseError) as exc_info:
+            load_and_normalize(str(path))
+        row, column, message = outcome
+        assert (exc_info.value.row, exc_info.value.column) == (row, column)
+        assert str(exc_info.value) == f"row {row}, column {column}: {message}"
+        return
+    reads = count_reads(monkeypatch, cli)
+    sample = load_and_normalize(str(path))
+    assert reads == ["open", "loadtxt"]
+    cells = np.array(outcome, dtype=np.float64)
+    features = cells[:, :-1].copy()
+    assert np.array_equal(sample.targets, cells[:, -1])
+    assert np.array_equal(sample.points, (features - features.mean(axis=0)) / features.std(axis=0))
 
 
 @pytest.mark.parametrize("argv", [
@@ -275,6 +276,13 @@ def test_cli_rejects_a_target_scale_whose_squared_residuals_overflow(toy_csv, ca
     err = capsys.readouterr().err
     assert err.startswith(f"stabreg: --target-scale {float(scale)!r} is too large")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+def test_cli_rejects_a_non_finite_target_scale(toy_csv, capsys, scale):
+    # nan used to be reported as "too large: the largest scaled target nan overflows"
+    assert main(["run", "--algorithm", "krr", "--data", toy_csv, f"--target-scale={scale}"]) == 2
+    assert capsys.readouterr().err == f"stabreg: --target-scale {float(scale)!r} must be finite\n"
 
 
 def test_load_zero_targets_fall_back_to_unit_bound(tmp_path):
@@ -321,6 +329,13 @@ def test_config_validation(toy_csv):
         ExperimentConfig(data_path=toy_csv, algorithm="ltr")  # missing radii
     with pytest.raises(ValueError):
         ExperimentConfig(data_path=toy_csv, sigma="sometimes")
+    # a NaN or infinite radius, or an infinite sigma, used to pass and print null metrics
+    for grid in [(math.nan,), (math.inf,), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match="^radii must be finite and non-negative$"):
+            ExperimentConfig(data_path=toy_csv, algorithm="ltr", radius_grid=grid)
+    for sigma in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="^sigma must be positive and finite$"):
+            ExperimentConfig(data_path=toy_csv, sigma=sigma)
 
 
 def test_derive_seed_injective_over_runs():
@@ -866,6 +881,29 @@ def test_cli_exit_code_two_on_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "1,nan"])
+@pytest.mark.parametrize("command", [["run", "--algorithm", "ltr", "--sigma", "3"],
+                                     ["select-radius"]])
+def test_cli_exit_code_two_on_a_non_finite_radius(toy_csv, capsys, command, radius):
+    # these exited 0 and printed null r_star, beta_used and bound_value
+    assert main([*command, "--data", toy_csv, "--radius", radius]) == 2
+    assert capsys.readouterr().err == "stabreg: radii must be finite and non-negative\n"
+
+
+def test_cli_exit_code_two_on_a_spelling_outside_the_c_grammar(toy_csv, tmp_path, capsys):
+    # a '_' digit separator in a cell and a non-ASCII digit in an index used to load
+    data = tmp_path / "underscore.csv"
+    data.write_text("a,t\n1_000,0.5\n2,0.25\n3,-1\n")
+    assert main(["run", "--data", str(data), "--algorithm", "krr"]) == 2
+    assert capsys.readouterr().err == ("stabreg: parse error: row 2, column 1: "
+                                       "non-numeric cell '1_000'\n")
+    graph = tmp_path / "arabic.txt"
+    graph.write_text("1 2 0.5\n2 \u0663 0.5\n", encoding="utf-8")
+    assert main(["run", "--data", toy_csv, "--algorithm", "laplacian", "--graph", str(graph)]) == 2
+    assert capsys.readouterr().err == ("stabreg: parse error: row 2, column 2: "
+                                       "bad vertex index '\u0663'\n")
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_cli_exit_code_two_on_non_finite_cell(tmp_path, capsys, cell):
     bad = tmp_path / "nonfinite.csv"
@@ -1024,8 +1062,9 @@ def test_parser_leaves_unset_run_options_at_the_config_defaults(argv, config):
 
 def test_parser_rejects_bad_sigma():
     parser = build_parser()
-    with pytest.raises(SystemExit):
-        parser.parse_args(["run", "--data", "x.csv", "--sigma", "-1"])
+    for sigma in ("-1", "inf", "nan"):  # inf used to run and print "sigma": null
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "--data", "x.csv", "--sigma", sigma])
 
 
 _EXPERIMENT_FLAGS = {"--data", "--target-scale", "--m-fraction", "--sigma", "--C", "--C-prime",

@@ -518,29 +518,6 @@ def test_load_edge_list_parse_errors(tmp_path, text, n, where, message):
     assert str(exc_info.value) == f"row {where[0]}, column {where[1]}: {message}"
 
 
-@pytest.mark.parametrize("lines", [1, 2, 3])
-def test_load_edge_list_reads_blocks_of_any_size_alike(tmp_path, monkeypatch, lines):
-    # the loader reads a block of lines at a time; an error, a repeated edge
-    # or a graph must not depend on where the blocks end
-    from stabreg import graph as graph_module
-
-    monkeypatch.setattr(graph_module, "parse_text", lambda *args, **kwargs: None)  # by block
-    path = tmp_path / "g.txt"
-    rng = np.random.default_rng(lines)
-    g = random_connected(7, rng)
-    save_edge_list(g, path)
-    text = path.read_text().replace("\n", "\n\n", 3)  # blank lines shift the rows
-    path.write_text(text)
-    whole = load_edge_list(path)
-    monkeypatch.setattr(graph_module, "_EDGE_LINES", lines)
-    assert np.array_equal(load_edge_list(path).weights, whole.weights)
-    for text, n, where, message in _EDGE_LIST_ERRORS.values():
-        path.write_text(text)
-        with pytest.raises(ParseError) as exc_info:
-            load_edge_list(path, n=n)
-        assert str(exc_info.value) == f"row {where[0]}, column {where[1]}: {message}"
-
-
 def test_load_edge_list_skips_a_byte_order_mark(tmp_path):
     # the mark used to be read as part of the first index: "bad vertex index '\ufeff1'"
     path = tmp_path / "g.txt"
@@ -549,65 +526,82 @@ def test_load_edge_list_skips_a_byte_order_mark(tmp_path):
     assert g.weights[0, 1] == 0.5 and g.weights[1, 2] == 1.5
 
 
-_EDGE_TOKENIZER_CASES = {  # id: (text, n, what reads it)
-    "plain": ("1 2 0.5\n2 3 1.5\n", None, "c reader"),
-    "explicit-n": ("1 2 0.5\n2 3 1.5\n", 5, "c reader"),
-    "crlf": ("1 2 0.5\r\n2 3 1.5\r\n", None, "c reader"),
-    "tabs": ("1\t2\t0.5\n2 \t3\t 1.5\n", None, "c reader"),
-    "whitespace-only-lines": ("1 2 0.5\n   \n\t\n\n2 3 1.5\n", None, "c reader"),
-    "plus-sign": ("+2 1 0.5\n2 3 1.5\n", None, "c reader"),
-    "leading-zero": ("01 2 0.5\n2 3 1.5\n", None, "c reader"),
-    "zero-weight-exponent": ("1 2 0\n2 3 1.5e-3\n", None, "c reader"),
-    "byte-order-mark": ("\ufeff1 2 0.5\n2 3 1.5\n", None, "c reader"),
-    # tokens only Python's int and float accept
-    "underscore": ("1_0 2 0.5\n2 3 1.5\n", None, "per cell"),
-    "arabic-digit": ("\u0663 2 0.5\n2 1 1.5\n", None, "per cell"),
-    "byte-order-mark-underscore": ("\ufeff1 2 0.5\n2 3 1_5\n", None, "per cell"),
-    "empty": ("", 3, "per cell"),
-    "blank-only": ("\n  \n", 3, "per cell"),
-    # files both reject, with one ParseError
-    "float-index": ("2.0 1 0.5\n", None, "ParseError"),
-    "two-fields": ("1 2 0.5\n2 3\n", None, "ParseError"),
-    "comma-separated": ("1,2,0.5\n", None, "ParseError"),
-    "index-above-n": ("1 2 0.5\n2 7 1.5\n", 3, "ParseError"),
-    "index-past-int64": ("99999999999999999999 2 0.5\n", 3, "ParseError"),
-    "zero-index": ("0 2 0.5\n", None, "ParseError"),
-    "self-loop": ("1 2 0.5\n2 2 1.5\n", None, "ParseError"),
-    "negative-weight": ("1 2 -0.5\n", None, "ParseError"),
-    "nan-weight": ("1 2 nan\n", None, "ParseError"),
-    "overflowing-weight": ("1 2 1e999\n", None, "ParseError"),
-    "repeated-edge": ("1 2 0.5\n\n2 3 1.5\n2 1 0.5\n", None, "ParseError"),
-    "empty-without-n": ("", None, "ValueError"),
+def _weights(size, *edges):
+    """The (size, size) weight matrix of 1-based ``(i, j, w)`` edges."""
+    w = np.zeros((size, size))
+    for i, j, x in edges:
+        w[i - 1, j - 1] = w[j - 1, i - 1] = x
+    return w
+
+
+def count_reads(monkeypatch, module):
+    """A list that records each file ``module`` opens and each ``np.loadtxt`` call, in order."""
+    reads = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: reads.append("loadtxt") or loadtxt(*a, **k))
+    monkeypatch.setattr(module, "open", lambda *a, **k: reads.append("open") or open(*a, **k),
+                        raising=False)
+    return reads
+
+
+_PATH3 = _weights(3, (1, 2, 0.5), (2, 3, 1.5))
+_EDGE_TOKENIZER_CASES = {  # id: (text, n, the weights it loads, or its error)
+    "plain": ("1 2 0.5\n2 3 1.5\n", None, _PATH3),
+    "explicit-n": ("1 2 0.5\n2 3 1.5\n", 5, _weights(5, (1, 2, 0.5), (2, 3, 1.5))),
+    "crlf": ("1 2 0.5\r\n2 3 1.5\r\n", None, _PATH3),
+    "tabs": ("1\t2\t0.5\n2 \t3\t 1.5\n", None, _PATH3),
+    "whitespace-only-lines": ("1 2 0.5\n   \n\t\n\n2 3 1.5\n", None, _PATH3),
+    "plus-sign": ("+2 1 0.5\n2 3 1.5\n", None, _PATH3),
+    "leading-zero": ("01 2 0.5\n2 3 1.5\n", None, _PATH3),
+    "zero-weight-exponent": ("1 2 0\n2 3 1.5e-3\n", None, _weights(3, (2, 3, 1.5e-3))),
+    "byte-order-mark": ("\ufeff1 2 0.5\n2 3 1.5\n", None, _PATH3),
+    "empty": ("", 3, _weights(3)),
+    "blank-only": ("\n  \n", 3, _weights(3)),
+    # spellings only Python's int and float accept; they loaded before numpy's
+    # grammar was the only one
+    "underscore": ("1_0 2 0.5\n2 3 1.5\n", None, (1, 1, "bad vertex index '1_0'")),
+    "arabic-digit": ("\u0663 2 0.5\n2 1 1.5\n", None, (1, 1, "bad vertex index '\u0663'")),
+    "byte-order-mark-underscore": ("\ufeff1 2 0.5\n2 3 1_5\n", None, (2, 3, "bad weight '1_5'")),
+    "float-index": ("2.0 1 0.5\n", None, (1, 1, "bad vertex index '2.0'")),
+    "two-fields": ("1 2 0.5\n2 3\n", None, (2, 0, "expected 'i j w'")),
+    "comma-separated": ("1,2,0.5\n", None, (1, 0, "expected 'i j w'")),
+    "index-above-n": ("1 2 0.5\n2 7 1.5\n", 3, (2, 2, "vertex 7 exceeds n=3")),
+    # read "vertex 99999999999999999999 exceeds n=3" while Python's int read indices
+    "index-past-int64": ("99999999999999999999 2 0.5\n", 3,
+                         (1, 1, "bad vertex index '99999999999999999999'")),
+    "zero-index": ("0 2 0.5\n", None, (1, 1, "vertex indices are 1-based")),
+    "self-loop": ("1 2 0.5\n2 2 1.5\n", None, (2, 1, "self-loops are not allowed")),
+    "negative-weight": ("1 2 -0.5\n", None, (1, 3, "weights must be non-negative")),
+    "nan-weight": ("1 2 nan\n", None, (1, 3, "non-finite weight 'nan'")),
+    "overflowing-weight": ("1 2 1e999\n", None, (1, 3, "non-finite weight '1e999'")),
+    "repeated-edge": ("1 2 0.5\n\n2 3 1.5\n2 1 0.5\n", None,
+                      (4, 0, "edge 1-2 already listed at row 1")),
+    "empty-without-n": ("", None, "a graph needs at least one vertex"),  # a ValueError
 }
 
 
-def _edge_outcome(path, n):
-    """The Laplacian's bytes, or the error's type and text (with a ParseError's position)."""
-    try:
-        return load_edge_list(path, n=n).L.tobytes()
-    except ParseError as exc:
-        return "ParseError", str(exc), exc.row, exc.column
-    except ValueError as exc:
-        return "ValueError", str(exc)
-
-
-@pytest.mark.parametrize("text, n, reader", list(_EDGE_TOKENIZER_CASES.values()),
+@pytest.mark.parametrize("text, n, outcome", list(_EDGE_TOKENIZER_CASES.values()),
                          ids=list(_EDGE_TOKENIZER_CASES))
-def test_load_edge_list_reads_alike_with_either_tokenizer(tmp_path, monkeypatch, text, n, reader):
-    # numpy's C reader and the per-cell path give bit-identical graphs or the same ParseError
+def test_load_edge_list_reads_alike_with_either_tokenizer(tmp_path, monkeypatch, text, n, outcome):
+    # numpy's C reader is the one tokenizer: a file loads its graph, read by one
+    # np.loadtxt call and opened once, or raises at its first bad row
     from stabreg import graph as graph_module
 
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode("utf-8"))
-    by_block = []
-    edges_by_block = graph_module._edges_by_block
-    monkeypatch.setattr(graph_module, "_edges_by_block",
-                        lambda *args: by_block.append(args) or edges_by_block(*args))
-    either = _edge_outcome(path, n)
-    failed = isinstance(either, tuple)
-    assert reader == (either[0] if failed else "per cell" if by_block else "c reader")
-    monkeypatch.setattr(graph_module, "parse_text", lambda *args, **kwargs: None)
-    assert _edge_outcome(path, n) == either
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=f"^{outcome}$"):
+            load_edge_list(path, n=n)
+    elif isinstance(outcome, tuple):
+        with pytest.raises(ParseError) as exc_info:
+            load_edge_list(path, n=n)
+        row, column, message = outcome
+        assert (exc_info.value.row, exc_info.value.column) == (row, column)
+        assert str(exc_info.value) == f"row {row}, column {column}: {message}"
+    else:
+        reads = count_reads(monkeypatch, graph_module)
+        assert np.array_equal(load_edge_list(path, n=n).weights, outcome)
+        assert reads == ["open", "loadtxt"]
 
 
 @pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
